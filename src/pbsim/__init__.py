@@ -4,11 +4,11 @@ The package covers three strands: phase-space analysis (Wigner
 functions, negativity volumes, effective radii), heralded optical
 generation of the eigenstates under imperfect detection, and estimation
 of phases and superposition coefficients from beam-splitter
-interference statistics. Hot numerical kernels are compiled with numba
-when available; set PBSIM_NO_NUMBA=1 to force the pure-numpy fallback.
+interference statistics. Every Wigner value comes from one exact
+expansion in Hermite functions (pbsim._kernels).
 """
 
-from ._kernels import backend, wigner_batch
+from ._kernels import wigner_batch
 from .errors import (ConfigMismatchError, CutoffError, DegenerateHeraldError,
                      LeakageWarning, LowInformationError, NumericalError,
                      PbsimError, ProbeError, QuadratureError,
@@ -35,14 +35,14 @@ from .phase_states import (pb_eigenstate, pb_phase_operator, phase_state,
                            phase_value)
 from .wigner import (DEFAULT_QUADRATURE, NegativityResult, QuadratureSpec,
                      WignerGrid, effective_radius, hermite_wavefunction,
-                     kernel_matrix, negativity_volume,
+                     negativity_volume,
                      negativity_volume_detailed, wigner_grid, wigner_point,
                      wigner_point_integral, wigner_plane_integral)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "backend", "wigner_batch",
+    "wigner_batch",
     "PbsimError", "ValidationError", "ConfigMismatchError", "CutoffError",
     "NumericalError", "QuadratureError", "WindowExhaustedError",
     "DegenerateHeraldError", "ProbeError", "RootQualityError",
@@ -54,7 +54,7 @@ __all__ = [
     "beam_splitter_5050", "apply_two_mode_unitary", "apply_single_mode_op",
     "tmsv", "displacement_op", "phase_plate", "detector_povm",
     "phase_value", "phase_state", "pb_eigenstate", "pb_phase_operator",
-    "hermite_wavefunction", "kernel_matrix", "wigner_point",
+    "hermite_wavefunction", "wigner_point",
     "wigner_point_integral", "WignerGrid", "wigner_grid", "QuadratureSpec",
     "DEFAULT_QUADRATURE", "NegativityResult", "negativity_volume",
     "negativity_volume_detailed", "wigner_plane_integral",

@@ -1,136 +1,95 @@
-"""Hot numerical kernels with a JIT-compiled and a plain numpy backend.
+"""The Wigner evaluator: an exact expansion in orthonormal Hermite functions.
 
-The phase-space sweeps evaluate the Fock Wigner kernel at millions of
-points, so the point loop is JIT-compiled when numba is importable.
-Setting the environment variable PBSIM_NO_NUMBA to any non-empty value
-forces the vectorized numpy implementation instead; both backends share
-the same recurrences and agree to floating-point roundoff.
+In the hbar = 1/2 convention the Wigner function of a density with
+photon numbers up to N is a polynomial of degree 2N in (q, p) times
+exp(-2(q^2 + p^2)). It therefore expands exactly as
 
-Kernel, in the hbar = 1/2 convention (vacuum peak 2/pi):
+    W(q, p) = sum_{j,k < D} C[j, k] h_j(2q) h_k(2p),   D = 2N + 1,
 
-    W(q,p) = sum_{m,n} rho[m,n] K[m,n](q,p)
-    K[m,n] = (2/pi) (-1)^n sqrt(n!/m!) (2(q+ip))^(m-n)
-             exp(-2 r^2) L_n^(m-n)(4 r^2),   m >= n, r^2 = q^2 + p^2
-
-with K[n,m] the conjugate. Hermiticity of rho folds the upper triangle
-into twice the real part of the lower one.
+in the orthonormal Hermite functions h_j. C is computed once per state
+(wigner_coefficients); after that a tensor lattice costs two small
+matrix products (wigner_lattice) and scattered points one product and
+a row sum (wigner_points).
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
-
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and not os.environ.get("PBSIM_NO_NUMBA")
+from numpy.polynomial.hermite import hermgauss
 
 
-def backend() -> str:
-    """Name of the kernel backend selected at import time."""
-    return "numba" if USE_NUMBA else "numpy"
+def hermite_functions(nmax: int, xi) -> np.ndarray:
+    """Orthonormal Hermite functions h_n(xi), n = 0..nmax.
 
-
-_COEF_CACHE: dict[int, np.ndarray] = {}
-
-
-def kernel_coefficients(dim: int) -> np.ndarray:
-    """Lower-triangular table c[m, n] = (2/pi) (-1)^n sqrt(n!/m!)."""
-    cached = _COEF_CACHE.get(dim)
-    if cached is not None:
-        return cached
-    c = np.zeros((dim, dim))
-    for n in range(dim):
-        base = (2.0 / np.pi) * (-1.0) ** n
-        c[n, n] = base
-        for m in range(n + 1, dim):
-            base /= np.sqrt(m)
-            c[m, n] = base
-    _COEF_CACHE[dim] = c
-    return c
-
-
-def wigner_batch_numpy(rho: np.ndarray, coef: np.ndarray,
-                       qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Vectorized-over-points evaluation of W at (qs, ps)."""
-    r2 = qs * qs + ps * ps
-    x = 4.0 * r2
-    env = np.exp(-2.0 * r2)
-    z = 2.0 * (qs + 1j * ps)
-    dim = rho.shape[0]
-    acc = np.zeros(r2.shape)
-    zd = np.ones(r2.shape, dtype=np.complex128)
-    for d in range(dim):
-        # Laguerre L_n^(d)(x) by upward recurrence in n
-        lprev = np.zeros(r2.shape)
-        lcur = np.ones(r2.shape)
-        ssum = np.zeros(r2.shape, dtype=np.complex128)
-        for n in range(dim - d):
-            m = n + d
-            ssum = ssum + (rho[m, n] * coef[m, n]) * lcur
-            lnext = ((2 * n + 1 + d - x) * lcur - (n + d) * lprev) / (n + 1)
-            lprev = lcur
-            lcur = lnext
-        contrib = (ssum * zd).real
-        acc += contrib if d == 0 else 2.0 * contrib
-        zd = zd * z
-    return acc * env
-
-
-def _wigner_batch_serial(rho, coef, qs, ps):
-    npts = qs.shape[0]
-    dim = rho.shape[0]
-    out = np.empty(npts)
-    for i in range(npts):
-        q = qs[i]
-        p = ps[i]
-        r2 = q * q + p * p
-        x = 4.0 * r2
-        z = 2.0 * (q + 1j * p)
-        acc = 0.0
-        zd = 1.0 + 0.0j
-        for d in range(dim):
-            lprev = 0.0
-            lcur = 1.0
-            ssum = 0.0 + 0.0j
-            for n in range(dim - d):
-                m = n + d
-                ssum += rho[m, n] * coef[m, n] * lcur
-                lnext = ((2 * n + 1 + d - x) * lcur - (n + d) * lprev) / (n + 1)
-                lprev = lcur
-                lcur = lnext
-            c = (ssum * zd).real
-            acc += c if d == 0 else 2.0 * c
-            zd *= z
-        out[i] = acc * math.exp(-2.0 * r2)
+    Shape (nmax+1,) + xi.shape. Three-term recurrence
+    h_n = xi sqrt(2/n) h_(n-1) - sqrt((n-1)/n) h_(n-2) from
+    h_0 = pi^(-1/4) exp(-xi^2/2).
+    """
+    xi = np.asarray(xi, dtype=np.float64)
+    out = np.empty((nmax + 1,) + xi.shape)
+    out[0] = np.pi ** -0.25 * np.exp(-0.5 * xi * xi)
+    if nmax >= 1:
+        out[1] = np.sqrt(2.0) * xi * out[0]
+    for n in range(2, nmax + 1):
+        out[n] = (np.sqrt(2.0 / n) * xi * out[n - 1]
+                  - np.sqrt((n - 1.0) / n) * out[n - 2])
     return out
 
 
-if HAS_NUMBA:
-    _wigner_batch_jit = numba.njit(cache=True, fastmath=False)(
-        _wigner_batch_serial)
-else:  # pragma: no cover - exercised only without numba installed
-    _wigner_batch_jit = _wigner_batch_serial
+def wigner_coefficients(rho: np.ndarray) -> np.ndarray:
+    """Real (2N+1, 2N+1) table C with W(q, p) = h(2q) . C . h(2p).
+
+    With xi = 2q and x the integration variable of the defining
+    transform, the Fock product psi(q + x/2) conj(psi)(q - x/2) is
+    sqrt(2) K(xi, x) with K(u, v) = sum rho[m, n] h_m((u+v)/sqrt2)
+    h_n((u-v)/sqrt2), a 45-degree rotation of h_m (x) h_n. Projecting K on
+    h_j (x) h_k gives A, exactly by a D-point Gauss-Hermite rule in each
+    variable since the integrand has degree <= 4N = 2D - 2. The Fourier
+    transform in x then maps h_k(x) to sqrt(2 pi) i^k h_k(2p), so
+    C = (2/sqrt(pi)) Re(A diag(i^k)). rho must be Hermitian, which makes
+    every A[j, k] i^k real; Re drops the rounding residue.
+    """
+    rho = np.asarray(rho, dtype=np.complex128)
+    nmax = rho.shape[0] - 1
+    dim = 2 * nmax + 1
+    x, w = hermgauss(dim)
+    g = hermite_functions(dim - 1, x).T * (w * np.exp(x * x))[:, None]
+    u = ((x[:, None] + x[None, :]) / np.sqrt(2.0)).ravel()
+    v = ((x[:, None] - x[None, :]) / np.sqrt(2.0)).ravel()
+    # rho's real and imaginary parts go through one real product: numpy's
+    # complex-by-real matmul bypasses BLAS
+    rho_hv = np.concatenate([rho.real, rho.imag]) @ hermite_functions(nmax, v)
+    k = (rho_hv.reshape(2, nmax + 1, -1)
+         * hermite_functions(nmax, u)).sum(axis=1)
+    a = g.T @ k.reshape(2, dim, dim) @ g
+    return (2.0 / np.sqrt(np.pi)) * (
+        (a[0] + 1j * a[1]) * 1j ** np.arange(dim)).real
+
+
+def wigner_lattice(coef: np.ndarray, qs, ps) -> np.ndarray:
+    """W on the tensor lattice qs x ps, shape (..., len_q, len_p).
+
+    Leading axes of qs and ps batch over lattices (one per quadrature
+    panel) and must broadcast against each other.
+    """
+    nmax = coef.shape[0] - 1
+    hq = hermite_functions(nmax, 2.0 * np.asarray(qs, dtype=np.float64))
+    hp = hermite_functions(nmax, 2.0 * np.asarray(ps, dtype=np.float64))
+    return np.moveaxis(hq, 0, -1) @ coef @ np.moveaxis(hp, 0, -2)
+
+
+def wigner_points(coef: np.ndarray, qs, ps) -> np.ndarray:
+    """W at the scattered points (qs[i], ps[i])."""
+    nmax = coef.shape[0] - 1
+    hq = hermite_functions(nmax, 2.0 * np.asarray(qs, dtype=np.float64))
+    hp = hermite_functions(nmax, 2.0 * np.asarray(ps, dtype=np.float64))
+    return ((coef.T @ hq) * hp).sum(axis=0)
 
 
 def wigner_batch(rho: np.ndarray, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """W at each point, dispatching to the selected backend.
-
-    rho must be Hermitian; only its lower triangle is read.
-    """
-    rho = np.ascontiguousarray(rho, dtype=np.complex128)
-    coef = kernel_coefficients(rho.shape[0])
+    """W of the Hermitian density rho at each point (qs[i], ps[i])."""
     qs = np.ascontiguousarray(qs, dtype=np.float64).ravel()
     ps = np.ascontiguousarray(ps, dtype=np.float64).ravel()
     if qs.shape != ps.shape:
         raise ValueError("qs and ps must have equal length")
-    if USE_NUMBA:
-        return _wigner_batch_jit(rho, coef, qs, ps)
-    return wigner_batch_numpy(rho, coef, qs, ps)
+    return wigner_points(wigner_coefficients(rho), qs, ps)

@@ -2,9 +2,11 @@
 
 Conventions: hbar = 1/2, so the vacuum Wigner peak is 2/pi and the
 position wavefunctions are psi_n(x) = (2/pi)^(1/4) (2^n n!)^(-1/2)
-H_n(sqrt(2) x) exp(-x^2). The fast path evaluates W through the
-closed-form Fock kernel in _kernels; wigner_point_integral keeps the
-defining integral as an independent slow oracle.
+H_n(sqrt(2) x) exp(-x^2). Every W value comes from the exact Hermite
+expansion in _kernels: its coefficient table is computed once per state
+and public call, then each lattice or point set is a few matrix
+products. wigner_point_integral keeps the defining integral as an
+independent slow oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
-from ._kernels import kernel_coefficients, wigner_batch
+from ._kernels import (hermite_functions, wigner_batch, wigner_coefficients,
+                       wigner_lattice, wigner_points)
 from .errors import (QuadratureError, ValidationError, WindowExhaustedError)
 from .fock import FockDensity, FockVector
 
@@ -40,53 +43,13 @@ def hermite_wavefunction(n: int, x):
 def hermite_wavefunctions_all(nmax: int, x) -> np.ndarray:
     """psi_n(x) for all n = 0..nmax, shape (nmax+1,) + x.shape.
 
-    Recurrence in the unit-normalized Hermite functions h_n(xi),
-    h_n = xi sqrt(2/n) h_(n-1) - sqrt((n-1)/n) h_(n-2), evaluated at
-    xi = sqrt(2) x and rescaled by 2^(1/4) for the hbar = 1/2 units.
+    The unit-normalized Hermite functions h_n(xi) at xi = sqrt(2) x,
+    rescaled by 2^(1/4) for the hbar = 1/2 units.
     """
     if nmax < 0:
         raise ValidationError(f"nmax must be >= 0, got {nmax}")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    xi = np.sqrt(2.0) * x_arr
-    out = np.zeros((nmax + 1,) + x_arr.shape)
-    h_prev = np.pi ** -0.25 * np.exp(-0.5 * xi * xi)
-    out[0] = h_prev
-    h_cur = h_prev
-    for n in range(1, nmax + 1):
-        h_next = xi * np.sqrt(2.0 / n) * h_cur
-        if n > 1:
-            h_next -= np.sqrt((n - 1.0) / n) * h_prev
-        h_prev, h_cur = h_cur, h_next
-        out[n] = h_cur
-    out *= 2.0 ** 0.25
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return out[:, 0]
-    return out
-
-
-def kernel_matrix(dim: int, q: float, p: float) -> np.ndarray:
-    """Full kernel table K[m, n](q, p), so that W = sum(rho * K).
-
-    Lower triangle (m >= n) carries (2(q+ip))^(m-n); the upper triangle
-    is its conjugate transpose.
-    """
-    coef = kernel_coefficients(dim)
-    r2 = q * q + p * p
-    x = 4.0 * r2
-    z = 2.0 * (q + 1j * p)
-    k = np.zeros((dim, dim), dtype=np.complex128)
-    zd = 1.0 + 0.0j
-    for d in range(dim):
-        lprev, lcur = 0.0, 1.0
-        for n in range(dim - d):
-            m = n + d
-            k[m, n] = coef[m, n] * lcur * zd
-            lnext = ((2 * n + 1 + d - x) * lcur - (n + d) * lprev) / (n + 1)
-            lprev, lcur = lcur, lnext
-        zd *= z
-    k *= math.exp(-2.0 * r2)
-    lower = np.tril(k, -1)
-    return k + lower.conj().T
+    xi = np.sqrt(2.0) * np.asarray(x, dtype=np.float64)
+    return 2.0 ** 0.25 * hermite_functions(nmax, xi)
 
 
 def _as_density(state) -> FockDensity:
@@ -100,22 +63,24 @@ def _as_density(state) -> FockDensity:
 def wigner_point(rho, q: float, p: float) -> float:
     """W(q, p) of a single-mode density.
 
-    FockDensity and FockVector inputs take the Hermitian fast path. A raw
-    matrix is evaluated by the full complex kernel sum; an imaginary
-    residue above 1e-8 reports a non-Hermitian input.
+    FockDensity and FockVector inputs are Hermitian by construction. A
+    raw matrix is accepted without the positivity and trace checks, but
+    an entry of m - m^H above 1e-8 reports a non-Hermitian input.
     """
     if isinstance(rho, FockVector):
         rho = FockDensity.from_pure(rho)
     if isinstance(rho, FockDensity):
-        return float(wigner_batch(rho.matrix, np.array([q]), np.array([p]))[0])
-    m = np.asarray(rho, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"density matrix must be square, got {m.shape}")
-    w = complex(np.sum(m * kernel_matrix(m.shape[0], q, p)))
-    if abs(w.imag) > 1e-8:
-        raise ValidationError(
-            f"input not Hermitian: imaginary residue {w.imag:.3e} in W")
-    return float(w.real)
+        m = rho.matrix
+    else:
+        m = np.asarray(rho, dtype=np.complex128)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValidationError(
+                f"density matrix must be square, got {m.shape}")
+        asym = float(np.abs(m - m.conj().T).max())
+        if asym > 1e-8:
+            raise ValidationError(
+                f"input not Hermitian: max |m - m^H| = {asym:.3e}")
+    return float(wigner_batch(m, np.array([q]), np.array([p]))[0])
 
 
 def wigner_point_integral(psi: FockVector, q: float, p: float) -> float:
@@ -186,12 +151,9 @@ class WignerGrid:
 
 def wigner_grid(rho, spec: WignerGrid) -> WignerGrid:
     """Evaluate W on the lattice described by spec."""
-    dm = _as_density(rho)
-    qv = spec.q_values()
-    pv = spec.p_values()
-    qq, pp = np.meshgrid(qv, pv, indexing="ij")
-    vals = wigner_batch(dm.matrix, qq.ravel(), pp.ravel())
-    return replace(spec, values=vals.reshape(spec.nq, spec.np))
+    coef = wigner_coefficients(_as_density(rho).matrix)
+    vals = wigner_lattice(coef, spec.q_values(), spec.p_values())
+    return replace(spec, values=vals)
 
 
 @dataclass(frozen=True)
@@ -234,27 +196,21 @@ class NegativityResult:
     max_depth_reached: int
 
 
-def _panel_values(matrix, q0, q1, p0, p1, nodes, weights, absolute):
+def _panel_values(coef, q0, q1, p0, p1, nodes, weights, absolute):
     """Tensor Gauss-Legendre estimate of each panel's integral."""
-    k = nodes.size
-    npanels = q0.size
     hq = 0.5 * (q1 - q0)
     cq = 0.5 * (q1 + q0)
     hp = 0.5 * (p1 - p0)
     cp = 0.5 * (p1 + p0)
-    qpts = cq[:, None, None] + hq[:, None, None] * nodes[None, :, None]
-    ppts = cp[:, None, None] + hp[:, None, None] * nodes[None, None, :]
-    shape = (npanels, k, k)
-    w = wigner_batch(matrix,
-                     np.broadcast_to(qpts, shape).ravel(),
-                     np.broadcast_to(ppts, shape).ravel()).reshape(shape)
+    w = wigner_lattice(coef, cq[:, None] + hq[:, None] * nodes,
+                       cp[:, None] + hp[:, None] * nodes)
     if absolute:
         w = np.abs(w)
     ww = weights[:, None] * weights[None, :]
     return (w * ww).sum(axis=(1, 2)) * hq * hp
 
 
-def _adaptive_box_integral(matrix, half_width, spec, absolute):
+def _adaptive_box_integral(coef, half_width, spec, absolute):
     """Integral of W (or |W|) over the centered square box.
 
     Returns (value, evaluations, depth_reached). Panels are refined
@@ -269,7 +225,7 @@ def _adaptive_box_integral(matrix, half_width, spec, absolute):
     q1 = np.array([half_width])
     p0 = np.array([-half_width])
     p1 = np.array([half_width])
-    vals = _panel_values(matrix, q0, q1, p0, p1, nodes, weights, absolute)
+    vals = _panel_values(coef, q0, q1, p0, p1, nodes, weights, absolute)
     evals = spec.order ** 2
     if spec.scheme == "fixed":
         return float(vals[0]), evals, 0
@@ -282,7 +238,7 @@ def _adaptive_box_integral(matrix, half_width, spec, absolute):
         cq1 = np.concatenate([qm, q1, qm, q1])
         cp0 = np.concatenate([p0, p0, pm, pm])
         cp1 = np.concatenate([pm, pm, p1, p1])
-        cvals = _panel_values(matrix, cq0, cq1, cp0, cp1, nodes, weights,
+        cvals = _panel_values(coef, cq0, cq1, cp0, cp1, nodes, weights,
                               absolute)
         evals += cvals.size * spec.order ** 2
         if evals > spec.max_evals:
@@ -317,8 +273,8 @@ def negativity_volume(rho, quad: QuadratureSpec | None = None) -> float:
     """Negativity volume (1/2)(Int |W| - 1), clamped at zero.
 
     The integration box is a square of half-width effective_radius +
-    radius_margin; the tail outside is bounded separately by the
-    detailed variant.
+    radius_margin. QuadratureError is raised when the estimated integral
+    of |W| just outside the box exceeds the quadrature tolerance.
     """
     return negativity_volume_detailed(rho, quad).volume
 
@@ -329,22 +285,28 @@ def negativity_volume_detailed(rho, quad: QuadratureSpec | None = None
     dm = _as_density(rho)
     _check_unit_trace(dm)
     half_width = effective_radius(dm) + spec.radius_margin
-    absint, evals, depth = _adaptive_box_integral(dm.matrix, half_width,
-                                                  spec, absolute=True)
+    coef = wigner_coefficients(dm.matrix)
+    tail = _tail_estimate(coef, half_width, spec)
+    if tail > spec.tol:
+        raise QuadratureError(
+            f"|W| outside the box of half-width {half_width:.3f} integrates "
+            f"to {tail:.3e}, above tolerance {spec.tol:.1e}; raise "
+            f"radius_margin")
+    absint, evals, depth = _adaptive_box_integral(coef, half_width, spec,
+                                                  absolute=True)
     raw = 0.5 * (absint - 1.0)
     if raw < 0.0:
         if raw < -100.0 * spec.tol:
             raise QuadratureError(
                 f"negativity volume {raw:.3e} below zero beyond tolerance")
         raw = 0.0
-    tail = _tail_estimate(dm.matrix, half_width, spec)
     return NegativityResult(volume=float(raw), abs_integral=float(absint),
                             tail_estimate=float(tail),
                             box_half_width=float(half_width),
                             evaluations=evals, max_depth_reached=depth)
 
 
-def _tail_estimate(matrix, half_width, spec) -> float:
+def _tail_estimate(coef, half_width, spec) -> float:
     """One-shot estimate of Int |W| over the frame just outside the box."""
     nodes, weights = leggauss(min(spec.order, 24))
     l = half_width
@@ -354,7 +316,7 @@ def _tail_estimate(matrix, half_width, spec) -> float:
     q1 = np.array([-l, e, l, l])
     p0 = np.array([-e, -e, l, -e])
     p1 = np.array([e, e, e, -l])
-    vals = _panel_values(matrix, q0, q1, p0, p1, nodes, weights,
+    vals = _panel_values(coef, q0, q1, p0, p1, nodes, weights,
                          absolute=True)
     return float(vals.sum())
 
@@ -364,8 +326,8 @@ def wigner_plane_integral(rho, quad: QuadratureSpec | None = None) -> float:
     spec = quad if quad is not None else DEFAULT_QUADRATURE
     dm = _as_density(rho)
     half_width = effective_radius(dm) + spec.radius_margin
-    val, _, _ = _adaptive_box_integral(dm.matrix, half_width, spec,
-                                       absolute=False)
+    val, _, _ = _adaptive_box_integral(wigner_coefficients(dm.matrix),
+                                       half_width, spec, absolute=False)
     return float(val)
 
 
@@ -383,7 +345,7 @@ def effective_radius(rho, angle: float = 0.0,
         raise ValidationError("ray angle must be finite")
     if threshold <= 0:
         raise ValidationError("threshold must be > 0")
-    matrix = dm.matrix
+    coef = wigner_coefficients(dm.matrix)
     ca, sa = math.cos(angle), math.sin(angle)
     step = 0.01
     window = math.sqrt(4.0 * dm.cutoff + 2.0) / 2.0 + 4.0
@@ -391,7 +353,7 @@ def effective_radius(rho, angle: float = 0.0,
     last_above = -1.0
     for _ in range(6):
         ts = np.arange(t_lo, window + step, step)
-        vals = np.abs(wigner_batch(matrix, ts * ca, ts * sa))
+        vals = np.abs(wigner_points(coef, ts * ca, ts * sa))
         above = np.nonzero(vals >= threshold)[0]
         if above.size:
             last_above = max(last_above, float(ts[above[-1]]))
@@ -409,8 +371,8 @@ def effective_radius(rho, angle: float = 0.0,
     lo, hi = last_above, last_above + step
 
     def g(t: float) -> float:
-        return float(np.abs(wigner_batch(matrix, np.array([t * ca]),
-                                         np.array([t * sa])))[0]) - threshold
+        w = wigner_points(coef, [t * ca], [t * sa])[0]
+        return abs(float(w)) - threshold
 
     for _ in range(80):
         if hi - lo <= 1e-8:

@@ -5,15 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from pbsim import _kernels
+from pbsim._kernels import wigner_batch
 from pbsim.errors import QuadratureError, ValidationError
 from pbsim.fock import FockDensity, FockVector, TruncationConfig, number_state, vacuum_state
 from pbsim.ops import phase_plate
 from pbsim.phase_states import pb_eigenstate
 from pbsim.wigner import (QuadratureSpec, WignerGrid, effective_radius,
                           hermite_wavefunction, hermite_wavefunctions_all,
-                          negativity_volume, wigner_grid, wigner_plane_integral,
-                          wigner_point, wigner_point_integral)
+                          negativity_volume, negativity_volume_detailed,
+                          wigner_grid, wigner_plane_integral, wigner_point,
+                          wigner_point_integral)
 
 
 def random_pure(cutoff, seed):
@@ -161,15 +162,47 @@ def test_effective_radius_grows_with_order():
     assert radii[0] < radii[1] < radii[2]
 
 
-def test_backends_agree():
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("numba not installed")
-    psi = random_pure(7, 55)
-    rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    coef = _kernels.kernel_coefficients(8)
-    rng = np.random.default_rng(9)
-    qs = rng.uniform(-4, 4, 300)
-    ps = rng.uniform(-4, 4, 300)
-    a = _kernels.wigner_batch_numpy(rho, coef, qs, ps)
-    b = _kernels._wigner_batch_jit(rho, coef, qs, ps)
-    assert np.abs(a - b).max() < 1e-12
+@pytest.mark.parametrize("cutoff", [17, 30, 40])
+def test_high_cutoff_matches_integral_oracle(cutoff):
+    psi = random_pure(cutoff, cutoff)
+    rng = np.random.default_rng(cutoff)
+    for q, p in rng.uniform(-2.5, 2.5, (5, 2)):
+        fast = wigner_point(psi, float(q), float(p))
+        slow = wigner_point_integral(psi, float(q), float(p))
+        assert abs(fast - slow) <= 1e-12
+
+
+def test_number_state_origin_values():
+    for n in range(41):
+        assert wigner_point(number_state(n, 40), 0.0, 0.0) == pytest.approx(
+            2 / math.pi * (-1) ** n, abs=1e-13)
+
+
+def test_lattice_path_matches_point_path():
+    # wigner_grid evaluates a tensor lattice, wigner_batch scattered points
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    rho = FockDensity(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+    grid = wigner_grid(rho, WignerGrid(-3.0, 2.5, -2.0, 3.5, 23, 19))
+    qq, pp = np.meshgrid(grid.q_values(), grid.p_values(), indexing="ij")
+    points = wigner_batch(rho.matrix, qq.ravel(), pp.ravel())
+    assert np.abs(grid.values.ravel() - points).max() <= 1e-13
+
+
+def test_raw_matrix_input():
+    rho = FockDensity.from_pure(random_pure(6, 61))
+    for q, p in [(0.0, 0.0), (0.9, -0.4), (-1.3, 1.1)]:
+        assert abs(wigner_point(rho.matrix.copy(), q, p)
+                   - wigner_point(rho, q, p)) <= 1e-14
+    skew = rho.matrix.copy()
+    skew[2, 0] += 1e-6
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        wigner_point(skew, 0.3, 0.2)
+
+
+def test_tail_contract():
+    state = pb_eigenstate(4, 0)
+    with pytest.raises(QuadratureError, match="outside the box"):
+        negativity_volume(state, QuadratureSpec(radius_margin=0.0))
+    result = negativity_volume_detailed(state)
+    assert result.tail_estimate <= QuadratureSpec().tol
