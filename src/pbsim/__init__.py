@@ -11,9 +11,8 @@ expansion in Hermite functions (pbsim._kernels).
 from ._kernels import wigner_batch
 from .errors import (ConfigMismatchError, CutoffError, DegenerateHeraldError,
                      LeakageWarning, LowInformationError, NumericalError,
-                     PbsimError, ProbeError, QuadratureError,
-                     RankDeficiencyWarning, RootQualityError, ValidationError,
-                     WindowExhaustedError)
+                     PbsimError, QuadratureError, RankDeficiencyWarning,
+                     RootQualityError, ValidationError, WindowExhaustedError)
 from .fock import (FockDensity, FockVector, TruncationConfig,
                    conditional_density, fidelity_pure, inner_product,
                    number_state, pad_to_cutoff, project_pattern,
@@ -45,7 +44,7 @@ __all__ = [
     "wigner_batch",
     "PbsimError", "ValidationError", "ConfigMismatchError", "CutoffError",
     "NumericalError", "QuadratureError", "WindowExhaustedError",
-    "DegenerateHeraldError", "ProbeError", "RootQualityError",
+    "DegenerateHeraldError", "RootQualityError",
     "LowInformationError", "LeakageWarning", "RankDeficiencyWarning",
     "TruncationConfig", "FockVector", "FockDensity", "tensor_product",
     "inner_product", "fidelity_pure", "project_pattern",

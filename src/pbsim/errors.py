@@ -40,10 +40,6 @@ class DegenerateHeraldError(NumericalError):
     """Conditioning probability below the positive-probability floor."""
 
 
-class ProbeError(NumericalError):
-    """Coefficient-extraction probe detected unexpected nonlinearity."""
-
-
 class RootQualityError(NumericalError):
     """Polynomial root residual above tolerance."""
 

@@ -247,44 +247,60 @@ def project_pattern(state: FockVector, detected: dict[int, int]) -> FockVector:
 
 def conditional_density(state: FockVector, povm_per_mode, kept_mode: int
                         ) -> tuple[FockDensity, float]:
-    """Condition on POVM outcomes on all modes except one.
+    """Condition on photon-counting outcomes on all modes except one.
 
     Parameters
     ----------
     state : FockVector
-    povm_per_mode : sequence of (dim, dim) Hermitian PSD matrices
-        One element per non-kept mode, in increasing mode order.
+    povm_per_mode : sequence of (dim, dim) diagonal PSD matrices
+        One element per non-kept mode, in increasing mode order. Each must
+        be diagonal in the Fock basis (click/no-click elements, photon
+        number projectors, the identity); an off-diagonal entry, or a
+        diagonal entry that is complex or negative, raises
+        ValidationError.
     kept_mode : int
 
     Returns
     -------
     (rho, p) : the kept mode's conditional density normalized to trace 1,
         and the outcome probability p = <Psi|(tensor E (x) I)|Psi>.
+
+    The elements fold into one weight per photon-number pattern of the
+    conditioned modes, so the density is a single weighted product of the
+    amplitude tensor with itself.
     """
     modes = state.modes
     if not 0 <= kept_mode < modes:
         raise ValidationError(f"kept_mode {kept_mode} out of range")
-    others = [m for m in range(modes) if m != kept_mode]
     povms = list(povm_per_mode)
-    if len(povms) != len(others):
+    if len(povms) != modes - 1:
         raise ValidationError(
-            f"need {len(others)} POVM elements, got {len(povms)}")
+            f"need {modes - 1} POVM elements, got {len(povms)}")
     dim = state.config.dim
 
-    phi = state.amplitudes
-    for mode, e in zip(others, povms):
+    weights = np.ones(())
+    for e in povms:
         e = np.asarray(e, dtype=np.complex128)
         if e.shape != (dim, dim):
             raise ValidationError(f"POVM element shape {e.shape} != ({dim},{dim})")
-        if np.abs(e - e.conj().T).max() > HERM_TOL * max(1.0, np.abs(e).max()):
+        diag = np.diagonal(e)
+        tol = HERM_TOL * max(1.0, float(np.abs(e).max()))
+        if np.abs(e - np.diag(diag)).max() > tol:
+            raise ValidationError("POVM element not diagonal in the Fock basis")
+        if np.abs(diag.imag).max() > tol:
             raise ValidationError("POVM element not Hermitian")
-        if np.linalg.eigvalsh(0.5 * (e + e.conj().T))[0] < -PSD_TOL:
+        if diag.real.min() < -PSD_TOL:
             raise ValidationError("POVM element not PSD")
-        # contract E_mode onto the mode's axis, keeping axis order
-        phi = np.moveaxis(np.tensordot(e, phi, axes=(1, mode)), 0, mode)
+        weights = np.multiply.outer(weights, diag.real)
 
-    rest = tuple(others)
-    raw = np.tensordot(phi, state.amplitudes.conj(), axes=(rest, rest))
+    # amplitudes as (modes before, kept mode, modes after); the weighted
+    # copy is conjugated in place, and with the kept mode first or last
+    # tensordot reads both operands as they lie, so that copy is the only
+    # state-sized array
+    amp = state.amplitudes.reshape(dim ** kept_mode, dim, -1)
+    weighted = amp * weights.reshape(amp.shape[0], 1, amp.shape[2])
+    np.conjugate(weighted, out=weighted)
+    raw = np.tensordot(amp, weighted, axes=([0, 2], [0, 2]))
     p = float(np.trace(raw).real)
     if p < PROB_FLOOR:
         raise DegenerateHeraldError(

@@ -15,23 +15,18 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb, tanh
+from math import factorial, sqrt, tanh
 
 import numpy as np
 
-from .errors import (CutoffError, LeakageWarning, NumericalError, ProbeError,
+from .errors import (CutoffError, LeakageWarning, NumericalError,
                      RootQualityError, ValidationError)
-from .fock import (FockDensity, FockVector, conditional_density,
-                   fidelity_pure, project_pattern, tensor_product,
-                   vacuum_state)
-from .ops import (apply_single_mode_op, apply_two_mode_unitary,
-                  beam_splitter_pb, detector_povm, displacement_op, tmsv)
+from .fock import (FockDensity, FockVector, TruncationConfig,
+                   conditional_density, fidelity_pure)
+from .ops import (_transfer_tensor, apply_single_mode_op, beam_splitter_pb,
+                  detector_povm, displacement_op, tmsv)
 from .phase_states import pb_eigenstate
 from .wigner import QuadratureSpec, negativity_volume
-
-_PROBE_Q = 0.1
-_PROBE_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -94,79 +89,19 @@ class HeraldResult:
             raise ValidationError(f"V = {self.V} negative")
 
 
-def _first_order_displacement(t: float, dim: int) -> np.ndarray:
-    """I + t a+ - t a, the probe's first-order displacement (real t)."""
-    n = np.arange(1, dim)
-    adag = np.zeros((dim, dim))
-    adag[n, n - 1] = np.sqrt(n)
-    return np.eye(dim) + t * adag - t * adag.T
-
-
-def _probe_amplitudes(s: int, t: float, q: float) -> np.ndarray:
-    """Mode-A amplitudes of the first-order circuit, all displacements t,
-    heralded on exactly one photon in every distribution mode.
-
-    Distribution modes are created, displaced and projected one at a time,
-    so the live tensor never exceeds three modes.
-    """
-    cutoff = s
-    dim = cutoff + 1
-    st = tmsv(q, cutoff)
-    d1 = _first_order_displacement(t, dim)
-    for k in range(1, s):
-        st3 = tensor_product(vacuum_state(cutoff, 1), st)
-        st3 = apply_two_mode_unitary(st3, (0, 1), beam_splitter_pb(k, s))
-        st3 = apply_single_mode_op(st3, 0, d1)
-        st = project_pattern(st3, {0: 1})
-    st = apply_single_mode_op(st, 0, d1)
-    st = project_pattern(st, {0: 1})
-    return st.amplitudes[: s + 1]
-
-
-@lru_cache(maxsize=None)
-def _symmetric_factors_cached(s: int) -> tuple:
-    nsamples = 2 * s + 3
-    ts = np.linspace(-1.0, 1.0, nsamples)
-    amps = np.stack([_probe_amplitudes(s, float(t), _PROBE_Q) for t in ts])
-    vander = np.vander(ts, s + 1, increasing=True)
-    coef, _, _, _ = np.linalg.lstsq(vander, amps, rcond=None)
-    fit_residual = np.abs(vander @ coef - amps).max()
-
-    prefactor = np.sqrt(1.0 - _PROBE_Q ** 2)
-    factors = []
-    for j in range(s + 1):
-        col = coef[:, j] / (prefactor * _PROBE_Q ** j)
-        want = s - j
-        value = col[want]
-        # every power below s-j, or of the wrong parity, must vanish:
-        # the amplitude is a polynomial in t with powers s-j, s-j+2, ...
-        spurious = 0.0
-        for w in range(s + 1):
-            if w != want and (w < want or (w - want) % 2 == 1):
-                spurious = max(spurious, abs(col[w]))
-        if spurious > _PROBE_RESIDUAL_TOL * max(1.0, abs(value)):
-            raise ProbeError(
-                f"probe extraction residual {spurious:.3e} at j={j}; "
-                f"the amplitude is not multilinear as assumed")
-        if abs(value.imag) > _PROBE_RESIDUAL_TOL:
-            raise ProbeError(
-                f"probe coefficient unexpectedly complex at j={j}")
-        factors.append(float(value.real) / comb(s, s - j))
-    if fit_residual > 1e-9:
-        raise ProbeError(f"probe polynomial fit residual {fit_residual:.3e}")
-    return tuple(factors)
-
-
 def symmetric_factors(s: int) -> tuple:
     """Scalars f_{s,j} with heralded amplitude of |j>_A equal, at lowest
     order, to q^j f_{s,j} e_{s-j}(alpha_1..alpha_s).
 
-    Extracted by a multilinearity probe: run the first-order circuit with
-    every displacement equal to t and read off the t^(s-j) coefficient.
+    Closed form f_{s,j} = sqrt(j!) / s^(j/2): the cascade spreads each of
+    the carrier's j photons (paired with |j>_A) evenly over the s
+    distribution modes, amplitude 1/sqrt(s) each, and sending them to j
+    distinct modes has weight j!/sqrt(j!); the other s-j modes take one
+    photon each from their displacement.
     """
     if s < 1:
         raise ValidationError(f"s must be >= 1, got {s}")
-    return _symmetric_factors_cached(s)
+    return tuple(sqrt(factorial(j)) / s ** (j / 2) for j in range(s + 1))
 
 
 def alpha_polynomial(s: int, q: float) -> np.ndarray:
@@ -188,13 +123,16 @@ def alpha_polynomial(s: int, q: float) -> np.ndarray:
 def solve_alphas(poly) -> np.ndarray:
     """All roots of a monic polynomial, sorted by (real, imag), each
     verified to a residual below 1e-10 relative to the coefficient scale.
+
+    Real coefficients are solved in real arithmetic, so complex roots come
+    in exact conjugate pairs and ties in the real part sort by imag.
     """
     c = np.asarray(poly, dtype=np.complex128)
     if c.ndim != 1 or c.size < 2:
         raise ValidationError("polynomial must have degree >= 1")
     if abs(c[0] - 1.0) > 1e-12:
         raise ValidationError(f"polynomial must be monic, got leading {c[0]}")
-    roots = np.roots(c)
+    roots = np.roots(c if c.imag.any() else c.real)
     scale = max(1.0, float(np.abs(c).max()))
     residuals = np.abs(np.polyval(c, roots))
     if residuals.max() > 1e-10 * scale:
@@ -211,12 +149,35 @@ def herald_alphas(cfg: HeraldConfig) -> np.ndarray:
     return solve_alphas(alpha_polynomial(cfg.s, cfg.q))
 
 
+def _split_off(state: FockVector, k: int, s: int) -> FockVector:
+    """Splitter B_{k,s} on a state whose axes are (modes 0..k-2, carrier,
+    A), with distribution mode k-1 entering in vacuum just before the
+    carrier.
+
+    Mode k-1 holds no photon, so only the row T[0] of the transfer tensor
+    acts: one matmul maps the carrier's photon number n to the pairs
+    (mode k-1, carrier) that share it. Both parts of a pair are at most
+    n, so nothing leaves the truncated space and the step adds no leakage.
+    """
+    dim = state.config.dim
+    t0 = _transfer_tensor(beam_splitter_pb(k, s).u, state.cutoff)[0]
+    t0 = np.ascontiguousarray(t0.reshape(dim, dim * dim).T)
+    amp = state.amplitudes
+    out = (t0 @ amp.reshape(-1, dim, dim)).reshape(
+        amp.shape[:-2] + (dim, dim, dim))
+    return FockVector(TruncationConfig(state.cutoff, state.modes + 1), out,
+                      state.normalized, leakage=state.leakage)
+
+
 def build_state(cfg: HeraldConfig, alphas=None) -> FockVector:
     """The full circuit state on s distribution modes plus mode A.
 
-    Operators are applied source first: the beam-splitter cascade from
-    B_{1,s} to B_{s-1,s}, then every displacement. Truncation leakage
-    above cfg.leakage_bound triggers a LeakageWarning.
+    The state grows one mode at a time from the source pair (carrier, A):
+    splitter B_{k,s} brings distribution mode k-1 in from vacuum and its
+    displacement follows at once, since nothing later acts on that mode;
+    the carrier, mode s-1, is displaced last. Each step touches the tensor
+    once, at the size it has then. Truncation leakage, summed over the
+    steps, above cfg.leakage_bound triggers a LeakageWarning.
     """
     if alphas is None:
         alphas = herald_alphas(cfg)
@@ -224,19 +185,14 @@ def build_state(cfg: HeraldConfig, alphas=None) -> FockVector:
     if alphas.shape != (cfg.s,):
         raise ValidationError(
             f"expected {cfg.s} displacement amplitudes, got {alphas.shape}")
-    source = tmsv(cfg.q, cfg.cutoff, max_terms=cfg.tmsv_terms)
-    if cfg.s == 1:
-        st = source
-    else:
-        st = tensor_product(vacuum_state(cfg.cutoff, cfg.s - 1), source)
-    for k in range(1, cfg.s):
-        st = apply_two_mode_unitary(st, (k - 1, cfg.s - 1),
-                                    beam_splitter_pb(k, cfg.s))
-    for i in range(cfg.s):
-        d = displacement_op(complex(alphas[i]), cfg.cutoff,
+    st = tmsv(cfg.q, cfg.cutoff, max_terms=cfg.tmsv_terms)
+    for k in range(1, cfg.s + 1):
+        if k < cfg.s:
+            st = _split_off(st, k, cfg.s)
+        d = displacement_op(complex(alphas[k - 1]), cfg.cutoff,
                             scheme=cfg.displacement_scheme,
                             order=cfg.displacement_order)
-        st = apply_single_mode_op(st, i, d, track_leakage=True)
+        st = apply_single_mode_op(st, k - 1, d, track_leakage=True)
     if st.leakage > cfg.leakage_bound:
         warnings.warn(
             f"truncation leakage {st.leakage:.3e} above bound "

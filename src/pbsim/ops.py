@@ -214,14 +214,19 @@ def displacement_op(alpha: complex, cutoff: int, scheme: str = "exact",
 def apply_single_mode_op(state: FockVector, mode: int, op: np.ndarray,
                          track_leakage: bool = False) -> FockVector:
     """Apply a (dim, dim) matrix to one mode. General op, so the output
-    normalization is recomputed rather than assumed."""
+    normalization is recomputed rather than assumed.
+
+    The tensor is viewed as (modes before, mode, modes after), so the op
+    is one broadcast matmul and the only new array is the output.
+    """
     if not 0 <= mode < state.modes:
         raise ValidationError(f"mode {mode} out of range")
     op = np.asarray(op, dtype=np.complex128)
     dim = state.config.dim
     if op.shape != (dim, dim):
         raise ValidationError(f"operator shape {op.shape} != ({dim},{dim})")
-    out = np.moveaxis(np.tensordot(op, state.amplitudes, axes=(1, mode)), 0, mode)
+    amp = state.amplitudes
+    out = (op @ amp.reshape(dim ** mode, dim, -1)).reshape(amp.shape)
     nsq = float(np.vdot(out, out).real)
     leak = state.leakage
     if track_leakage:

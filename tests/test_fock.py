@@ -150,6 +150,59 @@ def test_conditional_density_zero_probability():
         conditional_density(vac, [click], kept_mode=1)
 
 
+def condition_oracle(amp, povms, kept_mode):
+    """<Psi|(tensor E (x) |a><b|)|Psi> as one einsum over explicit
+    indices; any POVM matrices, diagonal or not."""
+    letters = "abcdefghijklmnopqrstuvw"
+    ket, bra, terms = [], [], []
+    others = iter(povms)
+    for mode in range(amp.ndim):
+        u, v = letters[2 * mode], letters[2 * mode + 1]
+        if mode == kept_mode:
+            ket.append("X")
+            bra.append("Y")
+        else:
+            ket.append(v)
+            bra.append(u)
+            terms.append((f"{u}{v}", next(others)))
+    sub = ",".join([t for t, _ in terms] + ["".join(ket), "".join(bra)])
+    raw = np.einsum(sub + "->XY", *[e for _, e in terms], amp, amp.conj(),
+                    optimize=True)
+    p = np.trace(raw).real
+    return raw / p, p
+
+
+@pytest.mark.parametrize("kept_mode", [0, 1, 2, 3])
+def test_conditional_density_diagonal_povms_match_einsum(kept_mode):
+    rng = np.random.default_rng(50 + kept_mode)
+    v = random_vector(3, 4, seed=60 + kept_mode)
+    povms = [np.diag(rng.uniform(0.0, 1.0, 4)).astype(complex)
+             for _ in range(3)]
+    rho, p = conditional_density(v, povms, kept_mode=kept_mode)
+    want_rho, want_p = condition_oracle(v.amplitudes, povms, kept_mode)
+    assert p == pytest.approx(want_p, rel=1e-12)
+    assert np.abs(rho.matrix - want_rho).max() < 1e-12
+
+
+def test_conditional_density_rejects_non_photon_counting_povms():
+    v = random_vector(2, 2, seed=71)
+    good = np.diag([0.0, 0.5, 1.0]).astype(complex)
+    conditional_density(v, [good], kept_mode=1)
+    off_diagonal = good.copy()
+    off_diagonal[0, 1] = off_diagonal[1, 0] = 0.1
+    imaginary = good.copy()
+    imaginary[1, 1] = 0.5 + 0.1j
+    negative = good.copy()
+    negative[2, 2] = -0.1
+    for bad in (off_diagonal, imaginary, negative):
+        with pytest.raises(ValidationError):
+            conditional_density(v, [bad], kept_mode=1)
+    with pytest.raises(ValidationError):
+        conditional_density(v, [good[:2, :2]], kept_mode=1)
+    with pytest.raises(ValidationError):
+        conditional_density(v, [good, good], kept_mode=1)
+
+
 def test_pad_to_cutoff():
     v = number_state(1, 1)
     w = pad_to_cutoff(v, 4)

@@ -1,17 +1,20 @@
 """Tests for the heralded generation circuit and its displacement solver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pbsim.errors import (CutoffError, DegenerateHeraldError, LeakageWarning,
                           ValidationError)
-from pbsim.fock import conditional_density
+from pbsim.fock import (conditional_density, project_pattern, tensor_product,
+                        vacuum_state)
 from pbsim.herald import (HeraldConfig, alpha_polynomial, build_state,
                           click_probability, herald_alphas, herald_point,
                           solve_alphas, sweep, symmetric_factors)
-from pbsim.ops import detector_povm, tmsv
+from pbsim.ops import (apply_single_mode_op, apply_two_mode_unitary,
+                       beam_splitter_pb, detector_povm, displacement_op, tmsv)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
@@ -22,6 +25,45 @@ def test_symmetric_factors_closed_form(s):
     for j in range(s + 1):
         want = math.sqrt(math.factorial(j)) / s ** (j / 2)
         assert f[j] == pytest.approx(want, rel=1e-12)
+
+
+def probe_amplitudes(s, t, q):
+    """Mode-A amplitudes of the first-order circuit, every displacement
+    I + t a+ - t a, heralded on exactly one photon in every distribution
+    mode. Modes are created, displaced and projected one at a time."""
+    dim = s + 1
+    n = np.arange(1, dim)
+    adag = np.zeros((dim, dim))
+    adag[n, n - 1] = np.sqrt(n)
+    d1 = np.eye(dim) + t * adag - t * adag.T
+    st = tmsv(q, s)
+    for k in range(1, s):
+        st3 = tensor_product(vacuum_state(s, 1), st)
+        st3 = apply_two_mode_unitary(st3, (0, 1), beam_splitter_pb(k, s))
+        st3 = apply_single_mode_op(st3, 0, d1)
+        st = project_pattern(st3, {0: 1})
+    st = project_pattern(apply_single_mode_op(st, 0, d1), {0: 1})
+    return st.amplitudes
+
+
+@pytest.mark.parametrize("s", range(1, 9))
+def test_symmetric_factors_match_multilinearity_probe(s):
+    # the amplitude of |j>_A is a polynomial in t with powers s-j, s-j+2,
+    # ...; its t^(s-j) coefficient is sqrt(1-q^2) q^j C(s, j) f_{s,j}
+    q = 0.1
+    ts = np.linspace(-1.0, 1.0, 2 * s + 3)
+    amps = np.stack([probe_amplitudes(s, float(t), q) for t in ts])
+    vander = np.vander(ts, s + 1, increasing=True)
+    coef = np.linalg.lstsq(vander, amps, rcond=None)[0]
+    assert np.abs(vander @ coef - amps).max() < 1e-12
+    f = symmetric_factors(s)
+    for j in range(s + 1):
+        col = coef[:, j] / (math.sqrt(1.0 - q * q) * q ** j)
+        want = s - j
+        assert col[want] / math.comb(s, j) == pytest.approx(f[j], rel=1e-12)
+        spurious = [col[w] for w in range(s + 1)
+                    if w != want and (w < want or (w - want) % 2)]
+        assert np.max(np.abs(spurious), initial=0.0) < 1e-10
 
 
 def test_alpha_polynomial_coefficients():
@@ -95,6 +137,79 @@ def test_herald_alphas_zero_squeezing():
     assert np.all(herald_alphas(HeraldConfig(s=2, r=0.0, eta=1.0)) == 0.0)
 
 
+def cascade_oracle(cfg, alphas):
+    """The all-modes cascade: every splitter, then every displacement,
+    each applied to the full (s+1)-mode tensor."""
+    st = tmsv(cfg.q, cfg.cutoff, max_terms=cfg.tmsv_terms)
+    if cfg.s > 1:
+        st = tensor_product(vacuum_state(cfg.cutoff, cfg.s - 1), st)
+    for k in range(1, cfg.s):
+        st = apply_two_mode_unitary(st, (k - 1, cfg.s - 1),
+                                    beam_splitter_pb(k, cfg.s))
+    for i in range(cfg.s):
+        d = displacement_op(complex(alphas[i]), cfg.cutoff,
+                            scheme=cfg.displacement_scheme,
+                            order=cfg.displacement_order)
+        st = apply_single_mode_op(st, i, d, track_leakage=True)
+    return st
+
+
+@pytest.mark.parametrize("scheme", ["series", "exact"])
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+def test_build_state_matches_cascade_oracle(s, scheme):
+    for cutoff in range(s, s + 3):
+        for r in (0.1, 0.3):
+            cfg = HeraldConfig(s=s, r=r, eta=1.0, cutoff=cutoff,
+                               displacement_scheme=scheme, leakage_bound=1.0)
+            alphas = herald_alphas(cfg)
+            got = build_state(cfg, alphas)
+            want = cascade_oracle(cfg, alphas)
+            assert got.config == want.config
+            assert got.normalized == want.normalized
+            assert np.abs(got.amplitudes - want.amplitudes).max() < 1e-12
+            assert got.leakage == pytest.approx(want.leakage, abs=1e-12)
+            for eta in (1.0, 0.8, 0.6):
+                clicks = [detector_povm(eta, cutoff).click] * s
+                rho, p = conditional_density(got, clicks, kept_mode=s)
+                rho_w, p_w = conditional_density(want, clicks, kept_mode=s)
+                assert p == pytest.approx(p_w, rel=1e-12)
+                assert np.abs(rho.matrix - rho_w.matrix).max() < 1e-12
+
+
+@pytest.fixture(scope="module")
+def six_mode_alphas():
+    cfg = HeraldConfig(s=6, r=0.2, eta=1.0, cutoff=8)
+    return cfg, herald_alphas(cfg)
+
+
+def test_build_state_peak_memory(six_mode_alphas):
+    # the tensor grows one mode at a time, so at most the input and the
+    # output of one step are alive: about twice the final tensor
+    cfg, alphas = six_mode_alphas
+    tracemalloc.start()
+    try:
+        st = build_state(cfg, alphas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert st.amplitudes.size == 9 ** 7
+    assert peak <= 2.5 * st.amplitudes.nbytes
+
+
+def test_conditional_density_peak_memory(six_mode_alphas):
+    # one weighted copy of the state; no per-mode contraction copies
+    cfg, alphas = six_mode_alphas
+    st = build_state(cfg, alphas)
+    clicks = [detector_povm(0.8, cfg.cutoff).click] * cfg.s
+    tracemalloc.start()
+    try:
+        conditional_density(st, clicks, kept_mode=cfg.s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * st.amplitudes.nbytes
+
+
 def test_exact_norm_accounting():
     # with unitary displacements all norm loss is truncation leakage
     cfg = HeraldConfig(s=3, r=0.25, eta=1.0, cutoff=4,
@@ -124,7 +239,6 @@ def test_permutation_invariance():
 def test_projector_limit_at_unit_efficiency():
     # eta = 1 click operator is the one-photon projector, so conditioning
     # must match an explicit pattern projection
-    from pbsim.fock import project_pattern
     cfg = HeraldConfig(s=2, r=0.2, eta=1.0)
     st = build_state(cfg)
     p_click = click_probability(cfg)

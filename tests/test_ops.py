@@ -130,6 +130,26 @@ def test_displacement_on_vacuum_gives_coherent_amplitudes():
     assert np.abs(out.amplitudes - want).max() < 1e-9
 
 
+@pytest.mark.parametrize("mode", [0, 1, 2, 3])
+def test_single_mode_op_on_every_mode_matches_einsum(mode):
+    # a general (non-unitary) op on any axis of a 4-mode state, middle
+    # modes included, against an explicit index contraction
+    rng = np.random.default_rng(40 + mode)
+    cfg = TruncationConfig(3, 4)
+    amp = rng.standard_normal(cfg.shape) + 1j * rng.standard_normal(cfg.shape)
+    amp /= np.linalg.norm(amp)
+    op = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    state = FockVector(cfg, amp, normalized=True, leakage=0.25)
+    out = apply_single_mode_op(state, mode, op, track_leakage=True)
+    idx = "abcd"
+    sub = f"x{idx[mode]},{idx}->{idx.replace(idx[mode], 'x')}"
+    want = np.einsum(sub, op, amp)
+    assert np.abs(out.amplitudes - want).max() < 1e-12
+    nsq = np.vdot(want, want).real
+    assert out.normalized is False
+    assert out.leakage == pytest.approx(0.25 + max(0.0, 1.0 - nsq), abs=1e-12)
+
+
 def test_phase_plate():
     v = number_state(2, 3)
     out = phase_plate(v, 0, 0.7)
