@@ -257,11 +257,8 @@ class HeraldSweepRow:
     error: str | None = None
 
 
-def sweep(s: int, r_values, eta_values, *, cutoff: int = 5,
-          tmsv_terms: int = 6, displacement_scheme: str = "series",
-          displacement_order: int = 5,
-          quad: QuadratureSpec | None = None) -> list[HeraldSweepRow]:
-    """Evaluate herald_point over an (eta, r) grid.
+def sweep(s: int, r_values, eta_values) -> list[HeraldSweepRow]:
+    """Evaluate herald_point over an (eta, r) grid at HeraldConfig defaults.
 
     Row order is deterministic: eta in the given order outermost, r
     innermost. Numerical failures (for example r = 0, where no detector
@@ -271,12 +268,9 @@ def sweep(s: int, r_values, eta_values, *, cutoff: int = 5,
     rows: list[HeraldSweepRow] = []
     for eta in eta_values:
         for r in r_values:
-            cfg = HeraldConfig(s=s, r=float(r), eta=float(eta), cutoff=cutoff,
-                               tmsv_terms=tmsv_terms,
-                               displacement_scheme=displacement_scheme,
-                               displacement_order=displacement_order)
+            cfg = HeraldConfig(s=s, r=float(r), eta=float(eta))
             try:
-                res = herald_point(cfg, quad)
+                res = herald_point(cfg)
                 rows.append(HeraldSweepRow(s, float(r), float(eta), res.P,
                                            res.F, res.V, res.leakage))
             except NumericalError as exc:

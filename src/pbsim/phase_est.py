@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CutoffError, LowInformationError, RankDeficiencyWarning,
-                     ValidationError)
-from .fock import FockVector, pad_to_cutoff, tensor_product
-from .ops import apply_two_mode_unitary, beam_splitter_5050
+from .errors import LowInformationError, RankDeficiencyWarning, ValidationError
+from .fock import FockVector, TruncationConfig
+from .ops import _transfer_tensor, beam_splitter_5050
 from .phase_states import phase_state, phase_value
 
 _SUM_TOL = 1e-10
@@ -47,6 +46,8 @@ class OutcomeDistribution:
         if p.shape != (dim, dim):
             raise ValidationError(
                 f"probability grid shape {p.shape} != ({dim}, {dim})")
+        if not np.isfinite(p).all():
+            raise ValidationError("non-finite probability")
         if p.min() < -_CLAMP_TOL:
             raise ValidationError(f"negative probability {p.min():.3e}")
         p = np.where(p < 0.0, 0.0, p)
@@ -77,10 +78,13 @@ class CountTable:
         if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] % 2 == 0:
             raise ValidationError(
                 f"counts must be a (2s+1, 2s+1) grid, got {c.shape}")
+        if not np.isfinite(c).all():
+            raise ValidationError("non-finite count")
         if c.min() < 0:
             raise ValidationError("negative count")
-        if self.trials <= 0:
-            raise ValidationError(f"trials must be positive, got {self.trials}")
+        if not 0 < self.trials < math.inf:
+            raise ValidationError(
+                f"trials must be positive and finite, got {self.trials}")
         if abs(c.sum() - self.trials) > 1e-9 * max(1.0, self.trials):
             raise ValidationError(
                 f"counts sum {c.sum():g} != trials {self.trials:g}")
@@ -146,13 +150,27 @@ def _support_top(state: FockVector) -> int:
     return int(nz[-1]) if nz.size else 0
 
 
-def interference_probs(left: FockVector, right: FockVector,
-                       cutoff: int | None = None) -> OutcomeDistribution:
+def _splitter_amplitudes(left: np.ndarray, right_cols: np.ndarray,
+                         s: int) -> np.ndarray:
+    """Output amplitudes of |left>|right> through the 50-50 splitter.
+
+    left holds photon numbers 0..n_l and each column of right_cols
+    0..n_r, with n_l, n_r <= s. Photon number is conserved, so every
+    output lies on the (2s+1)^2 grid: row a*(2s+1) + b of the result is
+    the amplitude of |a,b>, one column per right-hand column.
+    """
+    T = _transfer_tensor(beam_splitter_5050().u, 2 * s)
+    t = np.tensordot(left, T[:left.size, :right_cols.shape[0]], axes=(0, 0))
+    return t.reshape(right_cols.shape[0], -1).T @ right_cols
+
+
+def interference_probs(left: FockVector, right: FockVector
+                       ) -> OutcomeDistribution:
     """Exact joint output distribution of a 50-50 beam splitter.
 
-    The working cutoff defaults to the summed photon support of the two
-    inputs, which makes the mixing exact; an explicit smaller cutoff is
-    rejected rather than silently truncated.
+    The grid is (2s+1)^2 with s the larger photon support of the two
+    inputs, which holds every output exactly; inputs may carry any
+    cutoff above their support.
     """
     for st, name in ((left, "left"), (right, "right")):
         if st.modes != 1:
@@ -161,39 +179,24 @@ def interference_probs(left: FockVector, right: FockVector,
             raise ValidationError(f"{name} input must be normalized")
     n_l = _support_top(left)
     n_r = _support_top(right)
-    needed = max(1, n_l + n_r)
-    if cutoff is None:
-        cutoff = needed
-    elif cutoff < needed:
-        raise CutoffError(
-            f"cutoff {cutoff} cannot hold the {needed}-photon outcomes")
-    joint = tensor_product(pad_to_cutoff(left, cutoff),
-                           pad_to_cutoff(right, cutoff))
-    out = apply_two_mode_unitary(joint, (0, 1), beam_splitter_5050())
-    probs = np.abs(out.amplitudes) ** 2
-    s_dist = max(n_l, n_r)
-    dim = 2 * s_dist + 1
-    grid = np.zeros((dim, dim))
-    lim = min(dim, cutoff + 1)
-    grid[:lim, :lim] = probs[:lim, :lim]
-    if probs.sum() - grid.sum() > 1e-12:
-        raise CutoffError(
-            f"{probs.sum() - grid.sum():.3e} probability beyond the "
-            f"(2s)-photon grid")
-    return OutcomeDistribution(s=s_dist, probs=grid)
+    s = max(n_l, n_r)
+    amp = _splitter_amplitudes(left.amplitudes[:n_l + 1],
+                               right.amplitudes[:n_r + 1, None], s)
+    return OutcomeDistribution(
+        s=s, probs=(np.abs(amp) ** 2).reshape(2 * s + 1, 2 * s + 1))
+
+
+def _phase_basis(s: int, phi0: float) -> np.ndarray:
+    """Columns are the amplitudes of |phi_k>_s, k = 0..s."""
+    return np.stack([phase_state(s, phase_value(s, k, phi0)).amplitudes
+                     for k in range(s + 1)], axis=1)
 
 
 def superposition_state(coeffs: SuperpositionCoeffs,
                         phi0: float = 0.0) -> FockVector:
     """Fock-basis form of sum_k c_k |phi_k>_s."""
-    s = coeffs.s
-    n = np.arange(s + 1)
-    phases = np.array([phase_value(s, k, phi0) for k in range(s + 1)])
-    basis = np.exp(1j * np.outer(n, phases)) / np.sqrt(s + 1.0)
-    amp = basis @ coeffs.c
-    from .fock import TruncationConfig
-
-    return FockVector(TruncationConfig(s, 1), amp, normalized=True)
+    amp = _phase_basis(coeffs.s, phi0) @ coeffs.c
+    return FockVector(TruncationConfig(coeffs.s, 1), amp, normalized=True)
 
 
 def superposition_probs(phi_j: float, coeffs: SuperpositionCoeffs,
@@ -288,14 +291,6 @@ def estimate_phase(counts: CountTable, phi_j: float, s: int,
                          candidates=(phi_k,), informative_counts=n1 + n2)
 
 
-def _assert_parameter_counting(s: int) -> None:
-    # number of independent probabilities per setting, times settings,
-    # must cover the 2s real parameters of the coefficient vector
-    if ((s + 1) ** 2 - 1) * (s + 1) < 2 * s:
-        raise ValidationError(
-            f"outcome statistics cannot determine {2 * s} parameters at s={s}")
-
-
 def _covers_eigenphases(settings, s: int, phi0: float) -> bool:
     for j in range(s + 1):
         target = phase_value(s, j, phi0)
@@ -304,32 +299,22 @@ def _covers_eigenphases(settings, s: int, phi0: float) -> bool:
     return True
 
 
-def _model_matrices(settings, s: int, phi0: float) -> list[np.ndarray]:
-    """Per setting: matrix mapping coefficients to flattened amplitudes."""
-    mats = []
-    for phi_j in settings:
-        left = phase_state(s, phi_j)
-        cols = []
-        for k in range(s + 1):
-            right = phase_state(s, phase_value(s, k, phi0))
-            joint = tensor_product(pad_to_cutoff(left, 2 * s),
-                                   pad_to_cutoff(right, 2 * s))
-            out = apply_two_mode_unitary(joint, (0, 1), beam_splitter_5050())
-            cols.append(out.amplitudes.ravel())
-        mats.append(np.stack(cols, axis=1))
-    return mats
+def _model_matrix(settings, s: int, phi0: float) -> np.ndarray:
+    """Coefficients to amplitudes, settings stacked along the rows.
+
+    Rows of setting i are i*(2s+1)^2 onwards, in the order of the
+    flattened count grid.
+    """
+    basis = _phase_basis(s, phi0)
+    return np.concatenate([
+        _splitter_amplitudes(phase_state(s, phi_j).amplitudes, basis, s)
+        for phi_j in settings])
 
 
-def _lsq_objective(mats, freqs, c):
-    obj = 0.0
-    grad = np.zeros_like(c)
-    for mat, f in zip(mats, freqs):
-        amp = mat @ c
-        p = np.abs(amp) ** 2
-        d = p - f
-        obj += float(d @ d)
-        grad += 2.0 * (mat.conj().T @ (d * amp))
-    return obj, grad
+def _lsq_objective(mat, freqs, c):
+    amp = mat @ c
+    d = np.abs(amp) ** 2 - freqs
+    return float(d @ d), 2.0 * (mat.conj().T @ (d * amp))
 
 
 def _project_sphere(c):
@@ -351,7 +336,6 @@ def estimate_coefficients(tables, s: int, *, phi0: float = 0.0,
     """
     if s < 1:
         raise ValidationError(f"s must be >= 1, got {s}")
-    _assert_parameter_counting(s)
     tables = list(tables)
     if not tables:
         raise ValidationError("no count tables given")
@@ -368,13 +352,13 @@ def estimate_coefficients(tables, s: int, *, phi0: float = 0.0,
     if s == 1 and all_exact:
         return _invert_s1_exact(tables, phi0)
 
-    freqs = [t.frequencies().ravel() for _, t in tables]
-    populated = sum(int(np.count_nonzero(f > 0)) for f in freqs)
+    freqs = np.concatenate([t.frequencies().ravel() for _, t in tables])
+    populated = int(np.count_nonzero(freqs > 0))
     if populated < 2 * (s + 1):
         warnings.warn(
             f"only {populated} populated outcome cells for {2 * s} free "
             f"parameters", RankDeficiencyWarning, stacklevel=2)
-    mats = _model_matrices(settings, s, phi0)
+    mat = _model_matrix(settings, s, phi0)
 
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     best = None
@@ -385,7 +369,7 @@ def estimate_coefficients(tables, s: int, *, phi0: float = 0.0,
         inits.append(z)
     for z in inits:
         c = _project_sphere(z.astype(np.complex128))
-        obj, grad = _lsq_objective(mats, freqs, c)
+        obj, grad = _lsq_objective(mat, freqs, c)
         step = 0.5
         for _ in range(max_iter):
             # project the gradient onto the sphere's tangent space
@@ -396,7 +380,7 @@ def estimate_coefficients(tables, s: int, *, phi0: float = 0.0,
             improved = False
             while step > 1e-16:
                 trial = _project_sphere(c - step * tang)
-                new_obj, new_grad = _lsq_objective(mats, freqs, trial)
+                new_obj, new_grad = _lsq_objective(mat, freqs, trial)
                 if new_obj < obj - 1e-300:
                     improved = True
                     break
@@ -446,24 +430,18 @@ def _invert_s1_exact(tables, phi0: float) -> SuperpositionCoeffs:
     boundary = theta < 1e-12 or theta > math.pi - 1e-12
     off_axis = [(p, t) for p, t in tables
                 if abs(math.sin(p - phi0)) > 1e-9]
-    if boundary:
-        note = ""
-    elif not off_axis:
+    note = ""
+    if not boundary and not off_axis:
         note = "relative-phase sign not identifiable from on-axis settings"
-    else:
-        note = ""
+    elif not boundary:
         p_off, t_off = off_axis[0]
-        best_theta = theta
-        best_err = None
-        for cand in (theta, -theta):
+
+        def misfit(cand):
             c = np.array([r, math.sqrt(1.0 - r * r) * np.exp(1j * cand)])
-            model = superposition_probs(
-                p_off, gauge_fixed(c, 1), phi0).probs
-            err = float(np.abs(model - t_off.frequencies()).max())
-            if best_err is None or err < best_err:
-                best_err = err
-                best_theta = cand
-        theta = best_theta
+            model = superposition_probs(p_off, gauge_fixed(c, 1), phi0).probs
+            return float(np.abs(model - t_off.frequencies()).max())
+
+        theta = min((theta, -theta), key=misfit)
     c = np.array([r, math.sqrt(1.0 - r * r) * np.exp(1j * theta)],
                  dtype=np.complex128)
     return gauge_fixed(c, 1, note=note)
@@ -509,6 +487,9 @@ def load_count_table(path) -> tuple[float, int, CountTable]:
     dim = 2 * s + 1
     counts = np.zeros((dim, dim))
     for n1, n2, v in rows:
+        if not (0 <= n1 < dim and 0 <= n2 < dim):
+            raise ValidationError(
+                f"cell ({n1}, {n2}) lies outside the s={s} grid in {path}")
         counts[n1, n2] = v
     seed = None if meta.get("seed", "none") == "none" else int(meta["seed"])
     table = CountTable(counts=counts, trials=float(meta["trials"]),

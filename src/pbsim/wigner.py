@@ -158,14 +158,10 @@ def wigner_grid(rho, spec: WignerGrid) -> WignerGrid:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """How to integrate over phase space.
-
-    scheme "adaptive": panel quadtree of tensor Gauss-Legendre rules,
-    refined until parent/children estimates agree. scheme "fixed": one
-    tensor rule over the whole box, no error control.
+    """How to integrate over phase space: a panel quadtree of tensor
+    Gauss-Legendre rules, refined until parent/children estimates agree.
     """
 
-    scheme: str = "adaptive"
     order: int = 16
     tol: float = 1e-6
     radius_margin: float = 2.0
@@ -173,8 +169,6 @@ class QuadratureSpec:
     max_evals: int = 40_000_000
 
     def __post_init__(self):
-        if self.scheme not in ("adaptive", "fixed"):
-            raise ValidationError(f"unknown quadrature scheme {self.scheme!r}")
         if self.tol <= 0:
             raise ValidationError("tolerance must be > 0")
         if self.order < 2:
@@ -227,9 +221,6 @@ def _adaptive_box_integral(coef, half_width, spec, absolute):
     p1 = np.array([half_width])
     vals = _panel_values(coef, q0, q1, p0, p1, nodes, weights, absolute)
     evals = spec.order ** 2
-    if spec.scheme == "fixed":
-        return float(vals[0]), evals, 0
-
     total = 0.0
     for depth in range(1, spec.max_depth + 1):
         qm = 0.5 * (q0 + q1)

@@ -7,9 +7,14 @@ import pytest
 
 from pbsim.errors import (LowInformationError, RankDeficiencyWarning,
                           ValidationError)
+from pbsim.fock import (FockVector, TruncationConfig, number_state,
+                        pad_to_cutoff, tensor_product, vacuum_state)
+from pbsim.ops import apply_two_mode_unitary, beam_splitter_5050
 from pbsim.phase_est import (CountTable, OutcomeDistribution,
-                             SuperpositionCoeffs, estimate_coefficients,
-                             estimate_phase, gauge_fixed, interference_probs,
+                             SuperpositionCoeffs, _lsq_objective,
+                             _model_matrix, _splitter_amplitudes,
+                             estimate_coefficients, estimate_phase,
+                             gauge_fixed, interference_probs,
                              load_count_table, sample_outcomes,
                              save_count_table, superposition_probs)
 from pbsim.phase_states import phase_state, phase_value
@@ -35,6 +40,58 @@ def test_low_order_closed_forms(s, delta):
         (math.cos(delta) - 1 / math.sqrt(2)) ** 2 / norm, abs=1e-12)
 
 
+def splitter_oracle(left, right):
+    """The general two-mode path on the padded product state."""
+    cutoff = max(1, left.size + right.size - 2)
+    pad = [pad_to_cutoff(FockVector(TruncationConfig(max(1, v.size - 1), 1),
+                                    np.pad(v, (0, max(0, 2 - v.size))),
+                                    normalized=True),
+                         cutoff) for v in (left, right)]
+    out = apply_two_mode_unitary(tensor_product(*pad), (0, 1),
+                                 beam_splitter_5050())
+    return out.amplitudes
+
+
+def random_amplitudes(rng, n):
+    v = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    return v / np.linalg.norm(v)
+
+
+def test_splitter_contraction_matches_two_mode_oracle():
+    rng = np.random.default_rng(31)
+    for n_l in range(9):
+        for n_r in range(9):
+            left = random_amplitudes(rng, n_l)
+            right = random_amplitudes(rng, n_r)
+            s = max(n_l, n_r)
+            dim = 2 * s + 1
+            got = _splitter_amplitudes(left, right[:, None], s)
+            assert got.shape == (dim * dim, 1)
+            want = splitter_oracle(left, right)
+            size = max(dim, want.shape[0])
+            grid = np.zeros((size, size), dtype=complex)
+            grid[:dim, :dim] = got.reshape(dim, dim)
+            grid[:want.shape[0], :want.shape[0]] -= want
+            assert np.abs(grid).max() < 1e-14, (n_l, n_r)
+
+
+@pytest.mark.parametrize("left,right", [
+    (number_state(1, 3), vacuum_state(3)),
+    (phase_state(1, 0.3, cutoff=4), phase_state(1, 0.0)),
+    (phase_state(2, -0.4, cutoff=9), phase_state(3, 1.1, cutoff=5)),
+])
+def test_padded_inputs_give_the_unpadded_distribution(left, right):
+    def unpadded(st):
+        n = max(1, int(np.nonzero(np.abs(st.amplitudes) > 0)[0][-1]))
+        return FockVector(TruncationConfig(n, 1), st.amplitudes[:n + 1],
+                          normalized=True)
+
+    got = interference_probs(left, right)
+    want = interference_probs(unpadded(left), unpadded(right))
+    assert got.s == want.s
+    assert np.abs(got.probs - want.probs).max() < 1e-15
+
+
 @pytest.mark.parametrize("s", [1, 2, 4])
 def test_distribution_is_normalized(s):
     d = eigen_pair_dist(s, 0.7, -0.2)
@@ -51,6 +108,13 @@ def test_superposition_closed_forms_s1():
     want00 = abs(r + math.sqrt(1 - r * r) * np.exp(1j * theta)) ** 2 / 4
     assert d.prob(0, 0) == pytest.approx(want00, abs=1e-12)
     assert d.prob(0, 1) == pytest.approx((1 - r * r) / 2, abs=1e-12)
+
+
+def test_distribution_rejects_non_finite():
+    p = np.full((3, 3), 1 / 9.0)
+    p[1, 1] = np.nan
+    with pytest.raises(ValidationError):
+        OutcomeDistribution(1, p)
 
 
 def test_distribution_validation():
@@ -74,6 +138,18 @@ def test_count_table_validation():
     c[1, 0] = 3.0
     with pytest.raises(ValidationError):
         CountTable(c, trials=10.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_count_table_rejects_non_finite(bad):
+    c = np.zeros((3, 3))
+    c[0, 0] = 10.0
+    c[1, 0] = bad
+    with pytest.raises(ValidationError):
+        CountTable(c, trials=10.0)
+    c[1, 0] = 0.0
+    with pytest.raises(ValidationError):
+        CountTable(c, trials=bad)
 
 
 def test_sampling_is_deterministic_and_consistent():
@@ -169,6 +245,42 @@ def test_coefficients_s2_least_squares():
     assert np.abs(got.c - truth.c).max() < 1e-6
 
 
+@pytest.mark.parametrize("s", range(2, 8))
+def test_coefficients_exact_recovery(s):
+    rng = np.random.default_rng(100 + s)
+    raw = (rng.uniform(0.5, 1.5, s + 1)
+           * np.exp(1j * rng.uniform(-math.pi, math.pi, s + 1)))
+    truth = gauge_fixed(raw, s)
+    settings = [phase_value(s, m) for m in range(s + 1)]
+    got = estimate_coefficients(exact_tables(truth, settings), s)
+    assert np.abs(got.c - truth.c).max() < 1e-8
+
+
+@pytest.mark.parametrize("s", [1, 3, 4])
+def test_stacked_objective_matches_per_setting_sums(s):
+    rng = np.random.default_rng(7 + s)
+    truth = gauge_fixed(random_amplitudes(rng, s), s)
+    settings = [phase_value(s, m) for m in range(s + 1)] + [0.4]
+    tables = exact_tables(truth, settings)
+    c = random_amplitudes(rng, s)
+    obj, grad = 0.0, np.zeros(s + 1, dtype=complex)
+    for phi_j, table in tables:
+        # both inputs hold s photons, so the oracle's grid is (2s+1)^2
+        cols = [splitter_oracle(phase_state(s, phi_j).amplitudes,
+                                phase_state(s, phase_value(s, k)).amplitudes
+                                ).ravel() for k in range(s + 1)]
+        mat = np.stack(cols, axis=1)
+        amp = mat @ c
+        d = np.abs(amp) ** 2 - table.frequencies().ravel()
+        obj += float(d @ d)
+        grad += 2.0 * (mat.conj().T @ (d * amp))
+    freqs = np.concatenate([t.frequencies().ravel() for _, t in tables])
+    got_obj, got_grad = _lsq_objective(_model_matrix(settings, s, 0.0),
+                                       freqs, c)
+    assert abs(got_obj - obj) < 1e-13
+    assert np.abs(got_grad - grad).max() < 1e-13
+
+
 def test_coefficients_validation():
     truth = SuperpositionCoeffs(1, np.array([0.6, 0.8]))
     with pytest.raises(ValidationError):
@@ -224,3 +336,12 @@ def test_count_table_round_trip(tmp_path):
     assert loaded2.rng_seed is None
     assert loaded2.trials == 1.0
     assert np.abs(loaded2.counts - exact.counts).max() < 1e-15
+
+
+@pytest.mark.parametrize("row", ["-1,0,10", "5,0,10", "0,3,10"])
+def test_count_table_load_rejects_cells_off_the_grid(tmp_path, row):
+    path = tmp_path / "counts.csv"
+    path.write_text("# trials=10.0\n# seed=none\n# phi_j=0.0\n# s=1\n"
+                    f"n1,n2,count\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValidationError):
+        load_count_table(path)

@@ -124,8 +124,6 @@ def test_grid_validation():
     with pytest.raises(ValidationError):
         WignerGrid(-1.0, 1.0, -1.0, 1.0, 3, 3, values=np.zeros((2, 2)))
     with pytest.raises(ValidationError):
-        QuadratureSpec(scheme="monte-carlo")
-    with pytest.raises(ValidationError):
         QuadratureSpec(tol=0.0)
 
 
