@@ -36,7 +36,7 @@ from .wigner import (DEFAULT_QUADRATURE, NegativityResult, QuadratureSpec,
                      WignerGrid, effective_radius, hermite_wavefunction,
                      negativity_volume,
                      negativity_volume_detailed, wigner_grid, wigner_point,
-                     wigner_point_integral, wigner_plane_integral)
+                     wigner_point_integral)
 
 __version__ = "0.1.0"
 
@@ -56,8 +56,7 @@ __all__ = [
     "hermite_wavefunction", "wigner_point",
     "wigner_point_integral", "WignerGrid", "wigner_grid", "QuadratureSpec",
     "DEFAULT_QUADRATURE", "NegativityResult", "negativity_volume",
-    "negativity_volume_detailed", "wigner_plane_integral",
-    "effective_radius",
+    "negativity_volume_detailed", "effective_radius",
     "HeraldConfig", "HeraldResult", "HeraldSweepRow", "symmetric_factors",
     "alpha_polynomial", "solve_alphas", "herald_alphas", "build_state",
     "click_probability", "herald_fidelity", "conditional_negativity",

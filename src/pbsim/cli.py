@@ -7,13 +7,15 @@ Subcommands:
   herald-sweep      heralded-generation figures over an (eta, r) grid
   phase-sim         simulate interference counts and run the estimators
 
-Every value an option can take may also come from a --config file of
-flat key=value lines (# comments allowed, dashes and underscores in
-keys interchangeable). Precedence is command line over config file over
-built-in defaults. The effective configuration is echoed into the
-output as sorted "# key=value" comments (CSV) or a "config" object
-(JSON), so a rerun of the same command is byte-identical. Outputs carry
-no timestamps and are written atomically.
+wigner-grid writes CSV or JSON (--format), phase-sim JSON and the
+others CSV. Every value an option can take may also come from a
+--config file of flat key=value lines (# comments allowed, dashes and
+underscores in keys interchangeable, each key at most once).
+Precedence is command line over config file over built-in defaults.
+The effective configuration is echoed into the output as sorted
+"# key=value" comments (CSV) or a "config" object (JSON), so a rerun of
+the same command is byte-identical. Outputs carry no timestamps and are
+written atomically.
 
 Exit codes: 0 success, 1 invalid arguments or configuration,
 2 numerical failure, 3 I/O failure.
@@ -40,66 +42,84 @@ from .phase_states import pb_eigenstate, phase_state, phase_value
 from .wigner import (WignerGrid, effective_radius, negativity_volume,
                      wigner_grid)
 
-_SCHEMAS = {
-    "wigner-grid": {
-        "s": 4, "m": 0, "phi0": 0.0, "extent": 5.0, "n": 101,
-        "format": "csv",
-    },
-    "negativity-sweep": {
-        "s": 6, "ref_one_photon": False, "format": "csv",
-    },
-    "radius-sweep": {
-        "s": 12, "format": "csv",
-    },
-    "herald-sweep": {
-        "s": 4, "r_min": 0.05, "r_max": 0.3, "r_steps": 6,
-        "eta": (1.0, 0.8, 0.6), "format": "csv",
-    },
-    "phase-sim": {
-        "s": 1, "mode": "exact", "target": "phase", "phi_j": 0.0,
-        "phi_k": 0.7, "r": None, "theta": None, "coeffs": None,
-        "trials": 100000, "seed": 0, "format": "json",
-    },
-}
-
-_INT_KEYS = {"s", "m", "n", "r_steps", "trials", "seed"}
-_FLOAT_KEYS = {"phi0", "extent", "r_min", "r_max", "phi_j", "phi_k",
-               "r", "theta"}
-_BOOL_KEYS = {"ref_one_photon"}
-
-
-def _parse_eta(text: str) -> tuple:
-    try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ValidationError(f"bad eta list {text!r}: {exc}") from None
+def _float_list(text: str) -> tuple:
+    values = tuple(float(tok) for tok in text.split(",") if tok.strip())
     if not values:
-        raise ValidationError("eta list is empty")
+        raise ValueError("empty list")
     return values
 
 
-def _convert(key: str, raw: str):
+# Each subcommand's options as (key, kind, default, help). kind is int,
+# float, str or _float_list (applied to the raw string), bool (a flag on
+# the command line, true/false/1/0/yes/no in a config file), or a tuple
+# of the accepted strings.
+_OPTIONS = {
+    "wigner-grid": [
+        ("s", int, 4, "state order"),
+        ("m", int, 0, "eigenstate index"),
+        ("phi0", float, 0.0, "reference phase offset"),
+        ("extent", float, 5.0, "half-width of the square lattice"),
+        ("n", int, 101, "points per axis"),
+        ("format", ("csv", "json"), "csv", "output format"),
+    ],
+    "negativity-sweep": [
+        ("s", int, 6, "largest order"),
+        ("ref_one_photon", bool, False,
+         "append the single-photon reference volume"),
+        ("format", ("csv",), "csv", "output format"),
+    ],
+    "radius-sweep": [
+        ("s", int, 12, "largest order"),
+        ("format", ("csv",), "csv", "output format"),
+    ],
+    "herald-sweep": [
+        ("s", int, 4, "target state order"),
+        ("r_min", float, 0.05, "smallest squeezing parameter"),
+        ("r_max", float, 0.3, "largest squeezing parameter"),
+        ("r_steps", int, 6, "squeezing values, evenly spaced"),
+        ("eta", _float_list, (1.0, 0.8, 0.6),
+         "comma-separated detector efficiencies"),
+        ("format", ("csv",), "csv", "output format"),
+    ],
+    "phase-sim": [
+        ("s", int, 1, "state order"),
+        ("mode", ("exact", "montecarlo"), "exact",
+         "exact probabilities or sampled counts"),
+        ("target", ("phase", "coefficients"), "phase", "what to estimate"),
+        ("phi_j", float, 0.0, "reference phase of the first setting"),
+        ("phi_k", float, 0.7, "true phase of the unknown state (target=phase)"),
+        ("r", float, None, "s=1 superposition weight (target=coefficients)"),
+        ("theta", float, None, "s=1 relative phase (target=coefficients)"),
+        ("coeffs", str, None, "comma-separated complex coefficients"),
+        ("trials", int, 100000, "samples per setting (mode=montecarlo)"),
+        ("seed", int, 0, "base RNG seed"),
+        ("format", ("json",), "json", "output format"),
+    ],
+}
+
+
+def _convert(key: str, kind, raw: str):
+    """One conversion for a command-line flag and a config value alike."""
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
+        if isinstance(kind, tuple):
+            if raw not in kind:
+                raise ValueError(f"expected {' or '.join(kind)}, got {raw!r}")
+            return raw
+        if kind is bool:
             low = raw.lower()
             if low in ("true", "1", "yes"):
                 return True
             if low in ("false", "0", "no"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if key == "eta":
-            return _parse_eta(raw)
+        return kind(raw)
     except ValueError as exc:
         raise ValidationError(f"bad value for {key}: {exc}") from None
-    return raw
 
 
 def _read_config(path: str) -> dict:
     data = {}
+    first_line = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -109,29 +129,31 @@ def _read_config(path: str) -> dict:
                 raise ValidationError(
                     f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            data[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key in first_line:
+                raise ValidationError(f"{path}: key {key!r} set on lines "
+                                      f"{first_line[key]} and {lineno}")
+            first_line[key] = lineno
+            data[key] = value.strip()
     return data
 
 
 def _resolve(command: str, args: argparse.Namespace) -> dict:
     """Merge CLI > config file > defaults into the effective settings."""
-    defaults = _SCHEMAS[command]
+    options = _OPTIONS[command]
     config_data = {}
     if args.config is not None:
         config_data = _read_config(args.config)
-    unknown = set(config_data) - set(defaults)
+    unknown = set(config_data) - {key for key, *_ in options}
     if unknown:
         raise ValidationError(
             f"unknown config keys for {command}: {sorted(unknown)}")
     eff = {}
-    for key, default in defaults.items():
-        cli_value = getattr(args, key)
-        if cli_value is not None:
-            eff[key] = cli_value
-        elif key in config_data:
-            eff[key] = _convert(key, config_data[key])
-        else:
-            eff[key] = default
+    for key, kind, default, _ in options:
+        raw = getattr(args, key)
+        if raw is None:
+            raw = config_data.get(key)
+        eff[key] = default if raw is None else _convert(key, kind, raw)
     return eff
 
 
@@ -142,20 +164,11 @@ def _fmt_value(value) -> str:
         return repr(value)
     if isinstance(value, tuple):
         return ",".join(repr(float(v)) for v in value)
-    if value is None:
-        return "none"
     return str(value)
 
 
 def _config_comments(eff: dict) -> list:
     return [f"# {key}={_fmt_value(eff[key])}" for key in sorted(eff)]
-
-
-def _config_json(eff: dict) -> dict:
-    out = {}
-    for key, value in eff.items():
-        out[key] = list(value) if isinstance(value, tuple) else value
-    return out
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -176,14 +189,7 @@ def _emit(text: str, out: str | None) -> None:
         raise
 
 
-def _require_format(eff: dict, allowed: tuple) -> None:
-    if eff["format"] not in allowed:
-        raise ValidationError(
-            f"format must be one of {allowed}, got {eff['format']!r}")
-
-
 def _cmd_wigner_grid(eff: dict, out: str | None) -> int:
-    _require_format(eff, ("csv", "json"))
     state = pb_eigenstate(eff["s"], eff["m"], eff["phi0"])
     e = eff["extent"]
     if e <= 0:
@@ -195,7 +201,7 @@ def _cmd_wigner_grid(eff: dict, out: str | None) -> int:
     ps = grid.p_values()
     if eff["format"] == "json":
         doc = {
-            "config": _config_json(eff),
+            "config": eff,
             "q": [float(v) for v in qs],
             "p": [float(v) for v in ps],
             "w": [[float(v) for v in row] for row in grid.values],
@@ -217,7 +223,6 @@ def _monotone_footer(values) -> str:
 
 
 def _cmd_negativity_sweep(eff: dict, out: str | None) -> int:
-    _require_format(eff, ("csv",))
     if eff["s"] < 1:
         raise ValidationError(f"s must be >= 1, got {eff['s']}")
     lines = _config_comments(eff)
@@ -236,7 +241,6 @@ def _cmd_negativity_sweep(eff: dict, out: str | None) -> int:
 
 
 def _cmd_radius_sweep(eff: dict, out: str | None) -> int:
-    _require_format(eff, ("csv",))
     if eff["s"] < 1:
         raise ValidationError(f"s must be >= 1, got {eff['s']}")
     lines = _config_comments(eff)
@@ -253,7 +257,6 @@ def _cmd_radius_sweep(eff: dict, out: str | None) -> int:
 
 
 def _cmd_herald_sweep(eff: dict, out: str | None) -> int:
-    _require_format(eff, ("csv",))
     if eff["r_steps"] < 1:
         raise ValidationError(f"r_steps must be >= 1, got {eff['r_steps']}")
     if not eff["r_max"] >= eff["r_min"] >= 0:
@@ -311,13 +314,6 @@ def _counts_doc(phi_j: float, table: CountTable) -> dict:
 
 
 def _cmd_phase_sim(eff: dict, out: str | None) -> int:
-    _require_format(eff, ("json",))
-    if eff["mode"] not in ("exact", "montecarlo"):
-        raise ValidationError(
-            f"mode must be exact or montecarlo, got {eff['mode']!r}")
-    if eff["target"] not in ("phase", "coefficients"):
-        raise ValidationError(
-            f"target must be phase or coefficients, got {eff['target']!r}")
     s = eff["s"]
     if s < 1:
         raise ValidationError(f"s must be >= 1, got {s}")
@@ -326,7 +322,7 @@ def _cmd_phase_sim(eff: dict, out: str | None) -> int:
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     seed = eff["seed"]
-    doc = {"config": _config_json(eff), "distributions": []}
+    doc = {"config": eff, "distributions": []}
 
     if eff["target"] == "phase":
         truth = eff["phi_k"]
@@ -397,80 +393,38 @@ def _cmd_phase_sim(eff: dict, out: str | None) -> int:
 
 
 _COMMANDS = {
-    "wigner-grid": _cmd_wigner_grid,
-    "negativity-sweep": _cmd_negativity_sweep,
-    "radius-sweep": _cmd_radius_sweep,
-    "herald-sweep": _cmd_herald_sweep,
-    "phase-sim": _cmd_phase_sim,
+    "wigner-grid": (_cmd_wigner_grid, "Wigner function on a square lattice"),
+    "negativity-sweep": (_cmd_negativity_sweep,
+                         "negativity volume for s = 1..S"),
+    "radius-sweep": (_cmd_radius_sweep, "effective radius for s = 1..S"),
+    "herald-sweep": (_cmd_herald_sweep,
+                     "herald probability, fidelity, negativity grid"),
+    "phase-sim": (_cmd_phase_sim, "interference counts and estimator report"),
 }
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--format", default=None, help="csv or json")
-    sub.add_argument("--config", default=None,
-                     help="key=value config file; command line wins")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """Every option value stays a raw string here; _resolve converts it."""
     parser = argparse.ArgumentParser(
         prog="pbsim",
         description="Phase-operator eigenstate simulation toolkit.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("wigner-grid",
-                        help="Wigner function on a square lattice")
-    p.add_argument("--s", type=int, default=None, help="state order")
-    p.add_argument("--m", type=int, default=None, help="eigenstate index")
-    p.add_argument("--phi0", type=float, default=None,
-                   help="reference phase offset")
-    p.add_argument("--extent", type=float, default=None,
-                   help="half-width of the square lattice")
-    p.add_argument("--n", type=int, default=None, help="points per axis")
-    _add_common(p)
-
-    p = subs.add_parser("negativity-sweep",
-                        help="negativity volume for s = 1..S")
-    p.add_argument("--s", type=int, default=None, help="largest order")
-    p.add_argument("--ref-one-photon", dest="ref_one_photon",
-                   action="store_const", const=True, default=None,
-                   help="append the single-photon reference volume")
-    _add_common(p)
-
-    p = subs.add_parser("radius-sweep",
-                        help="effective radius for s = 1..S")
-    p.add_argument("--s", type=int, default=None, help="largest order")
-    _add_common(p)
-
-    p = subs.add_parser("herald-sweep",
-                        help="herald probability, fidelity, negativity grid")
-    p.add_argument("--s", type=int, default=None, help="target state order")
-    p.add_argument("--r-min", dest="r_min", type=float, default=None)
-    p.add_argument("--r-max", dest="r_max", type=float, default=None)
-    p.add_argument("--r-steps", dest="r_steps", type=int, default=None)
-    p.add_argument("--eta", type=_parse_eta, default=None,
-                   help="comma-separated detector efficiencies")
-    _add_common(p)
-
-    p = subs.add_parser("phase-sim",
-                        help="interference counts and estimator report")
-    p.add_argument("--s", type=int, default=None, help="state order")
-    p.add_argument("--mode", default=None, help="exact or montecarlo")
-    p.add_argument("--target", default=None, help="phase or coefficients")
-    p.add_argument("--phi-j", dest="phi_j", type=float, default=None,
-                   help="reference phase of the first setting")
-    p.add_argument("--phi-k", dest="phi_k", type=float, default=None,
-                   help="true phase of the unknown state (target=phase)")
-    p.add_argument("--r", type=float, default=None,
-                   help="s=1 superposition weight (target=coefficients)")
-    p.add_argument("--theta", type=float, default=None,
-                   help="s=1 relative phase (target=coefficients)")
-    p.add_argument("--coeffs", default=None,
-                   help="comma-separated complex coefficients")
-    p.add_argument("--trials", type=int, default=None,
-                   help="samples per setting (mode=montecarlo)")
-    p.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    _add_common(p)
+    for command, (_, help_line) in _COMMANDS.items():
+        p = subs.add_parser(command, help=help_line)
+        for key, kind, default, text in _OPTIONS[command]:
+            flag = "--" + key.replace("_", "-")
+            if default is not None:
+                text = f"{text}; default {_fmt_value(default)}"
+            if kind is bool:
+                p.add_argument(flag, dest=key, action="store_const",
+                               const="true", help=text)
+            else:
+                metavar = ("{" + ",".join(kind) + "}"
+                           if isinstance(kind, tuple) else None)
+                p.add_argument(flag, dest=key, metavar=metavar, help=text)
+        p.add_argument("--out", help="output path (default stdout)")
+        p.add_argument("--config",
+                       help="key=value config file; command line wins")
     return parser
 
 
@@ -483,7 +437,7 @@ def main(argv=None) -> int:
         return 0 if code == 0 else 1
     try:
         eff = _resolve(args.command, args)
-        return _COMMANDS[args.command](eff, args.out)
+        return _COMMANDS[args.command][0](eff, args.out)
     except LowInformationError as exc:
         print(f"pbsim: {exc}", file=sys.stderr)
         print("pbsim: rerun with more trials or a different --phi-j",

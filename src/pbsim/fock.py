@@ -9,7 +9,7 @@ because heralding probabilities and fidelities need the raw inner products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,32 +93,6 @@ class FockVector:
     def norm_sq(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
-    def to_json_dict(self) -> dict:
-        """Sparse JSON form: entries [n1, ..., nM, re, im] for nonzero amps."""
-        entries = []
-        flat = self.amplitudes.ravel()
-        nz = np.nonzero(flat)[0]
-        for k in nz:
-            idx = np.unravel_index(k, self.config.shape)
-            a = flat[k]
-            entries.append([int(i) for i in idx] + [float(a.real), float(a.imag)])
-        return {
-            "cutoff": self.config.cutoff,
-            "modes": self.config.modes,
-            "normalized": self.normalized,
-            "leakage": self.leakage,
-            "entries": entries,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FockVector":
-        config = TruncationConfig(int(d["cutoff"]), int(d["modes"]))
-        amp = np.zeros(config.shape, dtype=np.complex128)
-        for row in d["entries"]:
-            idx = tuple(int(i) for i in row[:-2])
-            amp[idx] = complex(row[-2], row[-1])
-        return cls(config, amp, bool(d["normalized"]), float(d.get("leakage", 0.0)))
-
     def __repr__(self):
         return (f"FockVector(cutoff={self.cutoff}, modes={self.modes}, "
                 f"norm_sq={self.norm_sq():.6g}, normalized={self.normalized})")
@@ -162,23 +136,6 @@ class FockDensity:
             raise ValidationError("from_pure expects a single-mode state")
         a = psi.amplitudes
         return cls(np.outer(a, a.conj()))
-
-    def to_json_dict(self) -> dict:
-        entries = []
-        for i in range(self.cutoff + 1):
-            for j in range(self.cutoff + 1):
-                v = self.matrix[i, j]
-                if v != 0:
-                    entries.append([i, j, float(v.real), float(v.imag)])
-        return {"cutoff": self.cutoff, "trace": self.trace, "entries": entries}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FockDensity":
-        dim = int(d["cutoff"]) + 1
-        m = np.zeros((dim, dim), dtype=np.complex128)
-        for i, j, re, im in d["entries"]:
-            m[int(i), int(j)] = complex(re, im)
-        return cls(m)
 
     def __repr__(self):
         return f"FockDensity(cutoff={self.cutoff}, trace={self.trace:.6g})"

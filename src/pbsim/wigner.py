@@ -190,22 +190,20 @@ class NegativityResult:
     max_depth_reached: int
 
 
-def _panel_values(coef, q0, q1, p0, p1, nodes, weights, absolute):
-    """Tensor Gauss-Legendre estimate of each panel's integral."""
+def _panel_values(coef, q0, q1, p0, p1, nodes, weights):
+    """Tensor Gauss-Legendre estimate of each panel's integral of |W|."""
     hq = 0.5 * (q1 - q0)
     cq = 0.5 * (q1 + q0)
     hp = 0.5 * (p1 - p0)
     cp = 0.5 * (p1 + p0)
-    w = wigner_lattice(coef, cq[:, None] + hq[:, None] * nodes,
-                       cp[:, None] + hp[:, None] * nodes)
-    if absolute:
-        w = np.abs(w)
+    w = np.abs(wigner_lattice(coef, cq[:, None] + hq[:, None] * nodes,
+                              cp[:, None] + hp[:, None] * nodes))
     ww = weights[:, None] * weights[None, :]
     return (w * ww).sum(axis=(1, 2)) * hq * hp
 
 
-def _adaptive_box_integral(coef, half_width, spec, absolute):
-    """Integral of W (or |W|) over the centered square box.
+def _adaptive_box_integral(coef, half_width, spec):
+    """Integral of |W| over the centered square box.
 
     Returns (value, evaluations, depth_reached). Panels are refined
     level-synchronously; a panel is accepted when its parent/children
@@ -219,7 +217,7 @@ def _adaptive_box_integral(coef, half_width, spec, absolute):
     q1 = np.array([half_width])
     p0 = np.array([-half_width])
     p1 = np.array([half_width])
-    vals = _panel_values(coef, q0, q1, p0, p1, nodes, weights, absolute)
+    vals = _panel_values(coef, q0, q1, p0, p1, nodes, weights)
     evals = spec.order ** 2
     total = 0.0
     for depth in range(1, spec.max_depth + 1):
@@ -229,8 +227,7 @@ def _adaptive_box_integral(coef, half_width, spec, absolute):
         cq1 = np.concatenate([qm, q1, qm, q1])
         cp0 = np.concatenate([p0, p0, pm, pm])
         cp1 = np.concatenate([pm, pm, p1, p1])
-        cvals = _panel_values(coef, cq0, cq1, cp0, cp1, nodes, weights,
-                              absolute)
+        cvals = _panel_values(coef, cq0, cq1, cp0, cp1, nodes, weights)
         evals += cvals.size * spec.order ** 2
         if evals > spec.max_evals:
             raise QuadratureError(
@@ -283,8 +280,7 @@ def negativity_volume_detailed(rho, quad: QuadratureSpec | None = None
             f"|W| outside the box of half-width {half_width:.3f} integrates "
             f"to {tail:.3e}, above tolerance {spec.tol:.1e}; raise "
             f"radius_margin")
-    absint, evals, depth = _adaptive_box_integral(coef, half_width, spec,
-                                                  absolute=True)
+    absint, evals, depth = _adaptive_box_integral(coef, half_width, spec)
     raw = 0.5 * (absint - 1.0)
     if raw < 0.0:
         if raw < -100.0 * spec.tol:
@@ -307,19 +303,8 @@ def _tail_estimate(coef, half_width, spec) -> float:
     q1 = np.array([-l, e, l, l])
     p0 = np.array([-e, -e, l, -e])
     p1 = np.array([e, e, e, -l])
-    vals = _panel_values(coef, q0, q1, p0, p1, nodes, weights,
-                         absolute=True)
+    vals = _panel_values(coef, q0, q1, p0, p1, nodes, weights)
     return float(vals.sum())
-
-
-def wigner_plane_integral(rho, quad: QuadratureSpec | None = None) -> float:
-    """Signed integral of W over the support box; close to trace(rho)."""
-    spec = quad if quad is not None else DEFAULT_QUADRATURE
-    dm = _as_density(rho)
-    half_width = effective_radius(dm) + spec.radius_margin
-    val, _, _ = _adaptive_box_integral(wigner_coefficients(dm.matrix),
-                                       half_width, spec, absolute=False)
-    return float(val)
 
 
 def effective_radius(rho, angle: float = 0.0,

@@ -1,11 +1,15 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pbsim.cli import main
+from pbsim.cli import _OPTIONS, _resolve, build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_to_file(tmp_path, name, argv):
@@ -99,6 +103,84 @@ def test_config_file_and_cli_precedence(tmp_path):
                               "--s", "2"])
     assert code == 0
     assert "# s=2" in text
+
+
+def header_echo(text):
+    """The leading '# key=value' block of a CSV output, '# ' stripped."""
+    lines = []
+    for line in text.splitlines():
+        if not line.startswith("# "):
+            break
+        lines.append(line[2:])
+    return lines
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_RUNS))
+def test_echo_lists_every_option(tmp_path, name):
+    argv = SMALL_RUNS[name]
+    code, text = run_to_file(tmp_path, "a.out", argv)
+    assert code == 0
+    if argv[0] == "phase-sim":
+        echoed = set(json.loads(text)["config"])
+    else:
+        echoed = {line.partition("=")[0] for line in header_echo(text)}
+    assert echoed == {key for key, *_ in _OPTIONS[argv[0]]}
+
+
+@pytest.mark.parametrize("name", sorted(n for n in SMALL_RUNS
+                                        if not n.startswith("phase-sim")))
+def test_header_echo_is_a_config_file(tmp_path, name):
+    argv = SMALL_RUNS[name]
+    code, text = run_to_file(tmp_path, "a.out", argv)
+    assert code == 0
+    cfg = tmp_path / "echo.cfg"
+    cfg.write_text("\n".join(header_echo(text)) + "\n")
+    code, again = run_to_file(tmp_path, "b.out",
+                              [argv[0], "--config", str(cfg)])
+    assert code == 0
+    assert again == text
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("radius-sweep", "s", "x"),
+    ("wigner-grid", "extent", "wide"),
+    ("radius-sweep", "format", "json"),
+    ("phase-sim", "mode", "guess"),
+    ("herald-sweep", "eta", "1.0,x"),
+    ("herald-sweep", "r_min", ""),
+])
+def test_flag_and_config_value_share_one_conversion(tmp_path, capsys,
+                                                    command, key, value):
+    flag = "--" + key.replace("_", "-")
+    assert main([command, f"{flag}={value}"]) == 1
+    from_flag = capsys.readouterr().err
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    assert main([command, "--config", str(cfg)]) == 1
+    from_config = capsys.readouterr().err
+    assert from_flag == from_config
+    assert from_flag.startswith(f"pbsim: bad value for {key}: ")
+
+
+def test_readme_command_lines_parse():
+    block = README.read_text().split("## Command line", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    lines = [l for l in block.splitlines() if l.startswith("pbsim ")]
+    assert len(lines) == 6
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        _resolve(args.command, args)
+
+
+def test_repeated_config_key(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("s=3\n# comment\nr-min=0.1\nr_min=0.2\n")
+    assert main(["herald-sweep", "--config", str(cfg)]) == 1
+    assert "'r_min' set on lines 3 and 4" in capsys.readouterr().err
+    cfg.write_text("s=3\ns=2\n")
+    assert main(["radius-sweep", "--config", str(cfg)]) == 1
+    assert "'s' set on lines 1 and 2" in capsys.readouterr().err
 
 
 def test_unknown_config_key(tmp_path, capsys):

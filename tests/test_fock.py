@@ -1,7 +1,5 @@
 """Tests for the truncated Fock-space containers and contractions."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -39,15 +37,6 @@ def test_vector_norm_flag_enforced():
         FockVector(cfg, amp, normalized=True)
     v = FockVector(cfg, amp / np.sqrt(2.0), normalized=True)
     assert v.norm_sq() == pytest.approx(1.0)
-
-
-def test_vector_json_round_trip():
-    v = random_vector(3, 2, seed=5)
-    blob = json.dumps(v.to_json_dict())
-    w = FockVector.from_json_dict(json.loads(blob))
-    assert w.config == v.config
-    assert np.allclose(w.amplitudes, v.amplitudes)
-    assert w.normalized == v.normalized
 
 
 def test_tensor_product_norm_multiplies():

@@ -13,7 +13,7 @@ from pbsim.phase_states import pb_eigenstate
 from pbsim.wigner import (QuadratureSpec, WignerGrid, effective_radius,
                           hermite_wavefunction, hermite_wavefunctions_all,
                           negativity_volume, negativity_volume_detailed,
-                          wigner_grid, wigner_plane_integral, wigner_point,
+                          wigner_grid, wigner_point,
                           wigner_point_integral)
 
 
@@ -111,9 +111,13 @@ def test_conjugate_density_mirrors_momentum():
 
 
 @pytest.mark.parametrize("s,m", [(2, 0), (3, 1)])
-def test_plane_integral_is_unity(s, m):
-    val = wigner_plane_integral(pb_eigenstate(s, m))
-    assert val == pytest.approx(1.0, abs=2e-6)
+def test_lattice_sum_is_unity(s, m):
+    # W is a Gaussian times a polynomial, so the trapezoid sum over a lattice
+    # this fine and wide is its plane integral (the trace) to rounding
+    grid = wigner_grid(pb_eigenstate(s, m),
+                       WignerGrid(-8.0, 8.0, -8.0, 8.0, 321, 321))
+    h = 16.0 / 320
+    assert grid.values.sum() * h * h == pytest.approx(1.0, abs=1e-12)
 
 
 def test_grid_validation():
