@@ -9,13 +9,16 @@ exp(-2(q^2 + p^2)). It therefore expands exactly as
 in the orthonormal Hermite functions h_j. C is computed once per state
 (wigner_coefficients); after that a tensor lattice costs two small
 matrix products (wigner_lattice) and scattered points one product and
-a row sum (wigner_points).
+a row sum (wigner_points). On a line of fixed q, W is a series
+sum_k a_k h_k(2p); hermite_series_derivative and hermite_primitives give
+its derivative and its integrals in closed form.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
+from scipy.special import erfc
 
 
 def hermite_functions(nmax: int, xi) -> np.ndarray:
@@ -33,6 +36,36 @@ def hermite_functions(nmax: int, xi) -> np.ndarray:
     for n in range(2, nmax + 1):
         out[n] = (np.sqrt(2.0 / n) * xi * out[n - 1]
                   - np.sqrt((n - 1.0) / n) * out[n - 2])
+    return out
+
+
+def hermite_series_derivative(a: np.ndarray) -> np.ndarray:
+    """Coefficients of d/dxi sum_k a[..., k] h_k(xi), one more than a's.
+
+    From h_k' = sqrt(k/2) h_(k-1) - sqrt((k+1)/2) h_(k+1).
+    """
+    k = np.arange(a.shape[-1])
+    out = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
+    out[..., :-2] = a[..., 1:] * np.sqrt(k[1:] / 2.0)
+    out[..., 1:] -= a * np.sqrt((k + 1) / 2.0)
+    return out
+
+
+def hermite_primitives(nmax: int, xi) -> np.ndarray:
+    """P_n(xi) = integral of h_n from -inf to xi, n = 0..nmax; xi may be +-inf.
+
+    Shape (nmax+1,) + xi.shape. Integrating h_n' from -inf gives
+    P_(n+1) = sqrt(n/(n+1)) P_(n-1) - sqrt(2/(n+1)) h_n, whose factor below
+    1 makes it stable, from P_0 = pi^(1/4) erfc(-xi/sqrt2) / sqrt2.
+    """
+    xi = np.asarray(xi, dtype=np.float64)
+    finite = np.isfinite(xi)
+    h = hermite_functions(max(nmax - 1, 0), np.where(finite, xi, 0.0)) * finite
+    out = np.empty((nmax + 1,) + xi.shape)
+    out[0] = np.pi ** 0.25 / np.sqrt(2.0) * erfc(-xi / np.sqrt(2.0))
+    for n in range(nmax):
+        prev = np.sqrt(n / (n + 1.0)) * out[n - 1] if n else 0.0
+        out[n + 1] = prev - np.sqrt(2.0 / (n + 1)) * h[n]
     return out
 
 

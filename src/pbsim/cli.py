@@ -9,7 +9,7 @@ Subcommands:
 
 wigner-grid writes CSV or JSON (--format), phase-sim JSON and the
 others CSV. Every value an option can take may also come from a
---config file of flat key=value lines (# comments allowed, dashes and
+--config file of flat key=value lines (# starts a comment, dashes and
 underscores in keys interchangeable, each key at most once).
 Precedence is command line over config file over built-in defaults.
 The effective configuration is echoed into the output as sorted
@@ -122,8 +122,9 @@ def _read_config(path: str) -> dict:
     first_line = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            # no key or value contains "#", so a comment runs to line end
+            line = raw.partition("#")[0].strip()
+            if not line:
                 continue
             if "=" not in line:
                 raise ValidationError(
@@ -325,6 +326,11 @@ def _cmd_phase_sim(eff: dict, out: str | None) -> int:
     doc = {"config": eff, "distributions": []}
 
     if eff["target"] == "phase":
+        unused = [key for key in ("r", "theta", "coeffs")
+                  if eff[key] is not None]
+        if unused:
+            raise ValidationError(
+                f"{', '.join(unused)} apply to target=coefficients only")
         truth = eff["phi_k"]
         right = phase_state(s, truth)
         settings = [eff["phi_j"], eff["phi_j"] + math.pi / 2.0]

@@ -5,8 +5,10 @@ position wavefunctions are psi_n(x) = (2/pi)^(1/4) (2^n n!)^(-1/2)
 H_n(sqrt(2) x) exp(-x^2). Every W value comes from the exact Hermite
 expansion in _kernels: its coefficient table is computed once per state
 and public call, then each lattice or point set is a few matrix
-products. wigner_point_integral keeps the defining integral as an
-independent slow oracle.
+products. The negativity volume integrates |W| exactly along each line
+of fixed q, from the roots of W there, and adaptively over q.
+wigner_point_integral keeps the defining integral as an independent
+slow oracle.
 """
 
 from __future__ import annotations
@@ -18,14 +20,18 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
-from ._kernels import (hermite_functions, wigner_batch, wigner_coefficients,
-                       wigner_lattice, wigner_points)
+from ._kernels import (hermite_functions, hermite_primitives,
+                       hermite_series_derivative, wigner_batch,
+                       wigner_coefficients, wigner_lattice, wigner_points)
 from .errors import (QuadratureError, ValidationError, WindowExhaustedError)
 from .fock import FockDensity, FockVector
 
 RADIUS_THRESHOLD = 0.001
 _TRACE_PRE_TOL = 1e-8
 _ORACLE_HALF_RANGE = 40.0
+_ROOT_STEP = 1e-8
+_ROOT_BRACKET = 1e-13
+_POLISH_STEPS = 64
 
 
 def hermite_wavefunction(n: int, x):
@@ -158,14 +164,19 @@ def wigner_grid(rho, spec: WignerGrid) -> WignerGrid:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """How to integrate over phase space: a panel quadtree of tensor
-    Gauss-Legendre rules, refined until parent/children estimates agree.
+    """How to integrate |W| over phase space.
+
+    The integral over p along each line of fixed q is exact (see
+    negativity_volume); the outer integral over q in [-L, L] uses
+    order-point Gauss-Legendre panels, halved level by level until
+    parent and children agree to tol. L is effective_radius plus
+    radius_margin. max_evals caps the Hermite-series evaluations.
     """
 
     order: int = 16
     tol: float = 1e-6
     radius_margin: float = 2.0
-    max_depth: int = 14
+    max_depth: int = 20
     max_evals: int = 40_000_000
 
     def __post_init__(self):
@@ -182,73 +193,20 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 
 @dataclass(frozen=True)
 class NegativityResult:
+    """A negativity volume with its integration record.
+
+    evaluations counts every Hermite-series evaluation at one point of
+    one q line (the p grid, W' there, root polishing and primitives);
+    roots counts the sign changes of W found on all q lines.
+    """
+
     volume: float
     abs_integral: float
     tail_estimate: float
     box_half_width: float
     evaluations: int
     max_depth_reached: int
-
-
-def _panel_values(coef, q0, q1, p0, p1, nodes, weights):
-    """Tensor Gauss-Legendre estimate of each panel's integral of |W|."""
-    hq = 0.5 * (q1 - q0)
-    cq = 0.5 * (q1 + q0)
-    hp = 0.5 * (p1 - p0)
-    cp = 0.5 * (p1 + p0)
-    w = np.abs(wigner_lattice(coef, cq[:, None] + hq[:, None] * nodes,
-                              cp[:, None] + hp[:, None] * nodes))
-    ww = weights[:, None] * weights[None, :]
-    return (w * ww).sum(axis=(1, 2)) * hq * hp
-
-
-def _adaptive_box_integral(coef, half_width, spec):
-    """Integral of |W| over the centered square box.
-
-    Returns (value, evaluations, depth_reached). Panels are refined
-    level-synchronously; a panel is accepted when its parent/children
-    difference is below the area-share tolerance, and the whole
-    refinement stops early once the remaining difference budget is
-    below half the target.
-    """
-    nodes, weights = leggauss(spec.order)
-    box_area = (2.0 * half_width) ** 2
-    q0 = np.array([-half_width])
-    q1 = np.array([half_width])
-    p0 = np.array([-half_width])
-    p1 = np.array([half_width])
-    vals = _panel_values(coef, q0, q1, p0, p1, nodes, weights)
-    evals = spec.order ** 2
-    total = 0.0
-    for depth in range(1, spec.max_depth + 1):
-        qm = 0.5 * (q0 + q1)
-        pm = 0.5 * (p0 + p1)
-        cq0 = np.concatenate([q0, qm, q0, qm])
-        cq1 = np.concatenate([qm, q1, qm, q1])
-        cp0 = np.concatenate([p0, p0, pm, pm])
-        cp1 = np.concatenate([pm, pm, p1, p1])
-        cvals = _panel_values(coef, cq0, cq1, cp0, cp1, nodes, weights)
-        evals += cvals.size * spec.order ** 2
-        if evals > spec.max_evals:
-            raise QuadratureError(
-                f"evaluation budget {spec.max_evals} exceeded at depth {depth}")
-        nparent = q0.size
-        child_sum = (cvals[:nparent] + cvals[nparent:2 * nparent]
-                     + cvals[2 * nparent:3 * nparent] + cvals[3 * nparent:])
-        diff = np.abs(child_sum - vals)
-        if diff.sum() <= 0.5 * spec.tol:
-            return float(total + child_sum.sum()), evals, depth
-        area_frac = (q1 - q0) * (p1 - p0) / box_area
-        done = diff <= spec.tol * area_frac
-        total += float(child_sum[done].sum())
-        keep = ~done
-        keep4 = np.concatenate([keep, keep, keep, keep])
-        q0, q1, p0, p1 = cq0[keep4], cq1[keep4], cp0[keep4], cp1[keep4]
-        vals = cvals[keep4]
-        if q0.size == 0:
-            return float(total), evals, depth
-    raise QuadratureError(
-        f"{q0.size} panels unconverged at max depth {spec.max_depth}")
+    roots: int
 
 
 def _check_unit_trace(dm: FockDensity) -> None:
@@ -260,9 +218,17 @@ def _check_unit_trace(dm: FockDensity) -> None:
 def negativity_volume(rho, quad: QuadratureSpec | None = None) -> float:
     """Negativity volume (1/2)(Int |W| - 1), clamped at zero.
 
-    The integration box is a square of half-width effective_radius +
-    radius_margin. QuadratureError is raised when the estimated integral
-    of |W| just outside the box exceeds the quadrature tolerance.
+    On each line of fixed q, W(q, p) = sum_k a_k(q) h_k(2p) with
+    a(q) = C^T h(2q). Its sign changes in p are bracketed on a grid of
+    spacing 0.5 pi / sqrt(2D) over |2p| <= 2L + 4 (D = len(a),
+    L = effective_radius + radius_margin), with a check of each cell
+    where W' turns toward zero for a hidden pair, and polished by
+    safeguarded Newton steps. Between consecutive roots and +-inf,
+    Int |W| dp is then a sum of a_k times exact integrals of h_k. Only
+    the outer q integral over [-L, L] is adaptive (QuadratureSpec).
+    QuadratureError is raised when the same line integrals over the
+    strips L < |q| < L + 2 exceed the quadrature tolerance, or when
+    the q refinement exceeds max_depth or max_evals.
     """
     return negativity_volume_detailed(rho, quad).volume
 
@@ -273,14 +239,17 @@ def negativity_volume_detailed(rho, quad: QuadratureSpec | None = None
     dm = _as_density(rho)
     _check_unit_trace(dm)
     half_width = effective_radius(dm) + spec.radius_margin
-    coef = wigner_coefficients(dm.matrix)
-    tail = _tail_estimate(coef, half_width, spec)
+    lines = _LineIntegrals(wigner_coefficients(dm.matrix), half_width)
+    nodes, weights = leggauss(min(spec.order, 24))
+    tail = float(lines.panels(np.array([-half_width - 2.0, half_width]),
+                              np.array([-half_width, half_width + 2.0]),
+                              nodes, weights).sum())
     if tail > spec.tol:
         raise QuadratureError(
-            f"|W| outside the box of half-width {half_width:.3f} integrates "
+            f"|W| outside the box |q| <= {half_width:.3f} integrates "
             f"to {tail:.3e}, above tolerance {spec.tol:.1e}; raise "
             f"radius_margin")
-    absint, evals, depth = _adaptive_box_integral(coef, half_width, spec)
+    absint, depth = _adaptive_q_integral(lines, half_width, spec)
     raw = 0.5 * (absint - 1.0)
     if raw < 0.0:
         if raw < -100.0 * spec.tol:
@@ -288,23 +257,166 @@ def negativity_volume_detailed(rho, quad: QuadratureSpec | None = None
                 f"negativity volume {raw:.3e} below zero beyond tolerance")
         raw = 0.0
     return NegativityResult(volume=float(raw), abs_integral=float(absint),
-                            tail_estimate=float(tail),
+                            tail_estimate=tail,
                             box_half_width=float(half_width),
-                            evaluations=evals, max_depth_reached=depth)
+                            evaluations=lines.evaluations,
+                            max_depth_reached=depth, roots=lines.roots)
 
 
-def _tail_estimate(coef, half_width, spec) -> float:
-    """One-shot estimate of Int |W| over the frame just outside the box."""
-    nodes, weights = leggauss(min(spec.order, 24))
-    l = half_width
-    e = half_width + 2.0
-    # frame = two full-height side strips plus top/bottom strips between them
-    q0 = np.array([-e, l, -l, -l])
-    q1 = np.array([-l, e, l, l])
-    p0 = np.array([-e, -e, l, -e])
-    p1 = np.array([e, e, e, -l])
-    vals = _panel_values(coef, q0, q1, p0, p1, nodes, weights)
-    return float(vals.sum())
+def _adaptive_q_integral(lines, half_width, spec):
+    """Integral over q in [-L, L] of the exact line integrals of |W|.
+
+    Returns (value, depth_reached). Panels are halved level by level; a
+    panel is accepted when its parent/children difference is below its
+    width share of the tolerance, and the refinement stops early once
+    the remaining difference budget is below half the target.
+    """
+    nodes, weights = leggauss(spec.order)
+    q0 = np.array([-half_width])
+    q1 = np.array([half_width])
+    vals = lines.panels(q0, q1, nodes, weights)
+    total = 0.0
+    for depth in range(1, spec.max_depth + 1):
+        qm = 0.5 * (q0 + q1)
+        cq0 = np.concatenate([q0, qm])
+        cq1 = np.concatenate([qm, q1])
+        cvals = lines.panels(cq0, cq1, nodes, weights)
+        if lines.evaluations > spec.max_evals:
+            raise QuadratureError(
+                f"evaluation budget {spec.max_evals} exceeded at depth {depth}")
+        child_sum = cvals[:q0.size] + cvals[q0.size:]
+        diff = np.abs(child_sum - vals)
+        if diff.sum() <= 0.5 * spec.tol:
+            return float(total + child_sum.sum()), depth
+        done = diff <= spec.tol * (q1 - q0) / (2.0 * half_width)
+        total += float(child_sum[done].sum())
+        keep2 = np.concatenate([~done, ~done])
+        q0, q1, vals = cq0[keep2], cq1[keep2], cvals[keep2]
+        if q0.size == 0:
+            return float(total), depth
+    raise QuadratureError(
+        f"{q0.size} panels unconverged at max depth {spec.max_depth}")
+
+
+class _LineIntegrals:
+    """G(q) = Int |W(q, p)| dp, exact up to root polishing, for one state.
+
+    Holds the coefficient table, the p grid with its Hermite table and
+    the running evaluation and root counts.
+    """
+
+    def __init__(self, coef: np.ndarray, half_width: float):
+        self.coef = coef
+        dim = coef.shape[0]
+        end = 2.0 * half_width + 4.0
+        cells = math.ceil(2.0 * end / (0.5 * math.pi / math.sqrt(2.0 * dim)))
+        self.xi = np.linspace(-end, end, cells + 1)
+        self.h_xi = hermite_functions(dim, self.xi)
+        self.full_line = hermite_primitives(dim - 1, np.array([np.inf]))[:, 0]
+        self.evaluations = 0
+        self.roots = 0
+
+    def panels(self, q0, q1, nodes, weights) -> np.ndarray:
+        """Gauss-Legendre estimate of Int G dq over each panel [q0, q1]."""
+        hq = 0.5 * (q1 - q0)
+        qs = (0.5 * (q1 + q0))[:, None] + hq[:, None] * nodes
+        g = self.at(qs.ravel()).reshape(qs.shape)
+        return (g @ weights) * hq
+
+    def at(self, qs: np.ndarray) -> np.ndarray:
+        """G at each q of qs."""
+        a, rows, roots = self.find_roots(qs)
+        self.roots += roots.size
+        # Int |W| dp is half the sum of |P(b) - P(a)| over the intervals
+        # between consecutive roots, with P(-inf) = 0 and P(inf) = a . P_inf
+        n = qs.size
+        line = np.concatenate([np.arange(n), rows, np.arange(n)])
+        xs = np.concatenate([np.full(n, -np.inf), roots, np.full(n, np.inf)])
+        prim = np.concatenate([
+            np.zeros(n),
+            np.einsum("ik,ki->i", a[rows],
+                      hermite_primitives(a.shape[1] - 1, roots)),
+            a @ self.full_line])
+        self.evaluations += roots.size + n
+        order = np.lexsort((xs, line))
+        line, prim = line[order], prim[order]
+        same = line[1:] == line[:-1]
+        return 0.5 * np.bincount(line[1:][same],
+                                 weights=np.abs(np.diff(prim))[same],
+                                 minlength=n)
+
+    def find_roots(self, qs: np.ndarray):
+        """Sign changes of W(q, p) in xi = 2p on each line q = qs[i].
+
+        Returns (a, rows, roots): the lines' series coefficients
+        a(q) = C^T h(2q), and each root's line index and xi.
+        """
+        dim = self.coef.shape[0]
+        xi = self.xi
+        a = hermite_functions(dim - 1, 2.0 * qs).T @ self.coef
+        f = a @ self.h_xi[:dim]
+        fp = hermite_series_derivative(a) @ self.h_xi
+        self.evaluations += 2 * f.size
+        pos = f > 0
+        row, cell = np.nonzero(pos[:, 1:] != pos[:, :-1])
+        # a cell whose ends share W's sign holds a pair of roots only if W'
+        # turns toward zero inside it: the extremum decides
+        dpos = fp > 0
+        turn = ((pos[:, 1:] == pos[:, :-1]) & (dpos[:, 1:] != dpos[:, :-1])
+                & (dpos[:, 1:] == pos[:, 1:]))
+        tr, tc = np.nonzero(turn)
+        ext = self._polish(hermite_series_derivative(a), tr, xi[tc],
+                           xi[tc + 1], fp[tr, tc], fp[tr, tc + 1])
+        f_ext = np.einsum("ik,ki->i", a[tr], hermite_functions(dim - 1, ext))
+        self.evaluations += ext.size
+        pair = (f_ext > 0) != pos[tr, tc]
+        tr, tc, ext, f_ext = tr[pair], tc[pair], ext[pair], f_ext[pair]
+        rows = np.concatenate([row, tr, tr])
+        roots = self._polish(
+            a, rows,
+            np.concatenate([xi[cell], xi[tc], ext]),
+            np.concatenate([xi[cell + 1], ext, xi[tc + 1]]),
+            np.concatenate([f[row, cell], f[tr, tc], f_ext]),
+            np.concatenate([f[row, cell + 1], f_ext, f[tr, tc + 1]]))
+        return a, rows, roots
+
+    def _polish(self, a, rows, lo, hi, f_lo, f_hi) -> np.ndarray:
+        """A root of row rows[i]'s series a in each bracket [lo[i], hi[i]].
+
+        f_lo and f_hi lie on opposite sides of the split f > 0 / f <= 0.
+        Newton steps start from the secant point; a step that leaves the
+        shrinking bracket is replaced by the bracket's secant point. A
+        root error delta moves G only by O(delta^2), so a Newton step
+        below _ROOT_STEP ends the iteration. f == 0 counts as a zero step
+        even where f' == 0 too: a bracket update there would move away
+        from the root.
+        """
+        da = hermite_series_derivative(a)
+        lo, hi, f_lo, f_hi = lo.copy(), hi.copy(), f_lo.copy(), f_hi.copy()
+        lo_pos = f_lo > 0
+        x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        active = np.arange(x.size)
+        for _ in range(_POLISH_STEPS):
+            if active.size == 0:
+                break
+            xa, r = x[active], rows[active]
+            h = hermite_functions(da.shape[1] - 1, xa)
+            f = np.einsum("ik,ki->i", a[r], h[:-1])
+            fp = np.einsum("ik,ki->i", da[r], h)
+            self.evaluations += 2 * active.size
+            left = (f > 0) == lo_pos[active]
+            lo[active] = l = np.where(left, xa, lo[active])
+            hi[active] = u = np.where(left, hi[active], xa)
+            f_lo[active] = fl = np.where(left, f, f_lo[active])
+            f_hi[active] = fu = np.where(left, f_hi[active], f)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.where(f == 0.0, 0.0, f / fp)
+            small = np.abs(step) <= _ROOT_STEP
+            xn = np.clip(xa - step, l, u)
+            newton = small | ((xn > l) & (xn < u))
+            x[active] = np.where(newton, xn, l - fl * (u - l) / (fu - fl))
+            active = active[~(small | (u - l <= _ROOT_BRACKET))]
+        return x
 
 
 def effective_radius(rho, angle: float = 0.0,

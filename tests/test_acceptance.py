@@ -33,9 +33,8 @@ from pbsim.phase_est import (CountTable, estimate_coefficients,
                              sample_outcomes, superposition_probs)
 from pbsim.phase_est import SuperpositionCoeffs
 from pbsim.phase_states import pb_eigenstate, phase_state, phase_value
-from pbsim.wigner import (QuadratureSpec, WignerGrid, effective_radius,
-                          negativity_volume, wigner_grid, wigner_point,
-                          wigner_point_integral)
+from pbsim.wigner import (WignerGrid, effective_radius, negativity_volume,
+                          wigner_grid, wigner_point, wigner_point_integral)
 
 
 def report(num, ok, detail):
@@ -83,10 +82,8 @@ def test_criterion_03_negativity_anchors():
 
 
 def test_criterion_04_negativity_monotone_in_s():
-    quad = QuadratureSpec(tol=1e-5)
     t0 = time.perf_counter()
-    vols = [negativity_volume(pb_eigenstate(s, 0), quad)
-            for s in range(1, 18)]
+    vols = [negativity_volume(pb_eigenstate(s, 0)) for s in range(1, 18)]
     elapsed = time.perf_counter() - t0
     gaps = np.diff(vols)
     ok = bool(np.all(gaps > 0)) and elapsed < 600.0

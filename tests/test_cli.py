@@ -217,3 +217,36 @@ def test_herald_sweep_rows_and_slopes(tmp_path):
     assert len(rows) == 1 + 4
     slopes = [l for l in lines if l.startswith("# slope[")]
     assert len(slopes) == 2
+
+
+@pytest.mark.parametrize("extra", [["--r", "0.6"], ["--theta", "0.8"],
+                                   ["--coeffs", "1,0"]])
+def test_phase_target_rejects_coefficient_options(tmp_path, capsys, extra):
+    argv = ["phase-sim", "--s", "1", "--mode", "exact"]
+    assert main(argv + extra) == 1
+    assert "target=coefficients only" in capsys.readouterr().err
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(f"{extra[0][2:]}={extra[1]}\n")
+    assert main(argv + ["--config", str(cfg)]) == 1
+    assert "target=coefficients only" in capsys.readouterr().err
+
+
+def test_config_inline_comment(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("s=2  # two\nformat=csv# the only one\n")
+    _, flagged = run_to_file(tmp_path, "a.csv", ["radius-sweep", "--s", "2"])
+    code, text = run_to_file(tmp_path, "b.csv",
+                             ["radius-sweep", "--config", str(cfg)])
+    assert code == 0
+    assert text == flagged
+
+
+def test_negativity_sweep_reaches_s25(tmp_path):
+    code, text = run_to_file(tmp_path, "v.csv",
+                             ["negativity-sweep", "--s", "25"])
+    assert code == 0
+    assert "# monotonic_increasing=true" in text.splitlines()
+    volumes = dict(line.split(",") for line in text.splitlines()
+                   if line and not line.startswith(("#", "s,")))
+    assert float(volumes["17"]) == pytest.approx(0.3147545070149, abs=1e-6)
+    assert float(volumes["25"]) == pytest.approx(0.3580314851799, abs=1e-6)

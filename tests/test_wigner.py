@@ -4,14 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermroots
+from scipy.integrate import quad
 
-from pbsim._kernels import wigner_batch
+from pbsim._kernels import (hermite_functions, hermite_primitives,
+                            wigner_batch, wigner_coefficients)
 from pbsim.errors import QuadratureError, ValidationError
 from pbsim.fock import FockDensity, FockVector, TruncationConfig, number_state, vacuum_state
+from pbsim.herald import HeraldConfig, herald_point
 from pbsim.ops import phase_plate
 from pbsim.phase_states import pb_eigenstate
-from pbsim.wigner import (QuadratureSpec, WignerGrid, effective_radius,
-                          hermite_wavefunction, hermite_wavefunctions_all,
+from pbsim.wigner import (QuadratureSpec, WignerGrid, _LineIntegrals,
+                          effective_radius, hermite_wavefunction,
+                          hermite_wavefunctions_all,
                           negativity_volume, negativity_volume_detailed,
                           wigner_grid, wigner_point,
                           wigner_point_integral)
@@ -152,6 +157,95 @@ def test_negativity_anchors():
     assert negativity_volume(vacuum_state(2)) == pytest.approx(0.0, abs=1e-9)
     assert negativity_volume(number_state(1, 2)) == pytest.approx(
         2 * math.exp(-0.5) - 1, abs=1e-6)
+
+
+# V(|phi_0>_s) from two independent root-based evaluations (comrade-matrix
+# roots and grid-bracketed Newton roots), which agree to 1e-13
+REFERENCE_VOLUMES = {1: 0.0697148152685, 4: 0.1701009778123,
+                     8: 0.2357593505655, 12: 0.2774926003676,
+                     17: 0.3147545070149}
+
+
+def test_negativity_reference_values():
+    quad_spec = QuadratureSpec(tol=1e-10)
+    assert negativity_volume(number_state(1, 2), quad_spec) == pytest.approx(
+        2 * math.exp(-0.5) - 1, abs=1e-9)
+    for s, want in REFERENCE_VOLUMES.items():
+        result = negativity_volume_detailed(pb_eigenstate(s, 0), quad_spec)
+        assert result.volume == pytest.approx(want, abs=1e-9)
+        assert result.max_depth_reached < quad_spec.max_depth
+
+
+def test_negativity_record_is_filled():
+    # perfbench's tracer reads evaluations, max_depth_reached, tail_estimate
+    result = negativity_volume_detailed(pb_eigenstate(4, 0))
+    for value in (result.abs_integral, result.tail_estimate,
+                  result.box_half_width, result.evaluations,
+                  result.max_depth_reached, result.roots):
+        assert math.isfinite(value) and value > 0
+    assert result.volume == pytest.approx(
+        0.5 * (result.abs_integral - 1.0), abs=1e-15)
+
+
+def test_hermite_primitives_match_quadrature():
+    xs = np.array([-np.inf, -4.2, -0.7, 0.0, 1.3, 5.5, np.inf])
+    table = hermite_primitives(30, xs)
+    for n in (0, 1, 2, 7, 18, 30):
+        def h(t, n=n):
+            return hermite_functions(n, np.array(t))[n]
+        assert table[n, 0] == 0.0
+        # h_n, n <= 30, is below 1e-300 beyond |xi| = 40
+        for x, got in zip(xs[1:], table[n, 1:]):
+            want = quad(h, -40.0, min(x, 40.0), epsabs=1e-13, limit=200)[0]
+            assert got == pytest.approx(want, abs=1e-13)
+
+
+def _comrade_line_integral(a):
+    """Int |sum_k a_k h_k(xi)| dxi / 2 from the comrade-matrix roots.
+
+    sum_k a_k h_k = pi^(-1/4) exp(-xi^2/2) sum_k c_k H_k with
+    c_k = a_k / sqrt(2^k k!), so the real roots are hermroots(c)'s.
+    """
+    k = np.arange(a.size)
+    norms = np.array([math.sqrt(2.0 ** j * math.factorial(j)) for j in k])
+    z = hermroots(a / norms)
+    real = np.sort(z[np.abs(z.imag) <= 1e-9 * np.maximum(1.0, np.abs(z.real))]
+                   .real)
+    prim = a @ hermite_primitives(a.size - 1,
+                                  np.concatenate([[-np.inf], real, [np.inf]]))
+    return 0.5 * np.abs(np.diff(prim)).sum()
+
+
+LINE_STATES = {
+    "pb1": lambda: FockDensity.from_pure(pb_eigenstate(1, 0)),
+    "pb4": lambda: FockDensity.from_pure(pb_eigenstate(4, 0)),
+    "pb8": lambda: FockDensity.from_pure(pb_eigenstate(8, 0)),
+    "pb17": lambda: FockDensity.from_pure(pb_eigenstate(17, 0)),
+    "herald-r0.3-eta0.6": lambda: herald_point(
+        HeraldConfig(s=4, r=0.3, eta=0.6)).rho_A,
+    "herald-r0.1-eta1.0": lambda: herald_point(
+        HeraldConfig(s=4, r=0.1, eta=1.0)).rho_A,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINE_STATES))
+def test_line_integrals_match_comrade_oracle(name):
+    # G(q) on 51 lines against the comrade roots; each root's residual
+    # against the largest |W| on its line
+    rho = LINE_STATES[name]()
+    half_width = effective_radius(rho) + 2.0
+    lines = _LineIntegrals(wigner_coefficients(rho.matrix), half_width)
+    qs = np.linspace(-half_width, half_width, 51)
+    got = lines.at(qs)
+    a, rows, roots = lines.find_roots(qs)
+    dim = a.shape[1]
+    w_lines = a @ hermite_functions(dim - 1, lines.xi)
+    w_roots = np.einsum("ik,ki->i", a[rows], hermite_functions(dim - 1, roots))
+    assert roots.size > 0
+    for i in range(qs.size):
+        assert abs(got[i] - _comrade_line_integral(a[i])) <= 1e-12
+        peak = np.abs(w_lines[i]).max()
+        assert np.all(np.abs(w_roots[rows == i]) <= 1e-12 * peak)
 
 
 def test_effective_radius_vacuum_closed_form():
