@@ -3,9 +3,10 @@
 A reference equal-weight phase state meets the unknown state at a 50-50
 beam splitter; the joint photon-number distribution at the two outputs
 carries the phase information. estimate_phase inverts the single-photon
-contrast; estimate_coefficients fits a full superposition by penalized
-least squares on empirical frequencies. Both also accept exact
-probability tables (fractional pseudo-counts, trials = 1).
+contrast; estimate_coefficients fits a full superposition by
+Levenberg-Marquardt least squares on empirical frequencies. Both also
+accept exact probability tables (fractional pseudo-counts, trials = 1),
+and treat them like sampled ones.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import least_squares
 
 from .errors import LowInformationError, RankDeficiencyWarning, ValidationError
 from .fock import FockVector, TruncationConfig
@@ -108,7 +110,7 @@ class SuperpositionCoeffs:
 
     The global phase is fixed by making c_0 real and nonnegative; the
     vector is normalized. note records identifiability caveats (for
-    example an undetermined relative phase at a boundary).
+    example a relative-phase sign that on-axis settings cannot fix).
     """
 
     s: int
@@ -311,28 +313,37 @@ def _model_matrix(settings, s: int, phi0: float) -> np.ndarray:
         for phi_j in settings])
 
 
-def _lsq_objective(mat, freqs, c):
-    amp = mat @ c
-    d = np.abs(amp) ** 2 - freqs
-    return float(d @ d), 2.0 * (mat.conj().T @ (d * amp))
+def _residuals(mat: np.ndarray, freqs: np.ndarray):
+    """Residuals |M c|^2 - f and their Jacobian in x = (Re c, Im c)."""
+    n = mat.shape[1]
 
+    def amplitudes(x):
+        return mat @ (x[:n] + 1j * x[n:])
 
-def _project_sphere(c):
-    return c / float(np.linalg.norm(c))
+    def fun(x):
+        amp = amplitudes(x)
+        return amp.real ** 2 + amp.imag ** 2 - freqs
+
+    def jac(x):
+        g = amplitudes(x).conj()[:, None] * mat
+        return 2.0 * np.hstack([g.real, -g.imag])
+
+    return fun, jac
 
 
 def estimate_coefficients(tables, s: int, *, phi0: float = 0.0,
-                          rng_seed: int = 20240, starts: int = 8,
-                          max_iter: int = 20000, tol: float = 1e-10
+                          rng_seed: int = 20240, starts: int = 8
                           ) -> SuperpositionCoeffs:
     """Superposition coefficients from count tables at several settings.
 
     tables: sequence of (phi_j, CountTable); the settings must include
     every eigenphase of order s (extra settings sharpen identifiability,
     and s = 1 needs one off-axis setting to fix the sign of the relative
-    phase). Exact tables at s = 1 invert in closed form; otherwise a
-    projected-gradient least-squares fit on the unit sphere is run from
-    several starts and the best optimum is gauge-fixed.
+    phase). The residuals |M c|^2 - f between modelled and observed
+    frequencies, over every setting at once, are minimized by
+    Levenberg-Marquardt in (Re c, Im c) from several starts (all-ones
+    and starts - 1 seeded draws); the lowest-cost optimum is
+    gauge-fixed. Exact tables fit like sampled ones.
     """
     if s < 1:
         raise ValidationError(f"s must be >= 1, got {s}")
@@ -348,112 +359,39 @@ def estimate_coefficients(tables, s: int, *, phi0: float = 0.0,
         raise ValidationError(
             "settings must include every eigenphase of order s")
 
-    all_exact = all(t.rng_seed is None and t.trials == 1.0 for _, t in tables)
-    if s == 1 and all_exact:
-        return _invert_s1_exact(tables, phi0)
-
     freqs = np.concatenate([t.frequencies().ravel() for _, t in tables])
     populated = int(np.count_nonzero(freqs > 0))
     if populated < 2 * (s + 1):
         warnings.warn(
             f"only {populated} populated outcome cells for {2 * s} free "
             f"parameters", RankDeficiencyWarning, stacklevel=2)
-    mat = _model_matrix(settings, s, phi0)
+    fun, jac = _residuals(_model_matrix(settings, s, phi0), freqs)
 
     rng = np.random.Generator(np.random.PCG64(rng_seed))
-    best = None
-    best_obj = np.inf
     inits = [np.ones(s + 1, dtype=np.complex128)]
     for _ in range(max(0, starts - 1)):
-        z = rng.standard_normal(s + 1) + 1j * rng.standard_normal(s + 1)
-        inits.append(z)
+        inits.append(rng.standard_normal(s + 1)
+                     + 1j * rng.standard_normal(s + 1))
+    best = None
     for z in inits:
-        c = _project_sphere(z.astype(np.complex128))
-        obj, grad = _lsq_objective(mat, freqs, c)
-        step = 0.5
-        for _ in range(max_iter):
-            # project the gradient onto the sphere's tangent space
-            tang = grad - c * float(np.real(np.vdot(c, grad)))
-            gnorm = float(np.linalg.norm(tang))
-            if gnorm < tol:
-                break
-            improved = False
-            while step > 1e-16:
-                trial = _project_sphere(c - step * tang)
-                new_obj, new_grad = _lsq_objective(mat, freqs, trial)
-                if new_obj < obj - 1e-300:
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
-                break
-            c, obj, grad = trial, new_obj, new_grad
-            step = min(step * 2.0, 1.0)
-        if obj < best_obj:
-            best_obj = obj
-            best = c
+        z = z / float(np.linalg.norm(z))
+        fit = least_squares(fun, np.concatenate([z.real, z.imag]), jac=jac,
+                            method="lm")
+        if best is None or fit.cost < best.cost:
+            best = fit
     note = ""
-    if s == 1 and all(abs(math.sin(p)) < 1e-9 for p in settings):
+    if s == 1 and all(abs(math.sin(p - phi0)) < 1e-9 for p in settings):
         note = "relative-phase sign not identifiable from on-axis settings"
-    return gauge_fixed(best, s, note=note)
+    return gauge_fixed(best.x[:s + 1] + 1j * best.x[s + 1:], s, note=note)
 
 
-def _invert_s1_exact(tables, phi0: float) -> SuperpositionCoeffs:
-    """Closed-form (r, theta) from exact probabilities at s = 1.
-
-    At reference phase phi0, P(0,1) = (1 - r^2)/2 fixes the weight and
-    P(0,0) = (1 + 2 r sqrt(1-r^2) cos(theta))/4 fixes cos(theta); an
-    off-axis setting, when present, picks the sign of theta.
-    """
-    base = None
-    for p, t in tables:
-        if abs(_wrap_angle(p - phi0)) < 1e-9:
-            base = t
-            break
-    if base is None:
-        raise ValidationError("need a table at the phi0 reference setting")
-    f = base.frequencies()
-    p01 = float(f[0, 1])
-    r = math.sqrt(max(0.0, 1.0 - 2.0 * p01))
-    if r >= 1.0 - 1e-12:
-        return SuperpositionCoeffs(
-            s=1, c=np.array([1.0, 0.0], dtype=np.complex128),
-            note="theta unidentifiable at r = 1")
-    if r <= 1e-12:
-        return SuperpositionCoeffs(
-            s=1, c=np.array([0.0, 1.0], dtype=np.complex128),
-            note="theta absorbed into the gauge at r = 0")
-    p00 = float(f[0, 0])
-    cos_theta = np.clip((4.0 * p00 - 1.0) / (2.0 * r * math.sqrt(1.0 - r * r)),
-                        -1.0, 1.0)
-    theta = math.acos(float(cos_theta))
-    boundary = theta < 1e-12 or theta > math.pi - 1e-12
-    off_axis = [(p, t) for p, t in tables
-                if abs(math.sin(p - phi0)) > 1e-9]
-    note = ""
-    if not boundary and not off_axis:
-        note = "relative-phase sign not identifiable from on-axis settings"
-    elif not boundary:
-        p_off, t_off = off_axis[0]
-
-        def misfit(cand):
-            c = np.array([r, math.sqrt(1.0 - r * r) * np.exp(1j * cand)])
-            model = superposition_probs(p_off, gauge_fixed(c, 1), phi0).probs
-            return float(np.abs(model - t_off.frequencies()).max())
-
-        theta = min((theta, -theta), key=misfit)
-    c = np.array([r, math.sqrt(1.0 - r * r) * np.exp(1j * theta)],
-                 dtype=np.complex128)
-    return gauge_fixed(c, 1, note=note)
-
-
-def save_count_table(path, table: CountTable, phi_j: float, s: int) -> None:
+def save_count_table(path, table: CountTable, phi_j: float) -> None:
     """CSV dump: header comments, then n1,n2,count rows."""
     lines = [
         f"# trials={table.trials!r}",
         f"# seed={'none' if table.rng_seed is None else table.rng_seed}",
         f"# phi_j={float(phi_j)!r}",
-        f"# s={int(s)}",
+        f"# s={table.s}",
         "n1,n2,count",
     ]
     dim = table.counts.shape[0]
@@ -467,23 +405,49 @@ def save_count_table(path, table: CountTable, phi_j: float, s: int) -> None:
 
 
 def load_count_table(path) -> tuple[float, int, CountTable]:
-    """Inverse of save_count_table; returns (phi_j, s, table)."""
-    meta: dict[str, str] = {}
+    """Inverse of save_count_table; returns (phi_j, s, table).
+
+    A malformed row or a non-numeric header or cell value raises
+    ValidationError naming the path and the line.
+    """
+    meta: dict[str, tuple[int, str]] = {}
     rows = []
+
+    def number(convert, text, lineno):
+        try:
+            return convert(text)
+        except ValueError:
+            raise ValidationError(f"{path}, line {lineno}: cannot read "
+                                  f"{text!r} as {convert.__name__}") from None
+
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             if line.startswith("#"):
                 key, _, value = line[1:].strip().partition("=")
-                meta[key.strip()] = value.strip()
+                meta[key.strip()] = (lineno, value.strip())
             elif not line.startswith("n1"):
-                n1, n2, v = line.split(",")
-                rows.append((int(n1), int(n2), float(v)))
+                cells = line.split(",")
+                if len(cells) != 3:
+                    raise ValidationError(f"{path}, line {lineno}: expected "
+                                          f"n1,n2,count, got {line!r}")
+                rows.append((number(int, cells[0], lineno),
+                             number(int, cells[1], lineno),
+                             number(float, cells[2], lineno)))
     if "s" not in meta or "trials" not in meta:
         raise ValidationError(f"missing header metadata in {path}")
-    s = int(meta["s"])
+
+    def header(key, convert, default=None):
+        if key not in meta:
+            return default
+        return number(convert, meta[key][1], meta[key][0])
+
+    s = header("s", int)
+    if s < 0:
+        raise ValidationError(
+            f"{path}, line {meta['s'][0]}: s must be >= 0, got {s}")
     dim = 2 * s + 1
     counts = np.zeros((dim, dim))
     for n1, n2, v in rows:
@@ -491,7 +455,9 @@ def load_count_table(path) -> tuple[float, int, CountTable]:
             raise ValidationError(
                 f"cell ({n1}, {n2}) lies outside the s={s} grid in {path}")
         counts[n1, n2] = v
-    seed = None if meta.get("seed", "none") == "none" else int(meta["seed"])
-    table = CountTable(counts=counts, trials=float(meta["trials"]),
+    seed_line, seed_text = meta.get("seed", (0, "none"))
+    seed = None if seed_text == "none" else number(int, seed_text, seed_line)
+    table = CountTable(counts=counts, trials=header("trials", float),
                        rng_seed=seed)
-    return float(meta.get("phi_j", "0.0")), s, table
+    phi_j = header("phi_j", float, 0.0)
+    return phi_j, s, table

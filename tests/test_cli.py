@@ -88,6 +88,17 @@ def test_phase_sim_coefficient_target(tmp_path):
     assert max(doc["abs_error"]) < 1e-9
 
 
+def test_phase_sim_coefficient_target_at_r_zero(tmp_path):
+    # the whole weight on |phi_1>: theta is a global phase and the
+    # gauge-fixed truth is (0, 1)
+    argv = ["phase-sim", "--s", "1", "--target", "coefficients",
+            "--mode", "exact", "--r", "0.0", "--theta", "0.8"]
+    code, text = run_to_file(tmp_path, "coef.json", argv)
+    assert code == 0
+    doc = json.loads(text)
+    assert max(doc["abs_error"]) <= 1e-12
+
+
 def test_config_file_and_cli_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("s=3\nformat=csv\n")

@@ -11,8 +11,8 @@ from pbsim.fock import (FockVector, TruncationConfig, number_state,
                         pad_to_cutoff, tensor_product, vacuum_state)
 from pbsim.ops import apply_two_mode_unitary, beam_splitter_5050
 from pbsim.phase_est import (CountTable, OutcomeDistribution,
-                             SuperpositionCoeffs, _lsq_objective,
-                             _model_matrix, _splitter_amplitudes,
+                             SuperpositionCoeffs, _model_matrix, _residuals,
+                             _splitter_amplitudes,
                              estimate_coefficients, estimate_phase,
                              gauge_fixed, interference_probs,
                              load_count_table, sample_outcomes,
@@ -224,7 +224,29 @@ def test_coefficients_s1_exact_inversion():
     truth = SuperpositionCoeffs(1, c)
     settings = [phase_value(1, 0), phase_value(1, 1), math.pi / 2]
     got = estimate_coefficients(exact_tables(truth, settings), 1)
-    assert np.abs(got.c - truth.c).max() < 1e-10
+    assert np.abs(got.c - truth.c).max() < 1e-12
+
+
+def aligned_error(got, truth):
+    """Largest coefficient error once the global phase is matched."""
+    overlap = np.vdot(truth, got)
+    return float(np.abs(got - truth * overlap / abs(overlap)).max())
+
+
+@pytest.mark.parametrize("r,theta", [(0.0, 0.8), (1e-7, 0.8), (1.0, 0.8),
+                                     (0.5, 0.0), (0.5, math.pi)])
+def test_coefficients_s1_exact_boundaries(r, theta):
+    truth = gauge_fixed(
+        np.array([r, math.sqrt(1 - r * r) * np.exp(1j * theta)]), 1)
+    settings = [phase_value(1, 0), phase_value(1, 1), math.pi / 2]
+    got = estimate_coefficients(exact_tables(truth, settings), 1)
+    assert got.note == ""
+    assert aligned_error(got.c, truth.c) < 1e-12
+    # The gauge (c_0 real) turns an error e in the phase of c_0 relative
+    # to c_1 into an error e in c_1, and exact tables fix that phase only
+    # to about 1e-16 / r, so at r = 1e-7 the gauge-fixed bound is looser.
+    bound = 1e-8 if 0 < r < 1e-6 else 1e-12
+    assert np.abs(got.c - truth.c).max() < bound
 
 
 def test_coefficients_s1_on_axis_note():
@@ -233,6 +255,28 @@ def test_coefficients_s1_on_axis_note():
     settings = [phase_value(1, 0), phase_value(1, 1)]
     got = estimate_coefficients(exact_tables(truth, settings), 1)
     assert "sign" in got.note
+
+
+def test_coefficients_s1_on_axis_note_is_relative_to_phi0():
+    phi0 = 0.3
+    settings = [phase_value(1, 0, phi0), phase_value(1, 1, phi0)]
+    mirror = [gauge_fixed(np.array([0.5, math.sqrt(0.75) * np.exp(t * 1j)]), 1)
+              for t in (0.9, -0.9)]
+    tables = [exact_tables(c, settings, phi0) for c in mirror]
+    # the settings cannot tell theta from -theta
+    for (_, a), (_, b) in zip(*tables):
+        assert np.abs(a.counts - b.counts).max() < 1e-15
+    got = estimate_coefficients(tables[0], 1, phi0=phi0)
+    assert "sign" in got.note
+    sampled = [(p, sample_outcomes(superposition_probs(p, mirror[0], phi0),
+                                   5000, seed=40 + i))
+               for i, p in enumerate(settings)]
+    assert "sign" in estimate_coefficients(sampled, 1, phi0=phi0).note
+    # one off-axis setting fixes the sign
+    off_axis = tables[0] + exact_tables(mirror[0], [phi0 + 1.0], phi0)
+    got = estimate_coefficients(off_axis, 1, phi0=phi0)
+    assert got.note == ""
+    assert np.abs(got.c - mirror[0].c).max() < 1e-12
 
 
 def test_coefficients_s2_least_squares():
@@ -253,7 +297,7 @@ def test_coefficients_exact_recovery(s):
     truth = gauge_fixed(raw, s)
     settings = [phase_value(s, m) for m in range(s + 1)]
     got = estimate_coefficients(exact_tables(truth, settings), s)
-    assert np.abs(got.c - truth.c).max() < 1e-8
+    assert np.abs(got.c - truth.c).max() < 1e-12
 
 
 @pytest.mark.parametrize("s", [1, 3, 4])
@@ -263,7 +307,7 @@ def test_stacked_objective_matches_per_setting_sums(s):
     settings = [phase_value(s, m) for m in range(s + 1)] + [0.4]
     tables = exact_tables(truth, settings)
     c = random_amplitudes(rng, s)
-    obj, grad = 0.0, np.zeros(s + 1, dtype=complex)
+    resid, grad = [], np.zeros(s + 1, dtype=complex)
     for phi_j, table in tables:
         # both inputs hold s photons, so the oracle's grid is (2s+1)^2
         cols = [splitter_oracle(phase_state(s, phi_j).amplitudes,
@@ -272,13 +316,24 @@ def test_stacked_objective_matches_per_setting_sums(s):
         mat = np.stack(cols, axis=1)
         amp = mat @ c
         d = np.abs(amp) ** 2 - table.frequencies().ravel()
-        obj += float(d @ d)
+        resid.append(d)
+        # gradient of sum d^2 in the complex form g = dF/dRe c + i dF/dIm c
         grad += 2.0 * (mat.conj().T @ (d * amp))
     freqs = np.concatenate([t.frequencies().ravel() for _, t in tables])
-    got_obj, got_grad = _lsq_objective(_model_matrix(settings, s, 0.0),
-                                       freqs, c)
-    assert abs(got_obj - obj) < 1e-13
-    assert np.abs(got_grad - grad).max() < 1e-13
+    fun, jac = _residuals(_model_matrix(settings, s, 0.0), freqs)
+    x = np.concatenate([c.real, c.imag])
+    got = fun(x)
+    assert np.abs(got - np.concatenate(resid)).max() < 1e-14
+    J = jac(x)
+    assert np.abs(J.T @ got - np.concatenate([grad.real, grad.imag])
+                  ).max() < 1e-13
+    # every column against a central difference
+    h = 1e-6
+    for k in range(x.size):
+        step = np.zeros_like(x)
+        step[k] = h
+        fd = (fun(x + step) - fun(x - step)) / (2 * h)
+        assert np.abs(J[:, k] - fd).max() < 1e-9
 
 
 def test_coefficients_validation():
@@ -301,7 +356,7 @@ def test_coefficients_rank_warning():
     tables = [(p, sample_outcomes(superposition_probs(p, truth), 1, seed=i))
               for i, p in enumerate(phase_value(2, m) for m in range(3))]
     with pytest.warns(RankDeficiencyWarning):
-        estimate_coefficients(tables, 2, starts=1, max_iter=50)
+        estimate_coefficients(tables, 2, starts=1)
 
 
 def test_gauge_fixed_properties():
@@ -322,7 +377,7 @@ def test_count_table_round_trip(tmp_path):
     d = eigen_pair_dist(2, 0.3, -0.8)
     sampled = sample_outcomes(d, 400, seed=21)
     path = tmp_path / "counts.csv"
-    save_count_table(path, sampled, phi_j=0.3, s=2)
+    save_count_table(path, sampled, phi_j=0.3)
     phi_j, s, loaded = load_count_table(path)
     assert phi_j == 0.3 and s == 2
     assert np.array_equal(loaded.counts, sampled.counts)
@@ -331,7 +386,7 @@ def test_count_table_round_trip(tmp_path):
 
     exact = CountTable.from_exact(d)
     path2 = tmp_path / "exact.csv"
-    save_count_table(path2, exact, phi_j=0.3, s=2)
+    save_count_table(path2, exact, phi_j=0.3)
     _, _, loaded2 = load_count_table(path2)
     assert loaded2.rng_seed is None
     assert loaded2.trials == 1.0
@@ -345,3 +400,22 @@ def test_count_table_load_rejects_cells_off_the_grid(tmp_path, row):
                     f"n1,n2,count\n{row}\n", encoding="utf-8")
     with pytest.raises(ValidationError):
         load_count_table(path)
+
+
+@pytest.mark.parametrize("text,line", [
+    ("# trials=ten\n# s=1\nn1,n2,count\n0,0,10\n", 1),
+    ("# trials=10.0\n# seed=x7\n# s=1\n", 2),
+    ("# trials=10.0\n# s=one\n", 2),
+    ("# trials=10.0\n# s=-1\n", 2),
+    ("# trials=10.0\n# phi_j=?\n# s=1\nn1,n2,count\n0,0,10\n", 2),
+    ("# trials=10.0\n# s=1\nn1,n2,count\n0,0,10\n1,2\n", 5),
+    ("# trials=10.0\n# s=1\nn1,n2,count\n0,0,10,3\n", 4),
+    ("# trials=10.0\n# s=1\nn1,n2,count\n0,a,10\n", 4),
+    ("# trials=10.0\n# s=1\nn1,n2,count\n0,0,ten\n", 4),
+])
+def test_count_table_load_names_path_and_line(tmp_path, text, line):
+    path = tmp_path / "counts.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        load_count_table(path)
+    assert f"{path}, line {line}:" in str(err.value)
