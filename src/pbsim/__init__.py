@@ -15,16 +15,14 @@ from .errors import (ConfigMismatchError, CutoffError, DegenerateHeraldError,
                      RootQualityError, ValidationError, WindowExhaustedError)
 from .fock import (FockDensity, FockVector, TruncationConfig,
                    conditional_density, fidelity_pure, inner_product,
-                   number_state, pad_to_cutoff, project_pattern,
-                   tensor_product, vacuum_state)
+                   number_state, pad_to_cutoff, tensor_product,
+                   vacuum_state)
 from .herald import (HeraldConfig, HeraldResult, HeraldSweepRow,
-                     alpha_polynomial, build_state, click_probability,
-                     conditional_negativity, herald_alphas, herald_fidelity,
+                     alpha_polynomial, build_state, herald_alphas,
                      herald_point, solve_alphas, sweep, symmetric_factors)
 from .ops import (DetectorPovm, TwoModeUnitary, apply_single_mode_op,
                   apply_two_mode_unitary, beam_splitter_5050,
-                  beam_splitter_pb, detector_povm, displacement_op,
-                  phase_plate, tmsv)
+                  beam_splitter_pb, detector_povm, displacement_op, tmsv)
 from .phase_est import (CountTable, OutcomeDistribution, PhaseEstimate,
                         SuperpositionCoeffs, estimate_coefficients,
                         estimate_phase, gauge_fixed, interference_probs,
@@ -33,8 +31,7 @@ from .phase_est import (CountTable, OutcomeDistribution, PhaseEstimate,
 from .phase_states import (pb_eigenstate, pb_phase_operator, phase_state,
                            phase_value)
 from .wigner import (DEFAULT_QUADRATURE, NegativityResult, QuadratureSpec,
-                     WignerGrid, effective_radius, hermite_wavefunction,
-                     negativity_volume,
+                     WignerGrid, effective_radius, negativity_volume,
                      negativity_volume_detailed, wigner_grid, wigner_point,
                      wigner_point_integral)
 
@@ -47,19 +44,18 @@ __all__ = [
     "DegenerateHeraldError", "RootQualityError",
     "LowInformationError", "LeakageWarning", "RankDeficiencyWarning",
     "TruncationConfig", "FockVector", "FockDensity", "tensor_product",
-    "inner_product", "fidelity_pure", "project_pattern",
-    "conditional_density", "vacuum_state", "number_state", "pad_to_cutoff",
+    "inner_product", "fidelity_pure", "conditional_density", "vacuum_state",
+    "number_state", "pad_to_cutoff",
     "TwoModeUnitary", "DetectorPovm", "beam_splitter_pb",
     "beam_splitter_5050", "apply_two_mode_unitary", "apply_single_mode_op",
-    "tmsv", "displacement_op", "phase_plate", "detector_povm",
+    "tmsv", "displacement_op", "detector_povm",
     "phase_value", "phase_state", "pb_eigenstate", "pb_phase_operator",
-    "hermite_wavefunction", "wigner_point",
-    "wigner_point_integral", "WignerGrid", "wigner_grid", "QuadratureSpec",
-    "DEFAULT_QUADRATURE", "NegativityResult", "negativity_volume",
+    "wigner_point", "wigner_point_integral", "WignerGrid", "wigner_grid",
+    "QuadratureSpec", "DEFAULT_QUADRATURE", "NegativityResult",
+    "negativity_volume",
     "negativity_volume_detailed", "effective_radius",
     "HeraldConfig", "HeraldResult", "HeraldSweepRow", "symmetric_factors",
     "alpha_polynomial", "solve_alphas", "herald_alphas", "build_state",
-    "click_probability", "herald_fidelity", "conditional_negativity",
     "herald_point", "sweep",
     "OutcomeDistribution", "CountTable", "SuperpositionCoeffs",
     "PhaseEstimate", "gauge_fixed", "interference_probs",

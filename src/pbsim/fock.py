@@ -176,32 +176,6 @@ def fidelity_pure(rho: FockDensity, psi: FockVector) -> float:
     return float(min(max(val, 0.0), 1.0))
 
 
-def project_pattern(state: FockVector, detected: dict[int, int]) -> FockVector:
-    """Slice the amplitude tensor at fixed photon counts on some modes.
-
-    Returns the (subnormalized) state of the remaining modes, in their
-    original order. Its squared norm is the probability of detecting
-    exactly the given counts with ideal number-resolving detectors.
-    """
-    if not detected:
-        return state
-    modes = state.modes
-    for mode, count in detected.items():
-        if not 0 <= mode < modes:
-            raise ValidationError(f"mode {mode} out of range for {modes} modes")
-        if not 0 <= count <= state.cutoff:
-            raise ValidationError(
-                f"count {count} outside [0, {state.cutoff}] on mode {mode}")
-    remaining = [m for m in range(modes) if m not in detected]
-    if not remaining:
-        raise ValidationError("projection must leave at least one mode")
-    index = tuple(
-        detected[m] if m in detected else slice(None) for m in range(modes))
-    amp = state.amplitudes[index]
-    config = TruncationConfig(state.cutoff, len(remaining))
-    return FockVector(config, amp, normalized=False, leakage=state.leakage)
-
-
 def conditional_density(state: FockVector, povm_per_mode, kept_mode: int
                         ) -> tuple[FockDensity, float]:
     """Condition on photon-counting outcomes on all modes except one.

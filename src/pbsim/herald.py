@@ -200,49 +200,20 @@ def build_state(cfg: HeraldConfig, alphas=None) -> FockVector:
     return st
 
 
-def _conditioned(cfg: HeraldConfig, state: FockVector | None = None
-                 ) -> tuple[FockDensity, float, float]:
-    if state is None:
-        state = build_state(cfg)
-    povm = detector_povm(cfg.eta, cfg.cutoff)
-    rho_a, p = conditional_density(state, [povm.click] * cfg.s,
-                                   kept_mode=cfg.s)
-    return rho_a, p, state.leakage
-
-
-def click_probability(cfg: HeraldConfig) -> float:
-    """Probability that every distribution detector clicks."""
-    _, p, _ = _conditioned(cfg)
-    return p
-
-
-def herald_fidelity(cfg: HeraldConfig) -> float:
-    """Overlap of the heralded mode-A state with the ideal |phi_0>_s."""
-    rho_a, _, _ = _conditioned(cfg)
-    target = pb_eigenstate(cfg.s, 0, cutoff=cfg.cutoff)
-    return fidelity_pure(rho_a, target)
-
-
-def conditional_negativity(cfg: HeraldConfig,
-                           quad: QuadratureSpec | None = None
-                           ) -> tuple[FockDensity, float]:
-    """Heralded density of mode A and its negativity volume."""
-    rho_a, _, _ = _conditioned(cfg)
-    return rho_a, negativity_volume(rho_a, quad)
-
-
 def herald_point(cfg: HeraldConfig, quad: QuadratureSpec | None = None
                  ) -> HeraldResult:
     """One-shot evaluation of alphas, P, F, rho_A and V."""
     alphas = herald_alphas(cfg)
     state = build_state(cfg, alphas)
-    rho_a, p, leakage = _conditioned(cfg, state)
+    povm = detector_povm(cfg.eta, cfg.cutoff)
+    rho_a, p = conditional_density(state, [povm.click] * cfg.s,
+                                   kept_mode=cfg.s)
     target = pb_eigenstate(cfg.s, 0, cutoff=cfg.cutoff)
     fid = fidelity_pure(rho_a, target)
     vol = negativity_volume(rho_a, quad)
     return HeraldResult(alphas=tuple(complex(a) for a in alphas),
                         P=float(p), F=float(fid), rho_A=rho_a,
-                        V=float(vol), leakage=float(leakage))
+                        V=float(vol), leakage=float(state.leakage))
 
 
 @dataclass(frozen=True)

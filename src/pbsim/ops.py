@@ -1,7 +1,7 @@
 """Circuit elements on truncated Fock states.
 
-Beam splitters, displacements, two-mode squeezed vacuum, phase plates and
-the inefficient-detector POVM. Beam splitters act by substituting creation
+Beam splitters, displacements, two-mode squeezed vacuum and the
+inefficient-detector POVM. Beam splitters act by substituting creation
 operators with row combinations of the 2x2 matrix,
 
     a_i+ -> u00 a_i+ + u01 a_j+,   a_j+ -> u10 a_i+ + u11 a_j+,
@@ -39,10 +39,6 @@ class TwoModeUnitary:
         if err > UNITARITY_TOL:
             raise ValidationError(f"matrix not unitary: |U+U - I| = {err:.3e}")
         object.__setattr__(self, "u", u)
-
-    @property
-    def dagger(self) -> "TwoModeUnitary":
-        return TwoModeUnitary(self.u.conj().T)
 
 
 @dataclass(frozen=True)
@@ -233,20 +229,6 @@ def apply_single_mode_op(state: FockVector, mode: int, op: np.ndarray,
         leak += max(0.0, state.norm_sq() - nsq)
     return FockVector(state.config, out, abs(nsq - 1.0) <= NORM_TOL
                       and state.normalized, leakage=leak)
-
-
-def phase_plate(state: FockVector, mode: int, theta: float) -> FockVector:
-    """Multiply the photon-number-n amplitude in `mode` by exp(-i n theta).
-
-    Setting theta = -phi maps the phase-0 eigenstate family to phase phi.
-    """
-    if not 0 <= mode < state.modes:
-        raise ValidationError(f"mode {mode} out of range")
-    phases = np.exp(-1j * theta * np.arange(state.config.dim))
-    shape = [1] * state.modes
-    shape[mode] = state.config.dim
-    amp = state.amplitudes * phases.reshape(shape)
-    return FockVector(state.config, amp, state.normalized, leakage=state.leakage)
 
 
 def detector_povm(eta: float, cutoff: int) -> DetectorPovm:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from ._kernels import (hermite_functions, hermite_primitives,
                        hermite_series_derivative, wigner_batch,
@@ -27,23 +28,14 @@ from .errors import (QuadratureError, ValidationError, WindowExhaustedError)
 from .fock import FockDensity, FockVector
 
 RADIUS_THRESHOLD = 0.001
+PANEL_ORDER = 16
+MAX_DEPTH = 20
+_NODES, _WEIGHTS = leggauss(PANEL_ORDER)
 _TRACE_PRE_TOL = 1e-8
 _ORACLE_HALF_RANGE = 40.0
 _ROOT_STEP = 1e-8
 _ROOT_BRACKET = 1e-13
 _POLISH_STEPS = 64
-
-
-def hermite_wavefunction(n: int, x):
-    """Position wavefunction psi_n(x) of the n-th Fock state.
-
-    Normalized three-term recurrence; accepts a scalar or an array x.
-    """
-    if n < 0:
-        raise ValidationError(f"n must be >= 0, got {n}")
-    x_arr = np.asarray(x, dtype=np.float64)
-    vals = hermite_wavefunctions_all(n, x_arr)[n]
-    return float(vals) if np.isscalar(x) or x_arr.ndim == 0 else vals
 
 
 def hermite_wavefunctions_all(nmax: int, x) -> np.ndarray:
@@ -168,22 +160,19 @@ class QuadratureSpec:
 
     The integral over p along each line of fixed q is exact (see
     negativity_volume); the outer integral over q in [-L, L] uses
-    order-point Gauss-Legendre panels, halved level by level until
-    parent and children agree to tol. L is effective_radius plus
-    radius_margin. max_evals caps the Hermite-series evaluations.
+    PANEL_ORDER-point Gauss-Legendre panels, halved level by level,
+    at most MAX_DEPTH times, until parent and children agree to tol. L
+    is effective_radius plus radius_margin. max_evals caps the
+    Hermite-series evaluations.
     """
 
-    order: int = 16
     tol: float = 1e-6
     radius_margin: float = 2.0
-    max_depth: int = 20
     max_evals: int = 40_000_000
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValidationError("tolerance must be > 0")
-        if self.order < 2:
-            raise ValidationError("panel order must be >= 2")
         if self.radius_margin < 0:
             raise ValidationError("radius margin must be >= 0")
 
@@ -228,7 +217,7 @@ def negativity_volume(rho, quad: QuadratureSpec | None = None) -> float:
     the outer q integral over [-L, L] is adaptive (QuadratureSpec).
     QuadratureError is raised when the same line integrals over the
     strips L < |q| < L + 2 exceed the quadrature tolerance, or when
-    the q refinement exceeds max_depth or max_evals.
+    the q refinement exceeds MAX_DEPTH or max_evals.
     """
     return negativity_volume_detailed(rho, quad).volume
 
@@ -240,10 +229,9 @@ def negativity_volume_detailed(rho, quad: QuadratureSpec | None = None
     _check_unit_trace(dm)
     half_width = effective_radius(dm) + spec.radius_margin
     lines = _LineIntegrals(wigner_coefficients(dm.matrix), half_width)
-    nodes, weights = leggauss(min(spec.order, 24))
     tail = float(lines.panels(np.array([-half_width - 2.0, half_width]),
-                              np.array([-half_width, half_width + 2.0]),
-                              nodes, weights).sum())
+                              np.array([-half_width, half_width + 2.0])
+                              ).sum())
     if tail > spec.tol:
         raise QuadratureError(
             f"|W| outside the box |q| <= {half_width:.3f} integrates "
@@ -271,16 +259,15 @@ def _adaptive_q_integral(lines, half_width, spec):
     width share of the tolerance, and the refinement stops early once
     the remaining difference budget is below half the target.
     """
-    nodes, weights = leggauss(spec.order)
     q0 = np.array([-half_width])
     q1 = np.array([half_width])
-    vals = lines.panels(q0, q1, nodes, weights)
+    vals = lines.panels(q0, q1)
     total = 0.0
-    for depth in range(1, spec.max_depth + 1):
+    for depth in range(1, MAX_DEPTH + 1):
         qm = 0.5 * (q0 + q1)
         cq0 = np.concatenate([q0, qm])
         cq1 = np.concatenate([qm, q1])
-        cvals = lines.panels(cq0, cq1, nodes, weights)
+        cvals = lines.panels(cq0, cq1)
         if lines.evaluations > spec.max_evals:
             raise QuadratureError(
                 f"evaluation budget {spec.max_evals} exceeded at depth {depth}")
@@ -295,7 +282,7 @@ def _adaptive_q_integral(lines, half_width, spec):
         if q0.size == 0:
             return float(total), depth
     raise QuadratureError(
-        f"{q0.size} panels unconverged at max depth {spec.max_depth}")
+        f"{q0.size} panels unconverged at max depth {MAX_DEPTH}")
 
 
 class _LineIntegrals:
@@ -316,12 +303,12 @@ class _LineIntegrals:
         self.evaluations = 0
         self.roots = 0
 
-    def panels(self, q0, q1, nodes, weights) -> np.ndarray:
+    def panels(self, q0, q1) -> np.ndarray:
         """Gauss-Legendre estimate of Int G dq over each panel [q0, q1]."""
         hq = 0.5 * (q1 - q0)
-        qs = (0.5 * (q1 + q0))[:, None] + hq[:, None] * nodes
+        qs = (0.5 * (q1 + q0))[:, None] + hq[:, None] * _NODES
         g = self.at(qs.ravel()).reshape(qs.shape)
-        return (g @ weights) * hq
+        return (g @ _WEIGHTS) * hq
 
     def at(self, qs: np.ndarray) -> np.ndarray:
         """G at each q of qs."""
@@ -419,30 +406,24 @@ class _LineIntegrals:
         return x
 
 
-def effective_radius(rho, angle: float = 0.0,
-                     threshold: float = RADIUS_THRESHOLD) -> float:
-    """Outermost |W| = threshold crossing along a ray from the origin.
+def effective_radius(rho) -> float:
+    """Outermost |W| = RADIUS_THRESHOLD crossing along the +q axis.
 
-    Scans outward along (cos(angle), sin(angle)) with step 0.01, extends
-    the window when the boundary is still above threshold, then bisects
-    the final crossing to 1e-8.
+    Scans outward with step 0.01, extends the window when the boundary
+    is still above threshold, then solves for the final crossing to
+    1e-10 with Brent's method.
     """
     dm = _as_density(rho)
     _check_unit_trace(dm)
-    if not np.isfinite(angle):
-        raise ValidationError("ray angle must be finite")
-    if threshold <= 0:
-        raise ValidationError("threshold must be > 0")
     coef = wigner_coefficients(dm.matrix)
-    ca, sa = math.cos(angle), math.sin(angle)
     step = 0.01
     window = math.sqrt(4.0 * dm.cutoff + 2.0) / 2.0 + 4.0
     t_lo = 0.0
     last_above = -1.0
     for _ in range(6):
         ts = np.arange(t_lo, window + step, step)
-        vals = np.abs(wigner_points(coef, ts * ca, ts * sa))
-        above = np.nonzero(vals >= threshold)[0]
+        vals = np.abs(wigner_points(coef, ts, np.zeros_like(ts)))
+        above = np.nonzero(vals >= RADIUS_THRESHOLD)[0]
         if above.size:
             last_above = max(last_above, float(ts[above[-1]]))
         if above.size == 0 or ts[above[-1]] < ts[-1]:
@@ -451,23 +432,14 @@ def effective_radius(rho, angle: float = 0.0,
         window += 4.0
     else:
         raise WindowExhaustedError(
-            f"|W| still above {threshold} at ray distance {window:.1f}")
+            f"|W| still above {RADIUS_THRESHOLD} at ray distance "
+            f"{window:.1f}")
     if last_above < 0.0:
         raise WindowExhaustedError(
-            f"no |W| >= {threshold} point found along the ray")
-
-    lo, hi = last_above, last_above + step
+            f"no |W| >= {RADIUS_THRESHOLD} point found along the ray")
 
     def g(t: float) -> float:
-        w = wigner_points(coef, [t * ca], [t * sa])[0]
-        return abs(float(w)) - threshold
+        w = float(wigner_points(coef, [t], [0.0])[0])
+        return abs(w) - RADIUS_THRESHOLD
 
-    for _ in range(80):
-        if hi - lo <= 1e-8:
-            break
-        mid = 0.5 * (lo + hi)
-        if g(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(brentq(g, last_above, last_above + step, xtol=1e-10))

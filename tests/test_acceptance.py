@@ -25,8 +25,7 @@ from pbsim.fock import (FockVector, TruncationConfig, conditional_density,
                         fidelity_pure, inner_product, number_state,
                         vacuum_state)
 from pbsim.herald import (HeraldConfig, alpha_polynomial, build_state,
-                          conditional_negativity, herald_fidelity,
-                          solve_alphas, symmetric_factors)
+                          herald_point, solve_alphas, symmetric_factors)
 from pbsim.ops import detector_povm
 from pbsim.phase_est import (CountTable, estimate_coefficients,
                              estimate_phase, gauge_fixed, interference_probs,
@@ -265,12 +264,16 @@ def test_criterion_08_click_probability_scaling():
 
 
 def test_criterion_09_fidelity_ordering():
+    def fidelity(cfg):
+        target = pb_eigenstate(cfg.s, 0, cutoff=cfg.cutoff)
+        return fidelity_pure(_heralded_density(cfg), target)
+
     r_values = np.linspace(0.05, 0.5, 10)
-    fids = {eta: [herald_fidelity(HeraldConfig(s=4, r=float(r), eta=eta))
+    fids = {eta: [fidelity(HeraldConfig(s=4, r=float(r), eta=eta))
                   for r in r_values] for eta in (1.0, 0.8, 0.6)}
     pointwise = all(a > b > c for a, b, c in
                     zip(fids[1.0], fids[0.8], fids[0.6]))
-    f_small = herald_fidelity(HeraldConfig(s=4, r=0.02, eta=1.0))
+    f_small = fidelity(HeraldConfig(s=4, r=0.02, eta=1.0))
     ok = pointwise and f_small > 0.99
     assert report(9, ok, f"pointwise ordering {pointwise}, "
                   f"F(eta=1, r=0.02)={f_small:.6f} (>0.99)")
@@ -301,8 +304,7 @@ def test_criterion_10_negativity_crossover():
     vols = {}
     for r in (0.1, 0.2, 0.3):
         for eta in etas:
-            _, v = conditional_negativity(HeraldConfig(s=4, r=r, eta=eta))
-            vols[(r, eta)] = v
+            vols[(r, eta)] = herald_point(HeraldConfig(s=4, r=r, eta=eta)).V
     monotone = all(vols[(r, etas[i])] < vols[(r, etas[i + 1])]
                    for r in (0.1, 0.2, 0.3) for i in range(len(etas) - 1))
     high = vols[(0.3, 0.95)] > vols[(0.1, 0.95)]

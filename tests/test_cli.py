@@ -99,6 +99,17 @@ def test_phase_sim_coefficient_target_at_r_zero(tmp_path):
     assert max(doc["abs_error"]) <= 1e-12
 
 
+def test_phase_sim_coefficient_error_is_phase_aligned(tmp_path):
+    # at small |c_0| the c_0-real gauge turns a 1e-16 fit into a 1e-10
+    # gauge-fixed error; abs_error is taken after aligning the phase
+    argv = ["phase-sim", "--s", "1", "--target", "coefficients",
+            "--mode", "exact", "--r", "1e-7", "--theta", "0.8"]
+    code, text = run_to_file(tmp_path, "coef.json", argv)
+    assert code == 0
+    doc = json.loads(text)
+    assert max(doc["abs_error"]) <= 1e-12
+
+
 def test_config_file_and_cli_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("s=3\nformat=csv\n")

@@ -7,8 +7,8 @@ from pbsim.errors import (ConfigMismatchError, DegenerateHeraldError,
                           ValidationError)
 from pbsim.fock import (FockDensity, FockVector, TruncationConfig,
                         conditional_density, fidelity_pure, inner_product,
-                        number_state, pad_to_cutoff, project_pattern,
-                        tensor_product, vacuum_state)
+                        number_state, pad_to_cutoff, tensor_product,
+                        vacuum_state)
 
 
 def random_vector(cutoff, modes, seed, normalized=True):
@@ -90,21 +90,6 @@ def test_fidelity_pure_double_sum_oracle():
     direct = sum(np.conj(psi.amplitudes[i]) * m[i, j] * psi.amplitudes[j]
                  for i in range(dim) for j in range(dim)).real
     assert fidelity_pure(rho, psi) == pytest.approx(direct, abs=1e-12)
-
-
-def test_project_pattern():
-    # project the first mode of |1,0> + |0,1> onto one photon
-    cfg = TruncationConfig(1, 2)
-    amp = np.zeros((2, 2), dtype=complex)
-    amp[1, 0] = amp[0, 1] = 1.0 / np.sqrt(2.0)
-    v = FockVector(cfg, amp, normalized=True)
-    out = project_pattern(v, {0: 1})
-    assert out.modes == 1
-    assert not out.normalized
-    assert out.norm_sq() == pytest.approx(0.5)
-    assert out.amplitudes[0] == pytest.approx(1.0 / np.sqrt(2.0))
-    with pytest.raises(ValidationError):
-        project_pattern(v, {0: 1, 1: 0})
 
 
 def test_conditional_density_identity_povm_is_reduced_state():

@@ -8,11 +8,11 @@ import pytest
 
 from pbsim.errors import (CutoffError, DegenerateHeraldError, LeakageWarning,
                           ValidationError)
-from pbsim.fock import (conditional_density, project_pattern, tensor_product,
+from pbsim.fock import (FockVector, conditional_density, tensor_product,
                         vacuum_state)
 from pbsim.herald import (HeraldConfig, alpha_polynomial, build_state,
-                          click_probability, herald_alphas, herald_point,
-                          solve_alphas, sweep, symmetric_factors)
+                          herald_alphas, herald_point, solve_alphas, sweep,
+                          symmetric_factors)
 from pbsim.ops import (apply_single_mode_op, apply_two_mode_unitary,
                        beam_splitter_pb, detector_povm, displacement_op, tmsv)
 
@@ -41,9 +41,8 @@ def probe_amplitudes(s, t, q):
         st3 = tensor_product(vacuum_state(s, 1), st)
         st3 = apply_two_mode_unitary(st3, (0, 1), beam_splitter_pb(k, s))
         st3 = apply_single_mode_op(st3, 0, d1)
-        st = project_pattern(st3, {0: 1})
-    st = project_pattern(apply_single_mode_op(st, 0, d1), {0: 1})
-    return st.amplitudes
+        st = FockVector(st.config, st3.amplitudes[1], normalized=False)
+    return apply_single_mode_op(st, 0, d1).amplitudes[1]
 
 
 @pytest.mark.parametrize("s", range(1, 9))
@@ -238,12 +237,13 @@ def test_permutation_invariance():
 
 def test_projector_limit_at_unit_efficiency():
     # eta = 1 click operator is the one-photon projector, so conditioning
-    # must match an explicit pattern projection
+    # must match the amplitude slice at one photon in each detector
     cfg = HeraldConfig(s=2, r=0.2, eta=1.0)
     st = build_state(cfg)
-    p_click = click_probability(cfg)
-    proj = project_pattern(st, {0: 1, 1: 1})
-    assert p_click == pytest.approx(proj.norm_sq(), abs=1e-12)
+    povm = detector_povm(cfg.eta, cfg.cutoff)
+    _, p_click = conditional_density(st, [povm.click] * 2, kept_mode=2)
+    proj = st.amplitudes[1, 1]
+    assert p_click == pytest.approx(np.vdot(proj, proj).real, abs=1e-12)
 
 
 def test_efficiency_sandwich():
@@ -256,7 +256,8 @@ def test_efficiency_sandwich():
     geq1 = np.eye(dim, dtype=complex)
     geq1[0, 0] = 0.0
     _, p_geq1 = conditional_density(st, [geq1] * s, kept_mode=s)
-    p = click_probability(cfg)
+    click = detector_povm(eta, cutoff).click
+    _, p = conditional_density(st, [click] * s, kept_mode=s)
     lo = (eta * (1 - eta) ** (cutoff - 1)) ** s * p_geq1
     hi = eta ** s * p_geq1
     assert lo - 1e-15 <= p <= hi + 1e-15
@@ -264,7 +265,7 @@ def test_efficiency_sandwich():
 
 def test_zero_squeezing_cannot_herald():
     with pytest.raises(DegenerateHeraldError):
-        click_probability(HeraldConfig(s=2, r=0.0, eta=1.0))
+        herald_point(HeraldConfig(s=2, r=0.0, eta=1.0))
 
 
 def test_config_validation():

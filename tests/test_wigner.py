@@ -12,10 +12,9 @@ from pbsim._kernels import (hermite_functions, hermite_primitives,
 from pbsim.errors import QuadratureError, ValidationError
 from pbsim.fock import FockDensity, FockVector, TruncationConfig, number_state, vacuum_state
 from pbsim.herald import HeraldConfig, herald_point
-from pbsim.ops import phase_plate
 from pbsim.phase_states import pb_eigenstate
-from pbsim.wigner import (QuadratureSpec, WignerGrid, _LineIntegrals,
-                          effective_radius, hermite_wavefunction,
+from pbsim.wigner import (MAX_DEPTH, QuadratureSpec, WignerGrid,
+                          _LineIntegrals, effective_radius,
                           hermite_wavefunctions_all,
                           negativity_volume, negativity_volume_detailed,
                           wigner_grid, wigner_point,
@@ -31,23 +30,14 @@ def random_pure(cutoff, seed):
 
 def test_hermite_explicit_values():
     x = 0.7
-    assert hermite_wavefunction(0, x) == pytest.approx(
+    psi = hermite_wavefunctions_all(3, x)
+    assert psi[0] == pytest.approx(
         (2 / math.pi) ** 0.25 * math.exp(-x * x), abs=1e-14)
     # H3(y) = 8y^3 - 12y at y = sqrt(2) x
     y = math.sqrt(2) * x
     want = ((2 / math.pi) ** 0.25 / math.sqrt(2 ** 3 * math.factorial(3))
             * (8 * y ** 3 - 12 * y) * math.exp(-x * x))
-    assert hermite_wavefunction(3, x) == pytest.approx(want, abs=1e-12)
-
-
-def test_hermite_vectorized_matches_scalar():
-    xs = np.linspace(-3, 3, 11)
-    table = hermite_wavefunctions_all(6, xs)
-    assert table.shape == (7, 11)
-    for n in (0, 2, 6):
-        for i, x in enumerate(xs):
-            assert table[n, i] == pytest.approx(hermite_wavefunction(n, float(x)),
-                                                abs=1e-13)
+    assert psi[3] == pytest.approx(want, abs=1e-12)
 
 
 def test_hermite_orthonormal():
@@ -77,11 +67,13 @@ def test_kernel_matches_integral_oracle(seed, q, p):
 
 
 def test_rotation_covariance():
-    # phase_plate(theta) applies exp(-i theta n), which rotates W
-    # counterclockwise by theta: W'(q, p) = W(R(-theta) (q, p))
+    # exp(-i theta n) on the amplitudes rotates W counterclockwise by
+    # theta: W'(q, p) = W(R(-theta) (q, p))
     psi = random_pure(4, 11)
     theta = 0.37
-    rotated = phase_plate(psi, 0, theta)
+    rotated = FockVector(psi.config,
+                         psi.amplitudes * np.exp(-1j * theta * np.arange(5)),
+                         normalized=True)
     c, s = math.cos(theta), math.sin(theta)
     for q, p in [(0.8, 0.0), (0.2, -0.5), (-1.0, 1.2)]:
         want = wigner_point(psi, c * q + s * p, -s * q + c * p)
@@ -173,7 +165,7 @@ def test_negativity_reference_values():
     for s, want in REFERENCE_VOLUMES.items():
         result = negativity_volume_detailed(pb_eigenstate(s, 0), quad_spec)
         assert result.volume == pytest.approx(want, abs=1e-9)
-        assert result.max_depth_reached < quad_spec.max_depth
+        assert result.max_depth_reached < MAX_DEPTH
 
 
 def test_negativity_record_is_filled():
