@@ -13,10 +13,9 @@ from .errors import (ConfigMismatchError, CutoffError, DegenerateHeraldError,
                      LeakageWarning, LowInformationError, NumericalError,
                      PbsimError, QuadratureError, RankDeficiencyWarning,
                      RootQualityError, ValidationError, WindowExhaustedError)
-from .fock import (FockDensity, FockVector, TruncationConfig,
-                   conditional_density, fidelity_pure, inner_product,
-                   number_state, pad_to_cutoff, tensor_product,
-                   vacuum_state)
+from .fock import (FockDensity, FockVector, conditional_density,
+                   fidelity_pure, number_state, pad_to_cutoff,
+                   tensor_product, vacuum_state)
 from .herald import (HeraldConfig, HeraldResult, HeraldSweepRow,
                      alpha_polynomial, build_state, herald_alphas,
                      herald_point, solve_alphas, sweep, symmetric_factors)
@@ -43,9 +42,8 @@ __all__ = [
     "NumericalError", "QuadratureError", "WindowExhaustedError",
     "DegenerateHeraldError", "RootQualityError",
     "LowInformationError", "LeakageWarning", "RankDeficiencyWarning",
-    "TruncationConfig", "FockVector", "FockDensity", "tensor_product",
-    "inner_product", "fidelity_pure", "conditional_density", "vacuum_state",
-    "number_state", "pad_to_cutoff",
+    "FockVector", "FockDensity", "tensor_product", "fidelity_pure",
+    "conditional_density", "vacuum_state", "number_state", "pad_to_cutoff",
     "TwoModeUnitary", "DetectorPovm", "beam_splitter_pb",
     "beam_splitter_5050", "apply_two_mode_unitary", "apply_single_mode_op",
     "tmsv", "displacement_op", "detector_povm",

@@ -1,15 +1,15 @@
 """Dense truncated Fock-space states and the measurement primitives.
 
-States live on a lattice of per-mode photon numbers 0..cutoff with a fixed
-mode count. Amplitude tensors are indexed amp[n1, ..., nM]; when a heralded
-mode is present it is by convention the last axis. Subnormalized states are
-first class: they carry normalized=False and are never silently renormalized,
-because heralding probabilities and fidelities need the raw inner products.
+A state is its amplitude tensor amp[n1, ..., nM]: one axis per mode, each
+of length cutoff + 1, so the cutoff, the mode count and the normalization
+are read off the array. When a heralded mode is present it is by
+convention the last axis. Subnormalized states are first class and never
+silently renormalized, because heralding probabilities and fidelities need
+the raw inner products; the squared norm lost to truncation is carried
+along as leakage.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,77 +25,49 @@ TRACE_TOL = 1e-10
 PROB_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
-class TruncationConfig:
-    """Per-mode photon cutoff (inclusive) and mode count."""
-
-    cutoff: int
-    modes: int = 1
-
-    def __post_init__(self):
-        if self.cutoff < 1:
-            raise ValidationError(f"cutoff must be >= 1, got {self.cutoff}")
-        if self.modes < 1:
-            raise ValidationError(f"modes must be >= 1, got {self.modes}")
-
-    @property
-    def dim(self) -> int:
-        return self.cutoff + 1
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return (self.dim,) * self.modes
-
-
 class FockVector:
     """Pure state on a truncated multimode Fock lattice.
 
     Parameters
     ----------
-    config : TruncationConfig
-    amplitudes : array_like, shape config.shape
-        Complex amplitudes amp[n1, ..., nM].
-    normalized : bool
-        Declared normalization. True requires the squared norm to be 1
-        within 1e-12; heralded/truncated states pass False.
+    amplitudes : array_like
+        Complex amplitudes amp[n1, ..., nM], one axis of length cutoff + 1
+        (at least 2) per mode.
     leakage : float
-        Squared-norm loss accumulated by truncating unitaries, carried
+        Squared-norm loss accumulated by truncating operations, carried
         through subsequent operations for accounting.
     """
 
-    __slots__ = ("config", "amplitudes", "normalized", "leakage")
+    __slots__ = ("amplitudes", "leakage")
 
-    def __init__(self, config: TruncationConfig, amplitudes, normalized: bool,
-                 leakage: float = 0.0):
-        amp = np.ascontiguousarray(amplitudes, dtype=np.complex128)
-        if amp.shape != config.shape:
-            raise ConfigMismatchError(
-                f"amplitude shape {amp.shape} does not match config {config.shape}")
+    def __init__(self, amplitudes, leakage: float = 0.0):
+        amp = np.asarray(amplitudes, dtype=np.complex128, order="C")
+        if len(set(amp.shape)) != 1 or amp.shape[0] < 2:
+            raise ValidationError(
+                f"amplitudes need equal axes of length >= 2, got {amp.shape}")
         if not np.all(np.isfinite(amp.view(np.float64))):
             raise ValidationError("non-finite amplitude")
-        nsq = float(np.vdot(amp, amp).real)
-        if normalized and abs(nsq - 1.0) > NORM_TOL:
-            raise ValidationError(
-                f"state declared normalized but |norm^2 - 1| = {abs(nsq - 1.0):.3e}")
-        self.config = config
         self.amplitudes = amp
-        self.normalized = bool(normalized)
         self.leakage = float(leakage)
 
     @property
     def modes(self) -> int:
-        return self.config.modes
+        return self.amplitudes.ndim
 
     @property
     def cutoff(self) -> int:
-        return self.config.cutoff
+        return self.amplitudes.shape[0] - 1
 
     def norm_sq(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
+    @property
+    def normalized(self) -> bool:
+        return abs(self.norm_sq() - 1.0) <= NORM_TOL
+
     def __repr__(self):
         return (f"FockVector(cutoff={self.cutoff}, modes={self.modes}, "
-                f"norm_sq={self.norm_sq():.6g}, normalized={self.normalized})")
+                f"norm_sq={self.norm_sq():.6g}, leakage={self.leakage:.3g})")
 
 
 class FockDensity:
@@ -146,17 +118,8 @@ def tensor_product(a: FockVector, b: FockVector) -> FockVector:
     if a.cutoff != b.cutoff:
         raise ConfigMismatchError(
             f"cutoff mismatch: {a.cutoff} vs {b.cutoff}")
-    config = TruncationConfig(a.cutoff, a.modes + b.modes)
-    amp = np.tensordot(a.amplitudes, b.amplitudes, axes=0)
-    return FockVector(config, amp, a.normalized and b.normalized,
+    return FockVector(np.tensordot(a.amplitudes, b.amplitudes, axes=0),
                       leakage=a.leakage + b.leakage)
-
-
-def inner_product(a: FockVector, b: FockVector) -> complex:
-    """<a|b> with conjugation on a."""
-    if a.config != b.config:
-        raise ConfigMismatchError(f"config mismatch: {a.config} vs {b.config}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def fidelity_pure(rho: FockDensity, psi: FockVector) -> float:
@@ -207,7 +170,7 @@ def conditional_density(state: FockVector, povm_per_mode, kept_mode: int
     if len(povms) != modes - 1:
         raise ValidationError(
             f"need {modes - 1} POVM elements, got {len(povms)}")
-    dim = state.config.dim
+    dim = state.cutoff + 1
 
     weights = np.ones(())
     for e in povms:
@@ -247,18 +210,17 @@ def pad_to_cutoff(state: FockVector, cutoff: int) -> FockVector:
             f"cannot pad to smaller cutoff {cutoff} < {state.cutoff}")
     if cutoff == state.cutoff:
         return state
-    config = TruncationConfig(cutoff, state.modes)
-    amp = np.zeros(config.shape, dtype=np.complex128)
-    amp[tuple(slice(0, state.config.dim) for _ in range(state.modes))] = \
-        state.amplitudes
-    return FockVector(config, amp, state.normalized, leakage=state.leakage)
+    amp = np.zeros((cutoff + 1,) * state.modes, dtype=np.complex128)
+    amp[tuple(slice(0, n) for n in state.amplitudes.shape)] = state.amplitudes
+    return FockVector(amp, leakage=state.leakage)
 
 
 def vacuum_state(cutoff: int, modes: int = 1) -> FockVector:
-    config = TruncationConfig(cutoff, modes)
-    amp = np.zeros(config.shape, dtype=np.complex128)
+    if cutoff < 1:
+        raise ValidationError(f"cutoff must be >= 1, got {cutoff}")
+    amp = np.zeros((cutoff + 1,) * modes, dtype=np.complex128)
     amp[(0,) * modes] = 1.0
-    return FockVector(config, amp, normalized=True)
+    return FockVector(amp)
 
 
 def number_state(n: int, cutoff: int) -> FockVector:
@@ -266,4 +228,4 @@ def number_state(n: int, cutoff: int) -> FockVector:
         raise ValidationError(f"n={n} outside [0, {cutoff}]")
     amp = np.zeros(cutoff + 1, dtype=np.complex128)
     amp[n] = 1.0
-    return FockVector(TruncationConfig(cutoff, 1), amp, normalized=True)
+    return FockVector(amp)

@@ -21,12 +21,12 @@ import numpy as np
 
 from .errors import (CutoffError, LeakageWarning, NumericalError,
                      RootQualityError, ValidationError)
-from .fock import (FockDensity, FockVector, TruncationConfig,
-                   conditional_density, fidelity_pure)
+from .fock import (FockDensity, FockVector, conditional_density,
+                   fidelity_pure)
 from .ops import (_transfer_tensor, apply_single_mode_op, beam_splitter_pb,
                   detector_povm, displacement_op, tmsv)
 from .phase_states import pb_eigenstate
-from .wigner import QuadratureSpec, negativity_volume
+from .wigner import negativity_volume
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,9 @@ class HeraldConfig:
     """Parameters of one generation run.
 
     cutoff must be at least s so the target |phi_0>_s fits; tmsv_terms
-    and the displacement series order default to the six-term truncation
-    of the source material the circuit reproduces.
+    defaults to the six-term truncation of the source material the
+    circuit reproduces, and the series displacement to displacement_op's
+    order 5.
     """
 
     s: int
@@ -44,7 +45,6 @@ class HeraldConfig:
     cutoff: int = 5
     tmsv_terms: int = 6
     displacement_scheme: str = "series"
-    displacement_order: int = 5
     leakage_bound: float = 1e-6
 
     def __post_init__(self):
@@ -159,14 +159,13 @@ def _split_off(state: FockVector, k: int, s: int) -> FockVector:
     (mode k-1, carrier) that share it. Both parts of a pair are at most
     n, so nothing leaves the truncated space and the step adds no leakage.
     """
-    dim = state.config.dim
+    dim = state.cutoff + 1
     t0 = _transfer_tensor(beam_splitter_pb(k, s).u, state.cutoff)[0]
     t0 = np.ascontiguousarray(t0.reshape(dim, dim * dim).T)
     amp = state.amplitudes
     out = (t0 @ amp.reshape(-1, dim, dim)).reshape(
         amp.shape[:-2] + (dim, dim, dim))
-    return FockVector(TruncationConfig(state.cutoff, state.modes + 1), out,
-                      state.normalized, leakage=state.leakage)
+    return FockVector(out, leakage=state.leakage)
 
 
 def build_state(cfg: HeraldConfig, alphas=None) -> FockVector:
@@ -190,9 +189,8 @@ def build_state(cfg: HeraldConfig, alphas=None) -> FockVector:
         if k < cfg.s:
             st = _split_off(st, k, cfg.s)
         d = displacement_op(complex(alphas[k - 1]), cfg.cutoff,
-                            scheme=cfg.displacement_scheme,
-                            order=cfg.displacement_order)
-        st = apply_single_mode_op(st, k - 1, d, track_leakage=True)
+                            scheme=cfg.displacement_scheme)
+        st = apply_single_mode_op(st, k - 1, d)
     if st.leakage > cfg.leakage_bound:
         warnings.warn(
             f"truncation leakage {st.leakage:.3e} above bound "
@@ -200,8 +198,7 @@ def build_state(cfg: HeraldConfig, alphas=None) -> FockVector:
     return st
 
 
-def herald_point(cfg: HeraldConfig, quad: QuadratureSpec | None = None
-                 ) -> HeraldResult:
+def herald_point(cfg: HeraldConfig) -> HeraldResult:
     """One-shot evaluation of alphas, P, F, rho_A and V."""
     alphas = herald_alphas(cfg)
     state = build_state(cfg, alphas)
@@ -210,7 +207,7 @@ def herald_point(cfg: HeraldConfig, quad: QuadratureSpec | None = None
                                    kept_mode=cfg.s)
     target = pb_eigenstate(cfg.s, 0, cutoff=cfg.cutoff)
     fid = fidelity_pure(rho_a, target)
-    vol = negativity_volume(rho_a, quad)
+    vol = negativity_volume(rho_a)
     return HeraldResult(alphas=tuple(complex(a) for a in alphas),
                         P=float(p), F=float(fid), rho_A=rho_a,
                         V=float(vol), leakage=float(state.leakage))

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import ValidationError
-from .fock import NORM_TOL, FockVector, TruncationConfig
+from .fock import FockVector
 
 UNITARITY_TOL = 1e-12
 
@@ -152,10 +152,7 @@ def apply_two_mode_unitary(state: FockVector, modes: tuple[int, int],
     out = np.moveaxis(out, (-2, -1), (i, j))
     nsq_in = state.norm_sq()
     nsq_out = float(np.vdot(out, out).real)
-    delta = max(0.0, nsq_in - nsq_out)
-    normalized = state.normalized and abs(nsq_out - 1.0) <= NORM_TOL
-    return FockVector(state.config, out, normalized,
-                      leakage=state.leakage + delta)
+    return FockVector(out, leakage=state.leakage + max(0.0, nsq_in - nsq_out))
 
 
 def tmsv(q: float, cutoff: int, max_terms: int | None = None) -> FockVector:
@@ -167,15 +164,14 @@ def tmsv(q: float, cutoff: int, max_terms: int | None = None) -> FockVector:
     """
     if not 0.0 <= q < 1.0:
         raise ValidationError(f"require 0 <= q < 1, got {q}")
-    config = TruncationConfig(cutoff, 2)
-    nkeep = config.dim if max_terms is None else min(config.dim, max_terms)
+    dim = cutoff + 1
+    nkeep = dim if max_terms is None else min(dim, max_terms)
     if nkeep < 1:
         raise ValidationError("max_terms must keep at least the vacuum term")
-    amp = np.zeros(config.shape, dtype=np.complex128)
+    amp = np.zeros((dim, dim), dtype=np.complex128)
     n = np.arange(nkeep)
     amp[n, n] = np.sqrt(1.0 - q * q) * q ** n
-    nsq = float(np.vdot(amp, amp).real)
-    return FockVector(config, amp, normalized=abs(nsq - 1.0) <= NORM_TOL)
+    return FockVector(amp)
 
 
 def displacement_op(alpha: complex, cutoff: int, scheme: str = "exact",
@@ -207,10 +203,10 @@ def displacement_op(alpha: complex, cutoff: int, scheme: str = "exact",
     raise ValidationError(f"unknown displacement scheme {scheme!r}")
 
 
-def apply_single_mode_op(state: FockVector, mode: int, op: np.ndarray,
-                         track_leakage: bool = False) -> FockVector:
-    """Apply a (dim, dim) matrix to one mode. General op, so the output
-    normalization is recomputed rather than assumed.
+def apply_single_mode_op(state: FockVector, mode: int, op: np.ndarray
+                         ) -> FockVector:
+    """Apply a (dim, dim) matrix to one mode. The op need not be unitary;
+    a loss of squared norm is added to the state's leakage.
 
     The tensor is viewed as (modes before, mode, modes after), so the op
     is one broadcast matmul and the only new array is the output.
@@ -218,17 +214,14 @@ def apply_single_mode_op(state: FockVector, mode: int, op: np.ndarray,
     if not 0 <= mode < state.modes:
         raise ValidationError(f"mode {mode} out of range")
     op = np.asarray(op, dtype=np.complex128)
-    dim = state.config.dim
+    dim = state.cutoff + 1
     if op.shape != (dim, dim):
         raise ValidationError(f"operator shape {op.shape} != ({dim},{dim})")
     amp = state.amplitudes
     out = (op @ amp.reshape(dim ** mode, dim, -1)).reshape(amp.shape)
     nsq = float(np.vdot(out, out).real)
-    leak = state.leakage
-    if track_leakage:
-        leak += max(0.0, state.norm_sq() - nsq)
-    return FockVector(state.config, out, abs(nsq - 1.0) <= NORM_TOL
-                      and state.normalized, leakage=leak)
+    return FockVector(out, leakage=state.leakage
+                      + max(0.0, state.norm_sq() - nsq))
 
 
 def detector_povm(eta: float, cutoff: int) -> DetectorPovm:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import LowInformationError, RankDeficiencyWarning, ValidationError
-from .fock import FockVector, TruncationConfig
+from .fock import FockVector
 from .ops import _transfer_tensor, beam_splitter_5050
 from .phase_states import phase_state, phase_value
 
@@ -37,17 +37,13 @@ def _wrap_angle(x: float) -> float:
 class OutcomeDistribution:
     """Joint photon-count probabilities P(n1, n2) on a (2s+1)^2 grid."""
 
-    s: int
     probs: np.ndarray
 
     def __post_init__(self):
-        if self.s < 0:
-            raise ValidationError(f"s must be >= 0, got {self.s}")
         p = np.asarray(self.probs, dtype=np.float64)
-        dim = 2 * self.s + 1
-        if p.shape != (dim, dim):
+        if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] % 2 == 0:
             raise ValidationError(
-                f"probability grid shape {p.shape} != ({dim}, {dim})")
+                f"probabilities must be a (2s+1, 2s+1) grid, got {p.shape}")
         if not np.isfinite(p).all():
             raise ValidationError("non-finite probability")
         if p.min() < -_CLAMP_TOL:
@@ -57,6 +53,10 @@ class OutcomeDistribution:
             raise ValidationError(
                 f"probabilities sum to {p.sum():.12f}, not 1")
         object.__setattr__(self, "probs", p)
+
+    @property
+    def s(self) -> int:
+        return (self.probs.shape[0] - 1) // 2
 
     def prob(self, n1: int, n2: int) -> float:
         return float(self.probs[n1, n2])
@@ -185,7 +185,7 @@ def interference_probs(left: FockVector, right: FockVector
     amp = _splitter_amplitudes(left.amplitudes[:n_l + 1],
                                right.amplitudes[:n_r + 1, None], s)
     return OutcomeDistribution(
-        s=s, probs=(np.abs(amp) ** 2).reshape(2 * s + 1, 2 * s + 1))
+        (np.abs(amp) ** 2).reshape(2 * s + 1, 2 * s + 1))
 
 
 def _phase_basis(s: int, phi0: float) -> np.ndarray:
@@ -198,7 +198,7 @@ def superposition_state(coeffs: SuperpositionCoeffs,
                         phi0: float = 0.0) -> FockVector:
     """Fock-basis form of sum_k c_k |phi_k>_s."""
     amp = _phase_basis(coeffs.s, phi0) @ coeffs.c
-    return FockVector(TruncationConfig(coeffs.s, 1), amp, normalized=True)
+    return FockVector(amp)
 
 
 def superposition_probs(phi_j: float, coeffs: SuperpositionCoeffs,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CutoffError, ValidationError
-from .fock import FockVector, TruncationConfig
+from .fock import FockVector
 
 
 def _check_order(s: int) -> None:
@@ -44,11 +44,10 @@ def phase_state(s: int, phi: float, cutoff: int | None = None) -> FockVector:
         cutoff = s
     if cutoff < s:
         raise CutoffError(f"cutoff {cutoff} cannot hold photon numbers up to {s}")
-    config = TruncationConfig(cutoff, 1)
-    amp = np.zeros(config.shape, dtype=np.complex128)
+    amp = np.zeros(cutoff + 1, dtype=np.complex128)
     n = np.arange(s + 1)
     amp[: s + 1] = np.exp(1j * n * phi) / np.sqrt(s + 1.0)
-    return FockVector(config, amp, normalized=True)
+    return FockVector(amp)
 
 
 def pb_eigenstate(s: int, m: int, phi0: float = 0.0,

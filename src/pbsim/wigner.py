@@ -227,8 +227,9 @@ def negativity_volume_detailed(rho, quad: QuadratureSpec | None = None
     spec = quad if quad is not None else DEFAULT_QUADRATURE
     dm = _as_density(rho)
     _check_unit_trace(dm)
-    half_width = effective_radius(dm) + spec.radius_margin
-    lines = _LineIntegrals(wigner_coefficients(dm.matrix), half_width)
+    coef = wigner_coefficients(dm.matrix)
+    half_width = _radius(coef) + spec.radius_margin
+    lines = _LineIntegrals(coef, half_width)
     tail = float(lines.panels(np.array([-half_width - 2.0, half_width]),
                               np.array([-half_width, half_width + 2.0])
                               ).sum())
@@ -415,9 +416,14 @@ def effective_radius(rho) -> float:
     """
     dm = _as_density(rho)
     _check_unit_trace(dm)
-    coef = wigner_coefficients(dm.matrix)
+    return _radius(wigner_coefficients(dm.matrix))
+
+
+def _radius(coef: np.ndarray) -> float:
+    """effective_radius from the state's (2N+1, 2N+1) coefficient table."""
+    cutoff = (coef.shape[0] - 1) // 2
     step = 0.01
-    window = math.sqrt(4.0 * dm.cutoff + 2.0) / 2.0 + 4.0
+    window = math.sqrt(4.0 * cutoff + 2.0) / 2.0 + 4.0
     t_lo = 0.0
     last_above = -1.0
     for _ in range(6):

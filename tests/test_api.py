@@ -9,14 +9,14 @@ PUBLIC_NAMES = [
     "LowInformationError", "NegativityResult", "NumericalError",
     "OutcomeDistribution", "PbsimError", "PhaseEstimate", "QuadratureError",
     "QuadratureSpec", "RankDeficiencyWarning", "RootQualityError",
-    "SuperpositionCoeffs", "TruncationConfig", "TwoModeUnitary",
+    "SuperpositionCoeffs", "TwoModeUnitary",
     "ValidationError", "WignerGrid", "WindowExhaustedError", "__version__",
     "alpha_polynomial", "apply_single_mode_op", "apply_two_mode_unitary",
     "beam_splitter_5050", "beam_splitter_pb", "build_state",
     "conditional_density", "detector_povm", "displacement_op",
     "effective_radius", "estimate_coefficients", "estimate_phase",
     "fidelity_pure", "gauge_fixed", "herald_alphas", "herald_point",
-    "inner_product", "interference_probs", "load_count_table",
+    "interference_probs", "load_count_table",
     "negativity_volume", "negativity_volume_detailed", "number_state",
     "pad_to_cutoff", "pb_eigenstate", "pb_phase_operator", "phase_state",
     "phase_value", "sample_outcomes", "save_count_table", "solve_alphas",

@@ -5,38 +5,63 @@ import pytest
 
 from pbsim.errors import (ConfigMismatchError, DegenerateHeraldError,
                           ValidationError)
-from pbsim.fock import (FockDensity, FockVector, TruncationConfig,
-                        conditional_density, fidelity_pure, inner_product,
-                        number_state, pad_to_cutoff, tensor_product,
-                        vacuum_state)
+from pbsim.fock import (FockDensity, FockVector, conditional_density,
+                        fidelity_pure, number_state, pad_to_cutoff,
+                        tensor_product, vacuum_state)
+from pbsim.ops import apply_single_mode_op
+from pbsim.phase_est import interference_probs
 
 
 def random_vector(cutoff, modes, seed, normalized=True):
     rng = np.random.default_rng(seed)
-    cfg = TruncationConfig(cutoff, modes)
-    amp = rng.standard_normal(cfg.shape) + 1j * rng.standard_normal(cfg.shape)
+    shape = (cutoff + 1,) * modes
+    amp = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     if normalized:
         amp /= np.linalg.norm(amp)
-    return FockVector(cfg, amp, normalized=normalized)
+    return FockVector(amp)
 
 
-def test_config_validation():
+def test_shape_validation():
+    for bad in (np.zeros(()), np.zeros(1), np.zeros((3, 4))):
+        with pytest.raises(ValidationError):
+            FockVector(bad)
     with pytest.raises(ValidationError):
-        TruncationConfig(0, 1)
-    with pytest.raises(ValidationError):
-        TruncationConfig(3, 0)
-    cfg = TruncationConfig(4, 2)
-    assert cfg.dim == 5
-    assert cfg.shape == (5, 5)
+        FockVector([1.0, np.nan])
+    for cutoff, modes in ((-1, 1), (0, 2), (2, 0)):
+        with pytest.raises(ValidationError):
+            vacuum_state(cutoff, modes)
+    v = FockVector(np.zeros((5, 5)))
+    assert (v.cutoff, v.modes) == (4, 2)
+    # states on different cutoffs do not combine
+    with pytest.raises(ConfigMismatchError):
+        tensor_product(v, vacuum_state(3))
+    with pytest.raises(ConfigMismatchError):
+        fidelity_pure(FockDensity.from_pure(vacuum_state(3)), vacuum_state(4))
 
 
-def test_vector_norm_flag_enforced():
-    cfg = TruncationConfig(2, 1)
+def test_normalized_follows_the_norm():
     amp = np.array([1.0, 1.0, 0.0], dtype=complex)
-    with pytest.raises(ValidationError):
-        FockVector(cfg, amp, normalized=True)
-    v = FockVector(cfg, amp / np.sqrt(2.0), normalized=True)
-    assert v.norm_sq() == pytest.approx(1.0)
+    assert not FockVector(amp).normalized
+    assert FockVector(amp / np.sqrt(2.0)).normalized
+    # a non-unitary op that brings a subnormalized state back to unit
+    # norm gives a normalized state
+    half = FockVector(amp / 2.0)
+    assert not half.normalized
+    out = apply_single_mode_op(half, 0, np.sqrt(2.0) * np.eye(3))
+    assert out.normalized
+    assert out.leakage == 0.0
+
+
+def test_unit_norm_required_where_it_matters():
+    sub = FockVector(np.array([0.6, 0.0, 0.0], dtype=complex))
+    rho = FockDensity.from_pure(number_state(0, 2))
+    with pytest.raises(ValidationError, match="normalized"):
+        fidelity_pure(rho, sub)
+    unit = number_state(0, 2)
+    with pytest.raises(ValidationError, match="normalized"):
+        interference_probs(sub, unit)
+    with pytest.raises(ValidationError, match="normalized"):
+        interference_probs(unit, sub)
 
 
 def test_tensor_product_norm_multiplies():
@@ -57,14 +82,6 @@ def test_tensor_product_axis_order():
     t = tensor_product(one, vac)
     assert t.amplitudes[1, 0] == pytest.approx(1.0)
     assert t.amplitudes[0, 1] == pytest.approx(0.0)
-
-
-def test_inner_product_conjugation():
-    a = random_vector(4, 1, seed=3)
-    b = random_vector(4, 1, seed=4)
-    assert inner_product(a, b) == pytest.approx(np.conj(inner_product(b, a)))
-    with pytest.raises(ConfigMismatchError):
-        inner_product(a, random_vector(5, 1, seed=6))
 
 
 def test_density_hermitian_and_psd_checks():
@@ -180,7 +197,7 @@ def test_conditional_density_rejects_non_photon_counting_povms():
 def test_pad_to_cutoff():
     v = number_state(1, 1)
     w = pad_to_cutoff(v, 4)
-    assert w.config.dim == 5
+    assert w.cutoff == 4
     assert w.amplitudes[1] == pytest.approx(1.0)
     assert w.norm_sq() == pytest.approx(1.0)
     with pytest.raises(ValidationError):

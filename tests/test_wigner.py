@@ -10,11 +10,11 @@ from scipy.integrate import quad
 from pbsim._kernels import (hermite_functions, hermite_primitives,
                             wigner_batch, wigner_coefficients)
 from pbsim.errors import QuadratureError, ValidationError
-from pbsim.fock import FockDensity, FockVector, TruncationConfig, number_state, vacuum_state
+from pbsim.fock import FockDensity, FockVector, number_state, vacuum_state
 from pbsim.herald import HeraldConfig, herald_point
 from pbsim.phase_states import pb_eigenstate
-from pbsim.wigner import (MAX_DEPTH, QuadratureSpec, WignerGrid,
-                          _LineIntegrals, effective_radius,
+from pbsim.wigner import (DEFAULT_QUADRATURE, MAX_DEPTH, QuadratureSpec,
+                          WignerGrid, _LineIntegrals, effective_radius,
                           hermite_wavefunctions_all,
                           negativity_volume, negativity_volume_detailed,
                           wigner_grid, wigner_point,
@@ -25,7 +25,7 @@ def random_pure(cutoff, seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(cutoff + 1) + 1j * rng.standard_normal(cutoff + 1)
     a /= np.linalg.norm(a)
-    return FockVector(TruncationConfig(cutoff, 1), a, normalized=True)
+    return FockVector(a)
 
 
 def test_hermite_explicit_values():
@@ -71,9 +71,7 @@ def test_rotation_covariance():
     # theta: W'(q, p) = W(R(-theta) (q, p))
     psi = random_pure(4, 11)
     theta = 0.37
-    rotated = FockVector(psi.config,
-                         psi.amplitudes * np.exp(-1j * theta * np.arange(5)),
-                         normalized=True)
+    rotated = FockVector(psi.amplitudes * np.exp(-1j * theta * np.arange(5)))
     c, s = math.cos(theta), math.sin(theta)
     for q, p in [(0.8, 0.0), (0.2, -0.5), (-1.0, 1.2)]:
         want = wigner_point(psi, c * q + s * p, -s * q + c * p)
@@ -177,6 +175,24 @@ def test_negativity_record_is_filled():
         assert math.isfinite(value) and value > 0
     assert result.volume == pytest.approx(
         0.5 * (result.abs_integral - 1.0), abs=1e-15)
+
+
+def test_one_coefficient_table_per_volume(monkeypatch):
+    # the box radius and the line integrals share one coefficient table
+    import pbsim.wigner
+    real = pbsim.wigner.wigner_coefficients
+    calls = []
+
+    def counting(rho):
+        calls.append(1)
+        return real(rho)
+
+    monkeypatch.setattr(pbsim.wigner, "wigner_coefficients", counting)
+    psi = pb_eigenstate(4, 0)
+    result = negativity_volume_detailed(psi)
+    assert len(calls) == 1
+    assert result.box_half_width == (effective_radius(psi)
+                                     + DEFAULT_QUADRATURE.radius_margin)
 
 
 def test_hermite_primitives_match_quadrature():
