@@ -24,6 +24,9 @@ TRACE_TOL = 1e-10
 # floor conditioning is reported as degenerate instead of dividing.
 PROB_FLOOR = 1e-300
 
+# Patterns per gathered block in conditioning: small next to a herald tensor.
+CONDITION_BLOCK = 2048
+
 
 class FockVector:
     """Pure state on a truncated multimode Fock lattice.
@@ -159,9 +162,9 @@ def conditional_density(state: FockVector, povm_per_mode, kept_mode: int
     (rho, p) : the kept mode's conditional density normalized to trace 1,
         and the outcome probability p = <Psi|(tensor E (x) I)|Psi>.
 
-    The elements fold into one weight per photon-number pattern of the
-    conditioned modes, so the density is a single weighted product of the
-    amplitude tensor with itself.
+    The elements fold into one weight w per photon-number pattern of the
+    conditioned modes. Only nonzero-weight patterns are read (a click
+    element has E[0, 0] = 0), CONDITION_BLOCK at a time: raw += a^T conj(w a).
     """
     modes = state.modes
     if not 0 <= kept_mode < modes:
@@ -187,20 +190,20 @@ def conditional_density(state: FockVector, povm_per_mode, kept_mode: int
             raise ValidationError("POVM element not PSD")
         weights = np.multiply.outer(weights, diag.real)
 
-    # amplitudes as (modes before, kept mode, modes after); the weighted
-    # copy is conjugated in place, and with the kept mode first or last
-    # tensordot reads both operands as they lie, so that copy is the only
-    # state-sized array
+    # amplitudes as (modes before, kept mode, modes after)
     amp = state.amplitudes.reshape(dim ** kept_mode, dim, -1)
-    weighted = amp * weights.reshape(amp.shape[0], 1, amp.shape[2])
-    np.conjugate(weighted, out=weighted)
-    raw = np.tensordot(amp, weighted, axes=([0, 2], [0, 2]))
+    weights = weights.reshape(amp.shape[0], amp.shape[2])
+    before, after = np.nonzero(weights)
+    raw = np.zeros((dim, dim), dtype=np.complex128)
+    for lo in range(0, before.size, CONDITION_BLOCK):
+        i, j = before[lo:lo + CONDITION_BLOCK], after[lo:lo + CONDITION_BLOCK]
+        block = amp[i, :, j]
+        raw += block.T @ np.conj(weights[i, j, None] * block)
     p = float(np.trace(raw).real)
     if p < PROB_FLOOR:
         raise DegenerateHeraldError(
             f"conditioning probability {p:.3e} below floor {PROB_FLOOR:.0e}")
-    rho = 0.5 * (raw + raw.conj().T) / p
-    return FockDensity(rho, declared_trace=1.0), p
+    return FockDensity(raw / p, declared_trace=1.0), p
 
 
 def pad_to_cutoff(state: FockVector, cutoff: int) -> FockVector:

@@ -23,8 +23,8 @@ from .errors import (CutoffError, LeakageWarning, NumericalError,
                      RootQualityError, ValidationError)
 from .fock import (FockDensity, FockVector, conditional_density,
                    fidelity_pure)
-from .ops import (_transfer_tensor, apply_single_mode_op, beam_splitter_pb,
-                  detector_povm, displacement_op, tmsv)
+from .ops import (_transfer_tensor, beam_splitter_pb, detector_povm,
+                  displacement_op, tmsv)
 from .phase_states import pb_eigenstate
 from .wigner import negativity_volume
 
@@ -149,34 +149,17 @@ def herald_alphas(cfg: HeraldConfig) -> np.ndarray:
     return solve_alphas(alpha_polynomial(cfg.s, cfg.q))
 
 
-def _split_off(state: FockVector, k: int, s: int) -> FockVector:
-    """Splitter B_{k,s} on a state whose axes are (modes 0..k-2, carrier,
-    A), with distribution mode k-1 entering in vacuum just before the
-    carrier.
-
-    Mode k-1 holds no photon, so only the row T[0] of the transfer tensor
-    acts: one matmul maps the carrier's photon number n to the pairs
-    (mode k-1, carrier) that share it. Both parts of a pair are at most
-    n, so nothing leaves the truncated space and the step adds no leakage.
-    """
-    dim = state.cutoff + 1
-    t0 = _transfer_tensor(beam_splitter_pb(k, s).u, state.cutoff)[0]
-    t0 = np.ascontiguousarray(t0.reshape(dim, dim * dim).T)
-    amp = state.amplitudes
-    out = (t0 @ amp.reshape(-1, dim, dim)).reshape(
-        amp.shape[:-2] + (dim, dim, dim))
-    return FockVector(out, leakage=state.leakage)
-
-
 def build_state(cfg: HeraldConfig, alphas=None) -> FockVector:
     """The full circuit state on s distribution modes plus mode A.
 
-    The state grows one mode at a time from the source pair (carrier, A):
-    splitter B_{k,s} brings distribution mode k-1 in from vacuum and its
-    displacement follows at once, since nothing later acts on that mode;
-    the carrier, mode s-1, is displaced last. Each step touches the tensor
-    once, at the size it has then. Truncation leakage, summed over the
-    steps, above cfg.leakage_bound triggers a LeakageWarning.
+    Grown one mode at a time from the source pair (carrier, A): mode k-1
+    enters splitter B_{k,s} in vacuum, so only row T[0] acts, and is
+    displaced at once. Both fold into one batched matmul on the carrier's
+    number n, M_k[(x, y), n] = sum_{a,b} D_{k-1}[x, a] E_k[y, b]
+    T[0, n, a, b], with E_k the carrier's displacement D_{s-1} at k = s-1,
+    else the identity (s = 1 only displaces the carrier). Each operation's
+    clamped squared-norm loss comes from the carrier's reduced density, not
+    the tensor; their sum above cfg.leakage_bound triggers LeakageWarning.
     """
     if alphas is None:
         alphas = herald_alphas(cfg)
@@ -184,18 +167,31 @@ def build_state(cfg: HeraldConfig, alphas=None) -> FockVector:
     if alphas.shape != (cfg.s,):
         raise ValidationError(
             f"expected {cfg.s} displacement amplitudes, got {alphas.shape}")
-    st = tmsv(cfg.q, cfg.cutoff, max_terms=cfg.tmsv_terms)
-    for k in range(1, cfg.s + 1):
-        if k < cfg.s:
-            st = _split_off(st, k, cfg.s)
-        d = displacement_op(complex(alphas[k - 1]), cfg.cutoff,
-                            scheme=cfg.displacement_scheme)
-        st = apply_single_mode_op(st, k - 1, d)
-    if st.leakage > cfg.leakage_bound:
-        warnings.warn(
-            f"truncation leakage {st.leakage:.3e} above bound "
-            f"{cfg.leakage_bound:.0e}", LeakageWarning, stacklevel=2)
-    return st
+    dim = cfg.cutoff + 1
+    ds = [displacement_op(complex(a), cfg.cutoff,
+                          scheme=cfg.displacement_scheme) for a in alphas]
+    amp = tmsv(cfg.q, cfg.cutoff, max_terms=cfg.tmsv_terms).amplitudes
+    r = amp @ amp.conj().T  # the carrier's reduced density
+    leakage = 0.0
+    for k in range(1, max(cfg.s, 2)):
+        # G[..., n] after each operation; ||G psi||^2 = tr(G R G^H)
+        ops = [np.eye(dim)]  # no splitter at s = 1
+        if cfg.s > 1:
+            t0 = _transfer_tensor(beam_splitter_pb(k, cfg.s).u, cfg.cutoff)
+            ops = [t0[0].transpose(1, 2, 0)]  # (a, b, n)
+            ops.append(np.tensordot(ds[k - 1], ops[0], axes=1))
+        if k == max(cfg.s - 1, 1):
+            ops.append(np.einsum("yb,...bn->...yn", ds[-1], ops[-1]))
+        norms = [float(np.vdot(g, g @ r).real) for g in ops]
+        leakage += sum(max(0.0, n0 - n1) for n0, n1 in zip(norms, norms[1:]))
+        g = ops[-1].reshape(-1, dim, dim)
+        amp = (g.reshape(-1, dim) @ amp.reshape(-1, dim, dim)).reshape(
+            (dim,) * (amp.ndim + (cfg.s > 1)))
+        r = np.einsum("xyn,nm,xzm->yz", g, r, g.conj())  # mode x traced out
+    if leakage > cfg.leakage_bound:
+        warnings.warn(f"truncation leakage {leakage:.3e} above bound "
+                      f"{cfg.leakage_bound:.0e}", LeakageWarning, stacklevel=2)
+    return FockVector(amp, leakage=leakage)
 
 
 def herald_point(cfg: HeraldConfig) -> HeraldResult:

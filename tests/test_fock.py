@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from pbsim import fock
 from pbsim.errors import (ConfigMismatchError, DegenerateHeraldError,
                           ValidationError)
 from pbsim.fock import (FockDensity, FockVector, conditional_density,
                         fidelity_pure, number_state, pad_to_cutoff,
                         tensor_product, vacuum_state)
-from pbsim.ops import apply_single_mode_op
+from pbsim.ops import apply_single_mode_op, detector_povm
 from pbsim.phase_est import interference_probs
 
 
@@ -173,6 +174,27 @@ def test_conditional_density_diagonal_povms_match_einsum(kept_mode):
     want_rho, want_p = condition_oracle(v.amplitudes, povms, kept_mode)
     assert p == pytest.approx(want_p, rel=1e-12)
     assert np.abs(rho.matrix - want_rho).max() < 1e-12
+
+
+@pytest.mark.parametrize("block", [fock.CONDITION_BLOCK, 5])
+@pytest.mark.parametrize("kept_mode", [0, 1, 2, 3])
+def test_conditional_density_zero_weights_match_einsum(kept_mode, block,
+                                                       monkeypatch):
+    # click elements have E[0, 0] = 0, and at eta = 1 only E[1, 1] is
+    # nonzero, so whole photon-number patterns carry zero weight; a block
+    # of 5 patterns splits them over several blocks with a short last one
+    monkeypatch.setattr(fock, "CONDITION_BLOCK", block)
+    v = random_vector(3, 4, seed=80 + kept_mode)
+    interior = np.diag([0.7, 0.0, 0.4, 1.0]).astype(complex)
+    povms = [detector_povm(1.0, 3).click, detector_povm(0.8, 3).click,
+             interior]
+    rho, p = conditional_density(v, povms, kept_mode=kept_mode)
+    want_rho, want_p = condition_oracle(v.amplitudes, povms, kept_mode)
+    assert p == pytest.approx(want_p, rel=1e-12)
+    assert np.abs(rho.matrix - want_rho).max() < 1e-12
+    with pytest.raises(DegenerateHeraldError):
+        conditional_density(v, [np.zeros((4, 4))] + povms[1:],
+                            kept_mode=kept_mode)
 
 
 def test_conditional_density_rejects_non_photon_counting_povms():

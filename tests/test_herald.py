@@ -174,6 +174,21 @@ def test_build_state_matches_cascade_oracle(s, scheme):
                 assert np.abs(rho.matrix - rho_w.matrix).max() < 1e-12
 
 
+@pytest.mark.parametrize("s, alphas", [
+    (1, [1.5]),
+    (3, np.linspace(2.0, -0.5, 3) + 0.3j),
+    (5, np.linspace(2.0, -0.5, 5) + 0.3j)], ids=["s1", "s3", "s5"])
+def test_build_state_leakage_matches_cascade_oracle(s, alphas):
+    # large series displacements really lose norm (the order-5 Taylor sum
+    # is not unitary), so the leakage read off the carrier's reduced
+    # density is checked against the cascade's full-tensor norms
+    cfg = HeraldConfig(s=s, r=0.3, eta=1.0, cutoff=s + 1, leakage_bound=1.0)
+    alphas = np.asarray(alphas, dtype=complex)
+    want = cascade_oracle(cfg, alphas).leakage
+    assert want > 0.05
+    assert build_state(cfg, alphas).leakage == pytest.approx(want, abs=1e-12)
+
+
 @pytest.fixture(scope="module")
 def six_mode_alphas():
     cfg = HeraldConfig(s=6, r=0.2, eta=1.0, cutoff=8)
@@ -206,6 +221,35 @@ def test_conditional_density_peak_memory(six_mode_alphas):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * st.amplitudes.nbytes
+
+
+def traced_peak(call):
+    """call()'s result and the peak bytes numpy allocated while it ran."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_state_peak_memory_fused(six_mode_alphas):
+    # one fused split-and-displace matmul per splitter: besides the output
+    # only the last step's input, a ninth of it, is alive
+    cfg, alphas = six_mode_alphas
+    st, peak = traced_peak(lambda: build_state(cfg, alphas))
+    assert peak <= 1.5 * st.amplitudes.nbytes
+
+
+def test_conditional_density_peak_memory_blocks(six_mode_alphas):
+    # the nonzero-weight patterns are gathered a block at a time, so no
+    # state-sized copy is made
+    cfg, alphas = six_mode_alphas
+    st = build_state(cfg, alphas)
+    clicks = [detector_povm(0.8, cfg.cutoff).click] * cfg.s
+    _, peak = traced_peak(
+        lambda: conditional_density(st, clicks, kept_mode=cfg.s))
+    assert peak <= 0.5 * st.amplitudes.nbytes
 
 
 def test_exact_norm_accounting():
@@ -243,6 +287,21 @@ def test_projector_limit_at_unit_efficiency():
     _, p_click = conditional_density(st, [povm.click] * 2, kept_mode=2)
     proj = st.amplitudes[1, 1]
     assert p_click == pytest.approx(np.vdot(proj, proj).real, abs=1e-12)
+
+
+@pytest.mark.parametrize("s", range(1, 7))
+def test_unit_efficiency_reads_one_pattern(s):
+    # at eta = 1 only the pattern of one photon in every detector carries
+    # weight, so rho_A is that amplitude slice's normalized outer product
+    cfg = HeraldConfig(s=s, r=0.2, eta=1.0, cutoff=s + 1)
+    st = build_state(cfg)
+    click = detector_povm(cfg.eta, cfg.cutoff).click
+    rho, p = conditional_density(st, [click] * s, kept_mode=s)
+    psi = st.amplitudes[(1,) * s]
+    norm_sq = np.vdot(psi, psi).real
+    assert p == pytest.approx(norm_sq, rel=1e-12)
+    assert np.abs(rho.matrix - np.outer(psi, psi.conj()) / norm_sq).max() \
+        < 1e-12
 
 
 def test_efficiency_sandwich():
