@@ -28,6 +28,9 @@ from .ops import (_transfer_tensor, beam_splitter_pb, detector_povm,
 from .phase_states import pb_eigenstate
 from .wigner import negativity_volume
 
+# Summed truncation leakage above which build_state warns.
+LEAKAGE_BOUND = 1e-6
+
 
 @dataclass(frozen=True)
 class HeraldConfig:
@@ -45,7 +48,6 @@ class HeraldConfig:
     cutoff: int = 5
     tmsv_terms: int = 6
     displacement_scheme: str = "series"
-    leakage_bound: float = 1e-6
 
     def __post_init__(self):
         if self.s < 1:
@@ -159,7 +161,7 @@ def build_state(cfg: HeraldConfig, alphas=None) -> FockVector:
     T[0, n, a, b], with E_k the carrier's displacement D_{s-1} at k = s-1,
     else the identity (s = 1 only displaces the carrier). Each operation's
     clamped squared-norm loss comes from the carrier's reduced density, not
-    the tensor; their sum above cfg.leakage_bound triggers LeakageWarning.
+    the tensor; their sum above LEAKAGE_BOUND triggers LeakageWarning.
     """
     if alphas is None:
         alphas = herald_alphas(cfg)
@@ -188,9 +190,9 @@ def build_state(cfg: HeraldConfig, alphas=None) -> FockVector:
         amp = (g.reshape(-1, dim) @ amp.reshape(-1, dim, dim)).reshape(
             (dim,) * (amp.ndim + (cfg.s > 1)))
         r = np.einsum("xyn,nm,xzm->yz", g, r, g.conj())  # mode x traced out
-    if leakage > cfg.leakage_bound:
+    if leakage > LEAKAGE_BOUND:
         warnings.warn(f"truncation leakage {leakage:.3e} above bound "
-                      f"{cfg.leakage_bound:.0e}", LeakageWarning, stacklevel=2)
+                      f"{LEAKAGE_BOUND:.0e}", LeakageWarning, stacklevel=2)
     return FockVector(amp, leakage=leakage)
 
 

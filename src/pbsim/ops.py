@@ -6,7 +6,8 @@ operators with row combinations of the 2x2 matrix,
 
     a_i+ -> u00 a_i+ + u01 a_j+,   a_j+ -> u10 a_i+ + u11 a_j+,
 
-and expanding binomially, which is exact within each total-photon block.
+one substituted creation operator at a time, which is exact within each
+total-photon block.
 With the 50-50 matrix [[1/sqrt2, -1/sqrt2], [1/sqrt2, 1/sqrt2]] this sends
 |1,0> to (|1,0> - |0,1>)/sqrt2. Photon blocks whose redistribution exceeds
 the cutoff are truncated and the lost squared norm is recorded as leakage.
@@ -74,58 +75,38 @@ def beam_splitter_5050() -> TwoModeUnitary:
     return TwoModeUnitary(np.array([[r, -r], [r, r]], dtype=np.complex128))
 
 
-def _binom_table(n: int) -> np.ndarray:
-    c = np.zeros((n + 1, n + 1))
-    c[:, 0] = 1.0
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            c[i, j] = c[i - 1, j - 1] + c[i - 1, j]
-    return c
-
-
 _TRANSFER_CACHE: dict[tuple[bytes, int], np.ndarray] = {}
 
 
 def _transfer_tensor(u: np.ndarray, cutoff: int) -> np.ndarray:
     """T[m, n, a, b]: amplitude of |a,b> in the image of |m,n>.
 
-    From the creation-operator substitution, with b = m+n-a,
-
-        T = sqrt(a! b! / (m! n!)) * sum_x C(m,x) C(n,a-x)
-            u00^x u01^(m-x) u10^(a-x) u11^(n-a+x)
-
-    and zero when a+b != m+n. Entries with b > cutoff are dropped; those
-    are exactly the truncation leakage.
+    Built from |m,n> = (a+)^m (b+)^n |0,0> / sqrt(m! n!) with the splitter's
+    substitution a+ -> u00 a+ + u01 b+, b+ -> u10 a+ + u11 b+: T[0, n] is
+    T[0, n-1] with one substituted b+ applied, over sqrt(n), and T[m] is
+    T[m-1] with one substituted a+ applied, over sqrt(m). Creation never
+    lowers a photon number, so cutting a, b at the cutoff after each step
+    drops exactly the truncation leakage and nothing a later step needs.
     """
     key = (u.tobytes(), cutoff)
     cached = _TRANSFER_CACHE.get(key)
     if cached is not None:
         return cached
     dim = cutoff + 1
-    binom = _binom_table(cutoff)
-    fact = np.cumprod(np.concatenate(([1.0], np.arange(1, dim))))
-    p00, p01, p10, p11 = (np.power(u[i, j], np.arange(dim))
-                          for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    root = np.sqrt(np.arange(1, dim))
 
-    mm, nn, aa = np.meshgrid(np.arange(dim), np.arange(dim), np.arange(dim),
-                             indexing="ij")
-    bb = mm + nn - aa
-    ok = (bb >= 0) & (bb <= cutoff)
-    acc = np.zeros((dim, dim, dim), dtype=np.complex128)
-    for x in range(dim):
-        yy = aa - x
-        sel = ok & (x <= mm) & (yy >= 0) & (yy <= nn)
-        if not sel.any():
-            continue
-        mi, ni, yi = mm[sel], nn[sel], yy[sel]
-        acc[sel] += (binom[mi, x] * binom[ni, yi]
-                     * p00[x] * p01[mi - x] * p10[yi] * p11[ni - yi])
+    def create(x, ca, cb):  # (ca a+ + cb b+) x on the last two axes
+        out = np.zeros_like(x)
+        out[..., 1:, :] = ca * root[:, None] * x[..., :-1, :]
+        out[..., :, 1:] += cb * root * x[..., :, :-1]
+        return out
 
-    norm = np.zeros((dim, dim, dim))
-    norm[ok] = np.sqrt(fact[aa[ok]] * fact[bb[ok]]
-                       / (fact[mm[ok]] * fact[nn[ok]]))
     T = np.zeros((dim, dim, dim, dim), dtype=np.complex128)
-    T[mm[ok], nn[ok], aa[ok], bb[ok]] = (acc * norm)[ok]
+    T[0, 0, 0, 0] = 1.0
+    for n in range(1, dim):
+        T[0, n] = create(T[0, n - 1], u[1, 0], u[1, 1]) / np.sqrt(n)
+    for m in range(1, dim):
+        T[m] = create(T[m - 1], u[0, 0], u[0, 1]) / np.sqrt(m)
     if len(_TRANSFER_CACHE) > 64:
         _TRANSFER_CACHE.clear()
     _TRANSFER_CACHE[key] = T

@@ -363,8 +363,8 @@ def estimate_coefficients(tables, s: int, *, phi0: float = 0.0,
     populated = int(np.count_nonzero(freqs > 0))
     if populated < 2 * (s + 1):
         warnings.warn(
-            f"only {populated} populated outcome cells for {2 * s} free "
-            f"parameters", RankDeficiencyWarning, stacklevel=2)
+            f"only {populated} populated outcome cells for the "
+            f"{2 * (s + 1)} fit parameters", RankDeficiencyWarning, stacklevel=2)
     fun, jac = _residuals(_model_matrix(settings, s, phi0), freqs)
 
     rng = np.random.Generator(np.random.PCG64(rng_seed))

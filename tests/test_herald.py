@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -158,7 +159,7 @@ def test_build_state_matches_cascade_oracle(s, scheme):
     for cutoff in range(s, s + 3):
         for r in (0.1, 0.3):
             cfg = HeraldConfig(s=s, r=r, eta=1.0, cutoff=cutoff,
-                               displacement_scheme=scheme, leakage_bound=1.0)
+                               displacement_scheme=scheme)
             alphas = herald_alphas(cfg)
             got = build_state(cfg, alphas)
             want = cascade_oracle(cfg, alphas)
@@ -182,11 +183,13 @@ def test_build_state_leakage_matches_cascade_oracle(s, alphas):
     # large series displacements really lose norm (the order-5 Taylor sum
     # is not unitary), so the leakage read off the carrier's reduced
     # density is checked against the cascade's full-tensor norms
-    cfg = HeraldConfig(s=s, r=0.3, eta=1.0, cutoff=s + 1, leakage_bound=1.0)
+    cfg = HeraldConfig(s=s, r=0.3, eta=1.0, cutoff=s + 1)
     alphas = np.asarray(alphas, dtype=complex)
     want = cascade_oracle(cfg, alphas).leakage
     assert want > 0.05
-    assert build_state(cfg, alphas).leakage == pytest.approx(want, abs=1e-12)
+    with pytest.warns(LeakageWarning):
+        got = build_state(cfg, alphas).leakage
+    assert got == pytest.approx(want, abs=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -255,8 +258,7 @@ def test_conditional_density_peak_memory_blocks(six_mode_alphas):
 def test_exact_norm_accounting():
     # with unitary displacements all norm loss is truncation leakage
     cfg = HeraldConfig(s=3, r=0.25, eta=1.0, cutoff=4,
-                       tmsv_terms=5, displacement_scheme="exact",
-                       leakage_bound=1.0)
+                       tmsv_terms=5, displacement_scheme="exact")
     st = build_state(cfg)
     source_norm = tmsv(cfg.q, cfg.cutoff, max_terms=cfg.tmsv_terms).norm_sq()
     assert st.norm_sq() + st.leakage == pytest.approx(source_norm, abs=1e-12)
@@ -340,10 +342,14 @@ def test_config_validation():
 
 
 def test_leakage_warning():
-    cfg = HeraldConfig(s=2, r=0.3, eta=1.0, displacement_scheme="exact",
-                       leakage_bound=1e-16)
+    # the order-5 series displacement at alpha = 1.5 and cutoff 2 really
+    # loses norm; the default circuit loses only rounding residue
     with pytest.warns(LeakageWarning):
-        build_state(cfg)
+        st = build_state(HeraldConfig(s=1, r=0.3, eta=1.0, cutoff=2), [1.5])
+    assert st.leakage > 0.1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LeakageWarning)
+        herald_point(HeraldConfig(s=4, r=0.3, eta=1.0))
 
 
 def test_herald_point_fields():

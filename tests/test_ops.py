@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, logm
 
 from pbsim.errors import ValidationError
 from pbsim.fock import FockVector, number_state, tensor_product, vacuum_state
-from pbsim.ops import (TwoModeUnitary, apply_single_mode_op,
+from pbsim.ops import (TwoModeUnitary, _transfer_tensor, apply_single_mode_op,
                        apply_two_mode_unitary, beam_splitter_5050,
                        beam_splitter_pb, detector_povm, displacement_op, tmsv)
 
@@ -81,6 +81,51 @@ def test_leakage_accounting():
     assert not out.normalized
     assert out.leakage == pytest.approx(1.0 - out.norm_sq(), abs=1e-12)
     assert out.leakage > 0.7
+
+
+def splitter_matrices():
+    rng = np.random.default_rng(12)
+    haar, _ = np.linalg.qr(rng.standard_normal((2, 2))
+                           + 1j * rng.standard_normal((2, 2)))
+    return {"5050": beam_splitter_5050().u, "pb14": beam_splitter_pb(1, 4).u,
+            "pb26": beam_splitter_pb(2, 6).u, "random": haar}
+
+
+def transfer_oracle(u, cutoff):
+    """T[m, n, a, b] as matrix elements of expm(sum_ij (log u)_ij a_j+ a_i),
+    which sends a_i+ to sum_j u_ij a_j+. The generator keeps each photon
+    block, and per-mode cutoff 2 cutoff + 1 holds every block an input
+    with m, n <= cutoff reaches whole, so nothing is cut before the
+    outputs are restricted to a, b <= cutoff."""
+    dim = 2 * cutoff + 2
+    a = np.diag(np.sqrt(np.arange(1, dim)), 1)
+    ops = [np.kron(a, np.eye(dim)), np.kron(np.eye(dim), a)]
+    log_u = logm(u)
+    gen = sum(log_u[i, j] * ops[j].conj().T @ ops[i]
+              for i in range(2) for j in range(2))
+    full = expm(gen).reshape((dim,) * 4)  # [a, b, m, n]
+    kept = full[:cutoff + 1, :cutoff + 1, :cutoff + 1, :cutoff + 1]
+    return kept.transpose(2, 3, 0, 1)
+
+
+@pytest.mark.parametrize("name", ["5050", "pb14", "pb26", "random"])
+def test_transfer_tensor_matches_generator_oracle(name):
+    u = splitter_matrices()[name]
+    for cutoff in range(1, 7):
+        err = np.abs(_transfer_tensor(u, cutoff)
+                     - transfer_oracle(u, cutoff)).max()
+        assert err < 1e-13, (cutoff, err)
+
+
+@pytest.mark.parametrize("name", ["5050", "pb14", "pb26", "random"])
+def test_transfer_tensor_blocks_unitary_at_cutoff_16(name):
+    # phase_est's working cutoff at s = 8; photon blocks N <= 16 are whole
+    T = _transfer_tensor(splitter_matrices()[name], 16)
+    for total in range(17):
+        k = np.arange(total + 1)
+        block = T[k[:, None], total - k[:, None], k, total - k]
+        err = np.abs(block @ block.conj().T - np.eye(total + 1)).max()
+        assert err < 1e-13, (total, err)
 
 
 def test_tmsv_norm():

@@ -354,7 +354,8 @@ def test_coefficients_rank_warning():
         2, np.array([0.8, 0.4, 0.4 + 0.2j]) / math.sqrt(0.8 ** 2 + 0.16 + 0.2))
     tables = [(p, sample_outcomes(superposition_probs(p, truth), 1, seed=i))
               for i, p in enumerate(phase_value(2, m) for m in range(3))]
-    with pytest.warns(RankDeficiencyWarning):
+    with pytest.warns(RankDeficiencyWarning,
+                      match=r"cells for the 6 fit parameters"):
         estimate_coefficients(tables, 2, starts=1)
 
 
