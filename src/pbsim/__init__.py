@@ -22,10 +22,9 @@ from .herald import (HeraldConfig, HeraldResult, HeraldSweepRow,
 from .ops import (DetectorPovm, TwoModeUnitary, apply_single_mode_op,
                   apply_two_mode_unitary, beam_splitter_5050,
                   beam_splitter_pb, detector_povm, displacement_op, tmsv)
-from .phase_est import (CountTable, OutcomeDistribution, PhaseEstimate,
-                        SuperpositionCoeffs, estimate_coefficients,
-                        estimate_phase, gauge_fixed, interference_probs,
-                        load_count_table, sample_outcomes, save_count_table,
+from .phase_est import (CountTable, PhaseEstimate, SuperpositionCoeffs,
+                        estimate_coefficients, estimate_phase, gauge_fixed,
+                        interference_probs, sample_outcomes,
                         superposition_probs, superposition_state)
 from .phase_states import (pb_eigenstate, pb_phase_operator, phase_state,
                            phase_value)
@@ -55,10 +54,9 @@ __all__ = [
     "HeraldConfig", "HeraldResult", "HeraldSweepRow", "symmetric_factors",
     "alpha_polynomial", "solve_alphas", "herald_alphas", "build_state",
     "herald_point", "sweep",
-    "OutcomeDistribution", "CountTable", "SuperpositionCoeffs",
+    "CountTable", "SuperpositionCoeffs",
     "PhaseEstimate", "gauge_fixed", "interference_probs",
     "superposition_state", "superposition_probs", "sample_outcomes",
-    "estimate_phase", "estimate_coefficients", "save_count_table",
-    "load_count_table",
+    "estimate_phase", "estimate_coefficients",
     "__version__",
 ]

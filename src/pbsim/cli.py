@@ -300,9 +300,7 @@ def _parse_coeffs(text: str) -> np.ndarray:
 
 
 def _table_for(dist, mode, trials, seed):
-    if mode == "exact":
-        return CountTable.from_exact(dist)
-    return sample_outcomes(dist, trials, seed)
+    return dist if mode == "exact" else sample_outcomes(dist, trials, seed)
 
 
 def _counts_doc(phi_j: float, table: CountTable) -> dict:

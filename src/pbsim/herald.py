@@ -38,8 +38,8 @@ class HeraldConfig:
 
     cutoff must be at least s so the target |phi_0>_s fits; tmsv_terms
     defaults to the six-term truncation of the source material the
-    circuit reproduces, and the series displacement to displacement_op's
-    order 5.
+    circuit reproduces, and the "series" displacement scheme keeps the
+    Taylor sum to order ops.SERIES_ORDER = 5.
     """
 
     s: int

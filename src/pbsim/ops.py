@@ -24,6 +24,8 @@ from .errors import ValidationError
 from .fock import FockVector
 
 UNITARITY_TOL = 1e-12
+# Taylor order of the "series" displacement, as in the source material.
+SERIES_ORDER = 5
 
 
 @dataclass(frozen=True)
@@ -155,14 +157,14 @@ def tmsv(q: float, cutoff: int, max_terms: int | None = None) -> FockVector:
     return FockVector(amp)
 
 
-def displacement_op(alpha: complex, cutoff: int, scheme: str = "exact",
-                    order: int = 5) -> np.ndarray:
+def displacement_op(alpha: complex, cutoff: int, scheme: str = "exact"
+                    ) -> np.ndarray:
     """Displacement matrix on the truncated space.
 
     scheme "exact": matrix exponential of alpha*a+ - conj(alpha)*a restricted
     to the truncated space (exactly unitary there, since the restricted
     generator stays anti-Hermitian). scheme "series": the Taylor polynomial
-    of the same generator up to the given order, matching a source that
+    of the same generator up to SERIES_ORDER, matching a source that
     truncates the displacement sum.
     """
     dim = cutoff + 1
@@ -173,11 +175,9 @@ def displacement_op(alpha: complex, cutoff: int, scheme: str = "exact",
     if scheme == "exact":
         return expm(g)
     if scheme == "series":
-        if order < 1:
-            raise ValidationError(f"series order must be >= 1, got {order}")
         out = np.eye(dim, dtype=np.complex128)
         term = np.eye(dim, dtype=np.complex128)
-        for k in range(1, order + 1):
+        for k in range(1, SERIES_ORDER + 1):
             term = term @ g / k
             out = out + term
         return out

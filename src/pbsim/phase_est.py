@@ -2,11 +2,12 @@
 
 A reference equal-weight phase state meets the unknown state at a 50-50
 beam splitter; the joint photon-number distribution at the two outputs
-carries the phase information. estimate_phase inverts the single-photon
+carries the phase information. Every distribution is a CountTable: an
+exact one holds the probabilities as fractional counts with trials = 1,
+a sampled one integer counts. estimate_phase inverts the single-photon
 contrast; estimate_coefficients fits a full superposition by
-Levenberg-Marquardt least squares on empirical frequencies. Both also
-accept exact probability tables (fractional pseudo-counts, trials = 1),
-and treat them like sampled ones.
+Levenberg-Marquardt least squares on the frequencies. Both treat exact
+and sampled tables alike.
 """
 
 from __future__ import annotations
@@ -34,41 +35,12 @@ def _wrap_angle(x: float) -> float:
 
 
 @dataclass(frozen=True)
-class OutcomeDistribution:
-    """Joint photon-count probabilities P(n1, n2) on a (2s+1)^2 grid."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
-        if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] % 2 == 0:
-            raise ValidationError(
-                f"probabilities must be a (2s+1, 2s+1) grid, got {p.shape}")
-        if not np.isfinite(p).all():
-            raise ValidationError("non-finite probability")
-        if p.min() < -_CLAMP_TOL:
-            raise ValidationError(f"negative probability {p.min():.3e}")
-        p = np.where(p < 0.0, 0.0, p)
-        if abs(p.sum() - 1.0) > _SUM_TOL:
-            raise ValidationError(
-                f"probabilities sum to {p.sum():.12f}, not 1")
-        object.__setattr__(self, "probs", p)
-
-    @property
-    def s(self) -> int:
-        return (self.probs.shape[0] - 1) // 2
-
-    def prob(self, n1: int, n2: int) -> float:
-        return float(self.probs[n1, n2])
-
-
-@dataclass(frozen=True)
 class CountTable:
-    """Observed (or exact, fractional) counts on the outcome grid.
+    """Counts on the (2s+1)^2 outcome grid, sampled or exact.
 
     Sampled tables carry integer-valued counts and the generator seed;
-    exact tables built by from_exact hold the probabilities themselves
-    with trials = 1 and no seed.
+    exact tables (interference_probs, superposition_probs) hold the
+    probabilities themselves with trials = 1 and no seed.
     """
 
     counts: np.ndarray
@@ -83,18 +55,14 @@ class CountTable:
         if not np.isfinite(c).all():
             raise ValidationError("non-finite count")
         if c.min() < 0:
-            raise ValidationError("negative count")
+            raise ValidationError(f"negative count {c.min():.3e}")
         if not 0 < self.trials < math.inf:
             raise ValidationError(
                 f"trials must be positive and finite, got {self.trials}")
-        if abs(c.sum() - self.trials) > 1e-9 * max(1.0, self.trials):
+        if abs(c.sum() - self.trials) > _SUM_TOL * max(1.0, self.trials):
             raise ValidationError(
-                f"counts sum {c.sum():g} != trials {self.trials:g}")
+                f"counts sum {c.sum():.12g} != trials {self.trials:g}")
         object.__setattr__(self, "counts", c)
-
-    @classmethod
-    def from_exact(cls, dist: OutcomeDistribution) -> "CountTable":
-        return cls(counts=dist.probs.copy(), trials=1.0, rng_seed=None)
 
     @property
     def s(self) -> int:
@@ -166,10 +134,10 @@ def _splitter_amplitudes(left: np.ndarray, right_cols: np.ndarray,
     return t.reshape(right_cols.shape[0], -1).T @ right_cols
 
 
-def interference_probs(left: FockVector, right: FockVector
-                       ) -> OutcomeDistribution:
+def interference_probs(left: FockVector, right: FockVector) -> CountTable:
     """Exact joint output distribution of a 50-50 beam splitter.
 
+    The result is a table with trials = 1 holding the probabilities.
     The grid is (2s+1)^2 with s the larger photon support of the two
     inputs, which holds every output exactly; inputs may carry any
     cutoff above their support.
@@ -184,8 +152,8 @@ def interference_probs(left: FockVector, right: FockVector
     s = max(n_l, n_r)
     amp = _splitter_amplitudes(left.amplitudes[:n_l + 1],
                                right.amplitudes[:n_r + 1, None], s)
-    return OutcomeDistribution(
-        (np.abs(amp) ** 2).reshape(2 * s + 1, 2 * s + 1))
+    return CountTable((np.abs(amp) ** 2).reshape(2 * s + 1, 2 * s + 1),
+                      trials=1.0)
 
 
 def _phase_basis(s: int, phi0: float) -> np.ndarray:
@@ -202,7 +170,7 @@ def superposition_state(coeffs: SuperpositionCoeffs,
 
 
 def superposition_probs(phi_j: float, coeffs: SuperpositionCoeffs,
-                        phi0: float = 0.0) -> OutcomeDistribution:
+                        phi0: float = 0.0) -> CountTable:
     """Distribution for reference |phi(phi_j)>_s against the superposition."""
     s = coeffs.s
     left = phase_state(s, phi_j)
@@ -210,19 +178,23 @@ def superposition_probs(phi_j: float, coeffs: SuperpositionCoeffs,
     return interference_probs(left, right)
 
 
-def sample_outcomes(dist: OutcomeDistribution, trials: int,
+def sample_outcomes(table: CountTable, trials: int,
                     seed: int) -> CountTable:
-    """Multinomial sample of the outcome grid, reproducible by seed.
+    """Multinomial sample from a table's frequencies, reproducible by seed.
 
-    Uses the PCG64 generator; identical (dist, trials, seed) triples give
-    identical tables on any platform.
+    Frequencies below _CLAMP_TOL are drawn as zero: cells that vanish by
+    symmetry hold rounding residue (about 1e-33), and the generator draws
+    a variate for every nonzero cell, so the residue would shift the
+    counts of every later cell. Uses the PCG64 generator; identical
+    (table, trials, seed) triples give identical tables on any platform.
     """
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ValidationError(f"trials must be a positive integer, got {trials}")
     rng = np.random.Generator(np.random.PCG64(int(seed)))
-    p = dist.probs.ravel()
+    p = table.frequencies().ravel()
+    p = np.where(p < _CLAMP_TOL, 0.0, p)
     counts = rng.multinomial(int(trials), p / p.sum())
-    return CountTable(counts=counts.reshape(dist.probs.shape).astype(float),
+    return CountTable(counts=counts.reshape(table.counts.shape).astype(float),
                       trials=float(trials), rng_seed=int(seed))
 
 
@@ -232,6 +204,15 @@ class PhaseEstimate:
     stderr: float
     candidates: tuple
     informative_counts: float
+
+
+def _check_order(tables, s: int) -> None:
+    if s < 1:
+        raise ValidationError(f"s must be >= 1, got {s}")
+    for t in tables:
+        if t.s != s:
+            raise ValidationError(
+                f"table grid is for s={t.s}, estimator called with s={s}")
 
 
 def _contrast(table: CountTable) -> tuple[float, float]:
@@ -259,8 +240,7 @@ def estimate_phase(counts: CountTable, phi_j: float, s: int,
     propagation; counts scaled to trials = 1 give the exact-probability
     limit.
     """
-    if s < 1:
-        raise ValidationError(f"s must be >= 1, got {s}")
+    _check_order([counts] if aux is None else [counts, aux[1]], s)
     c1, n1 = _contrast(counts)
     var_c1 = max(0.0, (1.0 - c1 * c1)) / n1
     if aux is None:
@@ -345,16 +325,11 @@ def estimate_coefficients(tables, s: int, *, phi0: float = 0.0,
     and starts - 1 seeded draws); the lowest-cost optimum is
     gauge-fixed. Exact tables fit like sampled ones.
     """
-    if s < 1:
-        raise ValidationError(f"s must be >= 1, got {s}")
     tables = list(tables)
+    _check_order([t for _, t in tables], s)
     if not tables:
         raise ValidationError("no count tables given")
     settings = [float(p) for p, _ in tables]
-    for _, t in tables:
-        if t.s != s:
-            raise ValidationError(
-                f"table grid is for s={t.s}, estimator called with s={s}")
     if not _covers_eigenphases(settings, s, phi0):
         raise ValidationError(
             "settings must include every eigenphase of order s")
@@ -383,81 +358,3 @@ def estimate_coefficients(tables, s: int, *, phi0: float = 0.0,
     if s == 1 and all(abs(math.sin(p - phi0)) < 1e-9 for p in settings):
         note = "relative-phase sign not identifiable from on-axis settings"
     return gauge_fixed(best.x[:s + 1] + 1j * best.x[s + 1:], s, note=note)
-
-
-def save_count_table(path, table: CountTable, phi_j: float) -> None:
-    """CSV dump: header comments, then n1,n2,count rows."""
-    lines = [
-        f"# trials={table.trials!r}",
-        f"# seed={'none' if table.rng_seed is None else table.rng_seed}",
-        f"# phi_j={float(phi_j)!r}",
-        f"# s={table.s}",
-        "n1,n2,count",
-    ]
-    dim = table.counts.shape[0]
-    for n1 in range(dim):
-        for n2 in range(dim):
-            v = table.counts[n1, n2]
-            text = str(int(v)) if float(v).is_integer() else repr(float(v))
-            lines.append(f"{n1},{n2},{text}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_count_table(path) -> tuple[float, int, CountTable]:
-    """Inverse of save_count_table; returns (phi_j, s, table).
-
-    A malformed row or a non-numeric header or cell value raises
-    ValidationError naming the path and the line.
-    """
-    meta: dict[str, tuple[int, str]] = {}
-    rows = []
-
-    def number(convert, text, lineno):
-        try:
-            return convert(text)
-        except ValueError:
-            raise ValidationError(f"{path}, line {lineno}: cannot read "
-                                  f"{text!r} as {convert.__name__}") from None
-
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                meta[key.strip()] = (lineno, value.strip())
-            elif not line.startswith("n1"):
-                cells = line.split(",")
-                if len(cells) != 3:
-                    raise ValidationError(f"{path}, line {lineno}: expected "
-                                          f"n1,n2,count, got {line!r}")
-                rows.append((number(int, cells[0], lineno),
-                             number(int, cells[1], lineno),
-                             number(float, cells[2], lineno)))
-    if "s" not in meta or "trials" not in meta:
-        raise ValidationError(f"missing header metadata in {path}")
-
-    def header(key, convert, default=None):
-        if key not in meta:
-            return default
-        return number(convert, meta[key][1], meta[key][0])
-
-    s = header("s", int)
-    if s < 0:
-        raise ValidationError(
-            f"{path}, line {meta['s'][0]}: s must be >= 0, got {s}")
-    dim = 2 * s + 1
-    counts = np.zeros((dim, dim))
-    for n1, n2, v in rows:
-        if not (0 <= n1 < dim and 0 <= n2 < dim):
-            raise ValidationError(
-                f"cell ({n1}, {n2}) lies outside the s={s} grid in {path}")
-        counts[n1, n2] = v
-    seed_line, seed_text = meta.get("seed", (0, "none"))
-    seed = None if seed_text == "none" else number(int, seed_text, seed_line)
-    table = CountTable(counts=counts, trials=header("trials", float),
-                       rng_seed=seed)
-    phi_j = header("phi_j", float, 0.0)
-    return phi_j, s, table

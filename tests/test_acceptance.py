@@ -24,8 +24,8 @@ from pbsim.fock import (FockVector, conditional_density, fidelity_pure,
 from pbsim.herald import (HeraldConfig, alpha_polynomial, build_state,
                           herald_point, solve_alphas, symmetric_factors)
 from pbsim.ops import detector_povm
-from pbsim.phase_est import (CountTable, estimate_coefficients,
-                             estimate_phase, gauge_fixed, interference_probs,
+from pbsim.phase_est import (estimate_coefficients, estimate_phase,
+                             gauge_fixed, interference_probs,
                              sample_outcomes, superposition_probs)
 from pbsim.phase_est import SuperpositionCoeffs
 from pbsim.phase_states import pb_eigenstate, phase_state, phase_value
@@ -379,7 +379,7 @@ def test_criterion_11_printed_probability_formulas():
                 (2, 0): (1.5 + math.sqrt(2) * math.cos(d)) / norm,
             }
             for key, val in derived.items():
-                gap = abs(dist.prob(*key) - val)
+                gap = abs(dist.frequencies()[key] - val)
                 worst[key] = max(worst.get(key, 0.0), gap)
             printed_sum = printed[(0, 2)] + printed[(2, 0)] + derived[(1, 1)]
             printed_excess = min(printed_excess, printed_sum - 3 / norm)
@@ -394,11 +394,11 @@ def test_criterion_11_printed_probability_formulas():
             want10 = r * r / 2
             printed01 = (1 - r) ** 2 / 2
             sup_worst["P(0,0;0)"] = max(sup_worst["P(0,0;0)"],
-                                        abs(dist.prob(0, 0) - want00))
+                                        abs(dist.frequencies()[0, 0] - want00))
             sup_worst["P(0,1;0)"] = max(sup_worst["P(0,1;0)"],
-                                        abs(dist.prob(0, 1) - want01))
+                                        abs(dist.frequencies()[0, 1] - want01))
             sup_worst["P(1,0;0)"] = max(sup_worst["P(1,0;0)"],
-                                        abs(dist.prob(1, 0) - want10))
+                                        abs(dist.frequencies()[1, 0] - want10))
             printed_sup_gap = min(printed_sup_gap,
                                   abs(printed01 + want10 - 0.5))
     gaps = {f"P{key}": val for key, val in worst.items()}
@@ -417,11 +417,11 @@ def test_criterion_12_estimation_round_trips():
     phase_err = 0.0
     for phi_k in (-2.1, -0.4, 0.9, 2.8):
         s, phi_j = 2, 0.3
-        main_t = CountTable.from_exact(interference_probs(
-            phase_state(s, phi_j), phase_state(s, phi_k)))
+        main_t = interference_probs(phase_state(s, phi_j),
+                                    phase_state(s, phi_k))
         aux_phi = phi_j + math.pi / 2
-        aux_t = CountTable.from_exact(interference_probs(
-            phase_state(s, aux_phi), phase_state(s, phi_k)))
+        aux_t = interference_probs(phase_state(s, aux_phi),
+                                   phase_state(s, phi_k))
         est = estimate_phase(main_t, phi_j, s, aux=(aux_phi, aux_t))
         phase_err = max(phase_err, abs(est.phi_k - phi_k))
 
@@ -431,8 +431,7 @@ def test_criterion_12_estimation_round_trips():
         c = np.array([r, math.sqrt(1 - r * r) * np.exp(1j * theta)])
         truth = SuperpositionCoeffs(1, c)
         settings = [phase_value(1, 0), phase_value(1, 1), math.pi / 2]
-        tables = [(p, CountTable.from_exact(superposition_probs(p, truth)))
-                  for p in settings]
+        tables = [(p, superposition_probs(p, truth)) for p in settings]
         got = estimate_coefficients(tables, 1)
         r_hat = float(got.c[0].real)
         theta_hat = float(np.angle(got.c[1]))

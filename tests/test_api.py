@@ -7,7 +7,7 @@ PUBLIC_NAMES = [
     "DegenerateHeraldError", "DetectorPovm", "FockDensity", "FockVector",
     "HeraldConfig", "HeraldResult", "HeraldSweepRow", "LeakageWarning",
     "LowInformationError", "NegativityResult", "NumericalError",
-    "OutcomeDistribution", "PbsimError", "PhaseEstimate", "QuadratureError",
+    "PbsimError", "PhaseEstimate", "QuadratureError",
     "QuadratureSpec", "RankDeficiencyWarning", "RootQualityError",
     "SuperpositionCoeffs", "TwoModeUnitary",
     "ValidationError", "WignerGrid", "WindowExhaustedError", "__version__",
@@ -16,10 +16,10 @@ PUBLIC_NAMES = [
     "conditional_density", "detector_povm", "displacement_op",
     "effective_radius", "estimate_coefficients", "estimate_phase",
     "fidelity_pure", "gauge_fixed", "herald_alphas", "herald_point",
-    "interference_probs", "load_count_table",
+    "interference_probs",
     "negativity_volume", "negativity_volume_detailed", "number_state",
     "pad_to_cutoff", "pb_eigenstate", "pb_phase_operator", "phase_state",
-    "phase_value", "sample_outcomes", "save_count_table", "solve_alphas",
+    "phase_value", "sample_outcomes", "solve_alphas",
     "superposition_probs", "superposition_state", "sweep",
     "symmetric_factors", "tensor_product", "tmsv", "vacuum_state",
     "wigner_batch", "wigner_grid", "wigner_point", "wigner_point_integral",

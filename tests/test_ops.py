@@ -145,7 +145,7 @@ def test_tmsv_norm():
 def test_displacement_series_vs_exact():
     # order-5 series against the matrix exponential at small amplitude
     alpha = 0.05
-    d_series = displacement_op(alpha, 5, scheme="series", order=5)
+    d_series = displacement_op(alpha, 5, scheme="series")
     d_exact = displacement_op(alpha, 5, scheme="exact")
     assert np.abs(d_series - d_exact).max() < 1e-7
 
