@@ -16,6 +16,8 @@ its derivative and its integrals in closed form.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy.special import erfc
@@ -32,10 +34,11 @@ def hermite_functions(nmax: int, xi) -> np.ndarray:
     out = np.empty((nmax + 1,) + xi.shape)
     out[0] = np.pi ** -0.25 * np.exp(-0.5 * xi * xi)
     if nmax >= 1:
-        out[1] = np.sqrt(2.0) * xi * out[0]
+        out[1] = math.sqrt(2.0) * xi * out[0]
+    # math.sqrt rounds exactly as np.sqrt, without a numpy scalar per step
     for n in range(2, nmax + 1):
-        out[n] = (np.sqrt(2.0 / n) * xi * out[n - 1]
-                  - np.sqrt((n - 1.0) / n) * out[n - 2])
+        out[n] = (math.sqrt(2.0 / n) * xi * out[n - 1]
+                  - math.sqrt((n - 1.0) / n) * out[n - 2])
     return out
 
 

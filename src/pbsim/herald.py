@@ -26,7 +26,8 @@ from .fock import (FockDensity, FockVector, conditional_density,
 from .ops import (_transfer_tensor, beam_splitter_pb, detector_povm,
                   displacement_op, tmsv)
 from .phase_states import pb_eigenstate
-from .wigner import negativity_volume
+from .wigner import (NegativityResult, _negativity_volumes,
+                     negativity_volume)
 
 # Summed truncation leakage above which build_state warns.
 LEAKAGE_BOUND = 1e-6
@@ -196,8 +197,12 @@ def build_state(cfg: HeraldConfig, alphas=None) -> FockVector:
     return FockVector(amp, leakage=leakage)
 
 
-def herald_point(cfg: HeraldConfig) -> HeraldResult:
-    """One-shot evaluation of alphas, P, F, rho_A and V."""
+def _condition(cfg: HeraldConfig) -> dict:
+    """HeraldResult's fields but V for one configuration.
+
+    Builds the circuit state, conditions mode A on a click at every
+    distribution detector and scores rho_A against the target |phi_0>_s.
+    """
     alphas = herald_alphas(cfg)
     state = build_state(cfg, alphas)
     povm = detector_povm(cfg.eta, cfg.cutoff)
@@ -205,10 +210,15 @@ def herald_point(cfg: HeraldConfig) -> HeraldResult:
                                    kept_mode=cfg.s)
     target = pb_eigenstate(cfg.s, 0, cutoff=cfg.cutoff)
     fid = fidelity_pure(rho_a, target)
-    vol = negativity_volume(rho_a)
-    return HeraldResult(alphas=tuple(complex(a) for a in alphas),
-                        P=float(p), F=float(fid), rho_A=rho_a,
-                        V=float(vol), leakage=float(state.leakage))
+    return dict(alphas=tuple(complex(a) for a in alphas), P=float(p),
+                F=float(fid), rho_A=rho_a, leakage=float(state.leakage))
+
+
+def herald_point(cfg: HeraldConfig) -> HeraldResult:
+    """One-shot evaluation of alphas, P, F, rho_A and V."""
+    fields = _condition(cfg)
+    return HeraldResult(V=float(negativity_volume(fields["rho_A"])),
+                        **fields)
 
 
 @dataclass(frozen=True)
@@ -224,24 +234,36 @@ class HeraldSweepRow:
 
 
 def sweep(s: int, r_values, eta_values) -> list[HeraldSweepRow]:
-    """Evaluate herald_point over an (eta, r) grid at HeraldConfig defaults.
+    """Herald figures over an (eta, r) grid at HeraldConfig defaults.
 
-    Row order is deterministic: eta in the given order outermost, r
-    innermost. Numerical failures (for example r = 0, where no detector
-    can click) are recorded in the row's error field and the sweep
-    continues; invalid configurations still raise.
+    Each grid point is conditioned on its own; then the negativity
+    volumes of all points that conditioned share one batched adaptive
+    pass, and each equals herald_point's V for its point. Row order is
+    deterministic: eta in the given order outermost, r innermost.
+    Numerical failures (for example r = 0, where no detector can click,
+    or a volume that misses its tolerance) are recorded in the row's
+    error field and the sweep continues; invalid configurations still
+    raise.
     """
-    rows: list[HeraldSweepRow] = []
+    points = []  # (r, eta, HeraldResult's fields but V, or the error text)
     for eta in eta_values:
         for r in r_values:
             cfg = HeraldConfig(s=s, r=float(r), eta=float(eta))
             try:
-                res = herald_point(cfg)
-                rows.append(HeraldSweepRow(s, float(r), float(eta), res.P,
-                                           res.F, res.V, res.leakage))
+                points.append((cfg.r, cfg.eta, _condition(cfg)))
             except NumericalError as exc:
-                rows.append(HeraldSweepRow(s, float(r), float(eta),
-                                           float("nan"), float("nan"),
-                                           float("nan"), float("nan"),
-                                           error=str(exc)))
+                points.append((cfg.r, cfg.eta, str(exc)))
+    volumes = iter(_negativity_volumes(
+        [f["rho_A"] for _, _, f in points if isinstance(f, dict)]))
+    rows: list[HeraldSweepRow] = []
+    for r, eta, fields in points:
+        vol = next(volumes) if isinstance(fields, dict) else fields
+        if isinstance(vol, NegativityResult):
+            res = HeraldResult(V=float(vol.volume), **fields)
+            rows.append(HeraldSweepRow(s, r, eta, res.P, res.F, res.V,
+                                       res.leakage))
+        else:
+            nan = float("nan")
+            rows.append(HeraldSweepRow(s, r, eta, nan, nan, nan, nan,
+                                       error=str(vol)))
     return rows

@@ -215,6 +215,12 @@ def _check_order(tables, s: int) -> None:
                 f"table grid is for s={t.s}, estimator called with s={s}")
 
 
+def _is_exact(table: CountTable) -> bool:
+    """A table of probabilities (trials = 1 and no seed, as
+    interference_probs returns): the exact limit, without sampling error."""
+    return table.trials == 1.0 and table.rng_seed is None
+
+
 def _contrast(table: CountTable) -> tuple[float, float]:
     n10 = float(table.counts[1, 0])
     n01 = float(table.counts[0, 1])
@@ -237,20 +243,22 @@ def estimate_phase(counts: CountTable, phi_j: float, s: int,
     cos(phi_j - phi_k). With one setting the sign of the difference is
     unresolvable, so both candidates are returned; a second reference
     setting (aux) pins it down. Standard errors come from binomial
-    propagation; counts scaled to trials = 1 give the exact-probability
-    limit.
+    propagation; tables of probabilities (trials = 1, no seed) are the
+    exact-probability limit and report a zero stderr.
     """
     _check_order([counts] if aux is None else [counts, aux[1]], s)
     c1, n1 = _contrast(counts)
-    var_c1 = max(0.0, (1.0 - c1 * c1)) / n1
+    var_c1 = 0.0 if _is_exact(counts) else max(0.0, (1.0 - c1 * c1)) / n1
     if aux is None:
         delta = math.acos(c1)
         cands = (_wrap_angle(phi_j - delta), _wrap_angle(phi_j + delta))
-        return PhaseEstimate(phi_k=cands[0], stderr=1.0 / math.sqrt(n1),
-                             candidates=cands, informative_counts=n1)
+        return PhaseEstimate(
+            phi_k=cands[0],
+            stderr=0.0 if _is_exact(counts) else 1.0 / math.sqrt(n1),
+            candidates=cands, informative_counts=n1)
     phi_j2, table2 = aux
     c2, n2 = _contrast(table2)
-    var_c2 = max(0.0, (1.0 - c2 * c2)) / n2
+    var_c2 = 0.0 if _is_exact(table2) else max(0.0, (1.0 - c2 * c2)) / n2
     dsep = phi_j2 - phi_j
     sd = math.sin(dsep)
     if abs(sd) < 1e-9:

@@ -6,7 +6,8 @@ H_n(sqrt(2) x) exp(-x^2). Every W value comes from the exact Hermite
 expansion in _kernels: its coefficient table is computed once per state
 and public call, then each lattice or point set is a few matrix
 products. The negativity volume integrates |W| exactly along each line
-of fixed q, from the roots of W there, and adaptively over q.
+of fixed q, from the roots of W there, and adaptively over q; several
+states of one dimension share one adaptive pass.
 wigner_point_integral keeps the defining integral as an independent
 slow oracle.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -24,7 +26,8 @@ from scipy.optimize import brentq
 from ._kernels import (hermite_functions, hermite_primitives,
                        hermite_series_derivative, wigner_batch,
                        wigner_coefficients, wigner_lattice, wigner_points)
-from .errors import (QuadratureError, ValidationError, WindowExhaustedError)
+from .errors import (NumericalError, QuadratureError, ValidationError,
+                     WindowExhaustedError)
 from .fock import FockDensity, FockVector
 
 RADIUS_THRESHOLD = 0.001
@@ -36,6 +39,9 @@ _ORACLE_HALF_RANGE = 40.0
 _ROOT_STEP = 1e-8
 _ROOT_BRACKET = 1e-13
 _POLISH_STEPS = 64
+# q lines per line-integral block: bounds the p-grid tables' memory when
+# many states share one pass
+LINE_BLOCK = 2048
 
 
 def hermite_wavefunctions_all(nmax: int, x) -> np.ndarray:
@@ -163,7 +169,8 @@ class QuadratureSpec:
     PANEL_ORDER-point Gauss-Legendre panels, halved level by level,
     at most MAX_DEPTH times, until parent and children agree to tol. L
     is effective_radius plus radius_margin. max_evals caps the
-    Hermite-series evaluations.
+    Hermite-series evaluations per state: volumes integrated in one pass
+    (a herald sweep) each have their own budget, tolerance and depth.
     """
 
     tol: float = 1e-6
@@ -224,97 +231,225 @@ def negativity_volume(rho, quad: QuadratureSpec | None = None) -> float:
 
 def negativity_volume_detailed(rho, quad: QuadratureSpec | None = None
                                ) -> NegativityResult:
+    (result,) = _negativity_volumes([rho], quad)
+    if isinstance(result, NumericalError):
+        raise result
+    return result
+
+
+def _negativity_volumes(densities, quad: QuadratureSpec | None = None
+                        ) -> list:
+    """negativity_volume_detailed of each density, in one adaptive pass.
+
+    The densities must share one dimension. Every line-integral call
+    carries the q lines of all states still refining, but each state
+    keeps its own box, tail check, panels, stopping rule, depth and
+    evaluation budget, so its result is the one it gets alone. A state
+    whose numerics fail gets its NumericalError in its place in the
+    returned list, and the others go on.
+    """
     spec = quad if quad is not None else DEFAULT_QUADRATURE
-    dm = _as_density(rho)
-    _check_unit_trace(dm)
-    coef = wigner_coefficients(dm.matrix)
-    half_width = _radius(coef) + spec.radius_margin
-    lines = _LineIntegrals(coef, half_width)
-    tail = float(lines.panels(np.array([-half_width - 2.0, half_width]),
-                              np.array([-half_width, half_width + 2.0])
-                              ).sum())
-    if tail > spec.tol:
-        raise QuadratureError(
-            f"|W| outside the box |q| <= {half_width:.3f} integrates "
-            f"to {tail:.3e}, above tolerance {spec.tol:.1e}; raise "
-            f"radius_margin")
-    absint, depth = _adaptive_q_integral(lines, half_width, spec)
+    dms = [_as_density(rho) for rho in densities]
+    dims = sorted({dm.matrix.shape[0] for dm in dms})
+    if len(dims) > 1:
+        raise ValidationError(
+            f"batched negativity volumes need one dimension, got {dims}")
+    for dm in dms:
+        _check_unit_trace(dm)
+    results: list = [None] * len(dms)
+    index, coefs, half_widths = [], [], []
+    for i, dm in enumerate(dms):
+        coef = wigner_coefficients(dm.matrix)
+        try:
+            half_widths.append(_radius(coef) + spec.radius_margin)
+        except NumericalError as exc:
+            results[i] = exc
+            continue
+        index.append(i)
+        coefs.append(coef)
+    if not index:
+        return results
+    lines = _LineIntegrals(np.stack(coefs), half_widths)
+    tails = [float(t.sum()) for t in lines.panels(
+        [(k, np.array([-hw - 2.0, hw]), np.array([-hw, hw + 2.0]))
+         for k, hw in enumerate(half_widths)])]
+    boxed = []
+    for k, (hw, tail) in enumerate(zip(half_widths, tails)):
+        if tail > spec.tol:
+            results[index[k]] = QuadratureError(
+                f"|W| outside the box |q| <= {hw:.3f} integrates "
+                f"to {tail:.3e}, above tolerance {spec.tol:.1e}; raise "
+                f"radius_margin")
+        else:
+            boxed.append(k)
+    for k, integral in _adaptive_q_integrals(lines, boxed, spec).items():
+        results[index[k]] = _volume(integral, lines, k, tails[k], spec)
+    return results
+
+
+def _volume(integral, lines, k, tail, spec):
+    """State k's NegativityResult from its adaptive integral, or the error."""
+    if isinstance(integral, QuadratureError):
+        return integral
+    absint, depth = integral
     raw = 0.5 * (absint - 1.0)
     if raw < 0.0:
         if raw < -100.0 * spec.tol:
-            raise QuadratureError(
+            return QuadratureError(
                 f"negativity volume {raw:.3e} below zero beyond tolerance")
         raw = 0.0
     return NegativityResult(volume=float(raw), abs_integral=float(absint),
                             tail_estimate=tail,
-                            box_half_width=float(half_width),
-                            evaluations=lines.evaluations,
-                            max_depth_reached=depth, roots=lines.roots)
+                            box_half_width=float(lines.half_widths[k]),
+                            evaluations=int(lines.evaluations[k]),
+                            max_depth_reached=depth,
+                            roots=int(lines.roots[k]))
 
 
-def _adaptive_q_integral(lines, half_width, spec):
+def _adaptive_q_integrals(lines, states, spec) -> dict:
     """Integral over q in [-L, L] of the exact line integrals of |W|.
 
-    Returns (value, depth_reached). Panels are halved level by level; a
-    panel is accepted when its parent/children difference is below its
-    width share of the tolerance, and the refinement stops early once
-    the remaining difference budget is below half the target.
+    Returns {state: (value, depth_reached) or QuadratureError}. Panels are
+    halved level by level; a panel is accepted when its parent/children
+    difference is below its width share of the tolerance, and a state's
+    refinement stops early once its remaining difference budget is below
+    half the target. Tolerance, MAX_DEPTH and max_evals hold per state;
+    one line-integral call per level serves all states still refining.
     """
-    q0 = np.array([-half_width])
-    q1 = np.array([half_width])
-    vals = lines.panels(q0, q1)
-    total = 0.0
+    if not states:
+        return {}
+    hw = lines.half_widths
+    parts = [(k, np.array([-hw[k]]), np.array([hw[k]])) for k in states]
+    # state -> (q0, q1, panel values, accepted total)
+    live = {k: (q0, q1, vals, 0.0)
+            for (k, q0, q1), vals in zip(parts, lines.panels(parts))}
+    out: dict = {}
     for depth in range(1, MAX_DEPTH + 1):
-        qm = 0.5 * (q0 + q1)
-        cq0 = np.concatenate([q0, qm])
-        cq1 = np.concatenate([qm, q1])
-        cvals = lines.panels(cq0, cq1)
-        if lines.evaluations > spec.max_evals:
-            raise QuadratureError(
-                f"evaluation budget {spec.max_evals} exceeded at depth {depth}")
-        child_sum = cvals[:q0.size] + cvals[q0.size:]
-        diff = np.abs(child_sum - vals)
-        if diff.sum() <= 0.5 * spec.tol:
-            return float(total + child_sum.sum()), depth
-        done = diff <= spec.tol * (q1 - q0) / (2.0 * half_width)
-        total += float(child_sum[done].sum())
-        keep2 = np.concatenate([~done, ~done])
-        q0, q1, vals = cq0[keep2], cq1[keep2], cvals[keep2]
-        if q0.size == 0:
-            return float(total), depth
-    raise QuadratureError(
-        f"{q0.size} panels unconverged at max depth {MAX_DEPTH}")
+        parts = []
+        for k, (q0, q1, _, _) in live.items():
+            qm = 0.5 * (q0 + q1)
+            parts.append((k, np.concatenate([q0, qm]),
+                          np.concatenate([qm, q1])))
+        for (k, cq0, cq1), cvals in zip(parts, lines.panels(parts)):
+            q0, q1, vals, total = live.pop(k)
+            if lines.evaluations[k] > spec.max_evals:
+                out[k] = QuadratureError(
+                    f"evaluation budget {spec.max_evals} exceeded at "
+                    f"depth {depth}")
+                continue
+            child_sum = cvals[:q0.size] + cvals[q0.size:]
+            diff = np.abs(child_sum - vals)
+            if diff.sum() <= 0.5 * spec.tol:
+                out[k] = (float(total + child_sum.sum()), depth)
+                continue
+            done = diff <= spec.tol * (q1 - q0) / (2.0 * hw[k])
+            total += float(child_sum[done].sum())
+            keep2 = np.concatenate([~done, ~done])
+            if keep2.any():
+                live[k] = (cq0[keep2], cq1[keep2], cvals[keep2], total)
+            else:
+                out[k] = (float(total), depth)
+        if not live:
+            return out
+    for k, (q0, _, _, _) in live.items():
+        out[k] = QuadratureError(
+            f"{q0.size} panels unconverged at max depth {MAX_DEPTH}")
+    return out
+
+
+def _blocks(segs):
+    """Line ranges (state, lo, hi) packed into blocks of <= LINE_BLOCK lines.
+
+    A state's lines stay in one block unless they alone exceed LINE_BLOCK.
+    """
+    blocks, size = [[]], 0
+    for k, lo, hi in segs:
+        for a in range(lo, hi, LINE_BLOCK):
+            b = min(a + LINE_BLOCK, hi)
+            if size + (b - a) > LINE_BLOCK:
+                blocks.append([])
+                size = 0
+            blocks[-1].append((k, a, b))
+            size += b - a
+    return blocks
+
+
+def _line_states(segs) -> np.ndarray:
+    """The state index of each line of a block's ranges segs."""
+    state = np.empty(segs[-1][2], dtype=np.intp)
+    for k, lo, hi in segs:
+        state[lo:hi] = k
+    return state
 
 
 class _LineIntegrals:
-    """G(q) = Int |W(q, p)| dp, exact up to root polishing, for one state.
+    """G(q) = Int |W(q, p)| dp, exact up to root polishing, for a batch of
+    states of one dimension.
 
-    Holds the coefficient table, the p grid with its Hermite table and
-    the running evaluation and root counts.
+    Holds each state's coefficient table, box half-width, p grid with its
+    Hermite table, and running evaluation and root counts. Lines come as
+    ranges (state, lo, hi) of a q array: lines lo..hi-1 belong to that
+    state. Each state's matrix products run on exactly the rows it would
+    have alone; the bracket search and polishing run once per block of
+    at most LINE_BLOCK lines, over all its states.
     """
 
-    def __init__(self, coef: np.ndarray, half_width: float):
-        self.coef = coef
-        dim = coef.shape[0]
-        end = 2.0 * half_width + 4.0
-        cells = math.ceil(2.0 * end / (0.5 * math.pi / math.sqrt(2.0 * dim)))
-        self.xi = np.linspace(-end, end, cells + 1)
-        self.h_xi = hermite_functions(dim, self.xi)
+    def __init__(self, coefs: np.ndarray, half_widths):
+        self.coef = coefs
+        self.half_widths = list(half_widths)
+        dim = coefs.shape[1]
+        grids = []
+        for hw in self.half_widths:
+            end = 2.0 * hw + 4.0
+            cells = math.ceil(
+                2.0 * end / (0.5 * math.pi / math.sqrt(2.0 * dim)))
+            grids.append(np.linspace(-end, end, cells + 1))
+        self.h_xi = [hermite_functions(dim, xi) for xi in grids]
+        # each state's p grid, padded to the widest by its last point
+        width = max(xi.size for xi in grids)
+        self.xi = np.array([np.pad(xi, (0, width - xi.size), mode="edge")
+                            for xi in grids])
         self.full_line = hermite_primitives(dim - 1, np.array([np.inf]))[:, 0]
-        self.evaluations = 0
-        self.roots = 0
+        self.evaluations = np.zeros(len(coefs), dtype=np.int64)
+        self.roots = np.zeros(len(coefs), dtype=np.int64)
 
-    def panels(self, q0, q1) -> np.ndarray:
-        """Gauss-Legendre estimate of Int G dq over each panel [q0, q1]."""
+    def _per_state(self, states: np.ndarray) -> np.ndarray:
+        """How many entries of states name each state."""
+        return np.bincount(states, minlength=self.evaluations.size)
+
+    def panels(self, parts) -> list:
+        """Gauss-Legendre estimates of Int G dq over panels [q0, q1].
+
+        parts lists (state, q0, q1); returns each part's panel values.
+        """
+        q0 = np.concatenate([p[1] for p in parts])
+        q1 = np.concatenate([p[2] for p in parts])
         hq = 0.5 * (q1 - q0)
         qs = (0.5 * (q1 + q0))[:, None] + hq[:, None] * _NODES
-        g = self.at(qs.ravel()).reshape(qs.shape)
-        return (g @ _WEIGHTS) * hq
+        bounds = list(accumulate((p[1].size for p in parts), initial=0))
+        g = self.at(qs.ravel(), [(k, PANEL_ORDER * lo, PANEL_ORDER * hi)
+                                 for (k, _, _), lo, hi in
+                                 zip(parts, bounds, bounds[1:])])
+        g = g.reshape(qs.shape)
+        return [(g[lo:hi] @ _WEIGHTS) * hq[lo:hi]
+                for lo, hi in zip(bounds, bounds[1:])]
 
-    def at(self, qs: np.ndarray) -> np.ndarray:
-        """G at each q of qs."""
-        a, rows, roots = self.find_roots(qs)
-        self.roots += roots.size
+    def at(self, qs: np.ndarray, segs) -> np.ndarray:
+        """G at each q of qs, evaluated LINE_BLOCK lines at a time."""
+        out = np.empty(qs.size)
+        for block in _blocks(segs):
+            lo, hi = block[0][1], block[-1][2]
+            out[lo:hi] = self._block_at(
+                qs[lo:hi], [(k, a - lo, b - lo) for k, a, b in block])
+        return out
+
+    def _block_at(self, qs: np.ndarray, segs) -> np.ndarray:
+        """G on the lines of one block."""
+        a, rows, roots = self.find_roots(qs, segs)
+        state = _line_states(segs)
+        found = self._per_state(state[rows])
+        self.roots += found
+        self.evaluations += found + self._per_state(state)
         # Int |W| dp is half the sum of |P(b) - P(a)| over the intervals
         # between consecutive roots, with P(-inf) = 0 and P(inf) = a . P_inf
         n = qs.size
@@ -323,9 +458,8 @@ class _LineIntegrals:
         prim = np.concatenate([
             np.zeros(n),
             np.einsum("ik,ki->i", a[rows],
-                      hermite_primitives(a.shape[1] - 1, roots)),
-            a @ self.full_line])
-        self.evaluations += roots.size + n
+                      hermite_primitives(a.shape[1] - 1, roots))]
+            + [a[lo:hi] @ self.full_line for _, lo, hi in segs])
         order = np.lexsort((xs, line))
         line, prim = line[order], prim[order]
         same = line[1:] == line[:-1]
@@ -333,42 +467,78 @@ class _LineIntegrals:
                                  weights=np.abs(np.diff(prim))[same],
                                  minlength=n)
 
-    def find_roots(self, qs: np.ndarray):
+    def find_roots(self, qs: np.ndarray, segs):
         """Sign changes of W(q, p) in xi = 2p on each line q = qs[i].
 
-        Returns (a, rows, roots): the lines' series coefficients
+        Each range (state, lo, hi) of segs takes its state's table and p
+        grid. Returns (a, rows, roots): the lines' series coefficients
         a(q) = C^T h(2q), and each root's line index and xi.
         """
-        dim = self.coef.shape[0]
-        xi = self.xi
-        a = hermite_functions(dim - 1, 2.0 * qs).T @ self.coef
-        f = a @ self.h_xi[:dim]
-        fp = hermite_series_derivative(a) @ self.h_xi
-        self.evaluations += 2 * f.size
-        pos = f > 0
-        row, cell = np.nonzero(pos[:, 1:] != pos[:, :-1])
-        # a cell whose ends share W's sign holds a pair of roots only if W'
-        # turns toward zero inside it: the extremum decides
-        dpos = fp > 0
-        turn = ((pos[:, 1:] == pos[:, :-1]) & (dpos[:, 1:] != dpos[:, :-1])
-                & (dpos[:, 1:] == pos[:, 1:]))
-        tr, tc = np.nonzero(turn)
-        ext = self._polish(hermite_series_derivative(a), tr, xi[tc],
-                           xi[tc + 1], fp[tr, tc], fp[tr, tc + 1])
+        dim = self.coef.shape[1]
+        hq = hermite_functions(dim - 1, 2.0 * qs)
+        a = np.concatenate([hq[:, lo:hi].T @ self.coef[k]
+                            for k, lo, hi in segs])
+        da = hermite_series_derivative(a)
+        (row, cell), (tr, tc), f, fp = self._brackets(a, da, segs)
+        state = _line_states(segs)
+        xi = self.xi.ravel()
+        grid = state * self.xi.shape[1]  # each line's offset into xi
+        c, t = grid[row] + cell, grid[tr] + tc
+        c_lo, c_hi, t_lo, t_hi = xi[c], xi[c + 1], xi[t], xi[t + 1]
+        f_lo, f_hi = f[row, cell], f[row, cell + 1]
+        fp_lo, fp_hi = fp[tr, tc], fp[tr, tc + 1]
+        ft_lo, ft_hi = f[tr, tc], f[tr, tc + 1]
+        del f, fp  # block-sized tables: not kept through the polishing
+        ext, ext_evals = self._polish(da, tr, t_lo, t_hi, fp_lo, fp_hi)
         f_ext = np.einsum("ik,ki->i", a[tr], hermite_functions(dim - 1, ext))
-        self.evaluations += ext.size
-        pair = (f_ext > 0) != pos[tr, tc]
-        tr, tc, ext, f_ext = tr[pair], tc[pair], ext[pair], f_ext[pair]
+        turned = tr
+        pair = (f_ext > 0) != (ft_lo > 0)
+        tr, t_lo, t_hi, ext, f_ext, ft_lo, ft_hi = (
+            tr[pair], t_lo[pair], t_hi[pair], ext[pair], f_ext[pair],
+            ft_lo[pair], ft_hi[pair])
         rows = np.concatenate([row, tr, tr])
-        roots = self._polish(
-            a, rows,
-            np.concatenate([xi[cell], xi[tc], ext]),
-            np.concatenate([xi[cell + 1], ext, xi[tc + 1]]),
-            np.concatenate([f[row, cell], f[tr, tc], f_ext]),
-            np.concatenate([f[row, cell + 1], f_ext, f[tr, tc + 1]]))
+        roots, root_evals = self._polish(
+            a, rows, np.concatenate([c_lo, t_lo, ext]),
+            np.concatenate([c_hi, ext, t_hi]),
+            np.concatenate([f_lo, ft_lo, f_ext]),
+            np.concatenate([f_hi, f_ext, ft_hi]))
+        # a polishing step evaluates f and f', an extremum's check f
+        self.evaluations += 2 * self._per_state(state[np.concatenate(
+            [turned[ext_evals], rows[root_evals]])]) + self._per_state(
+                state[turned])
         return a, rows, roots
 
-    def _polish(self, a, rows, lo, hi, f_lo, f_hi) -> np.ndarray:
+    def _brackets(self, a, da, segs):
+        """Grid cells bracketing a root of W, and cells to check for a pair.
+
+        W and W' of each line are evaluated on its state's p grid, padded
+        to the widest grid by repeating the last point, which adds no sign
+        change and no turn. Returns the (line, cell) indices of both kinds
+        and the padded W and W' tables.
+        """
+        dim = a.shape[1]
+        f = np.empty((a.shape[0], self.xi.shape[1]))
+        fp = np.empty_like(f)
+        for k, lo, hi in segs:
+            h_xi = self.h_xi[k]
+            end = h_xi.shape[1]
+            np.matmul(a[lo:hi], h_xi[:dim], out=f[lo:hi, :end])
+            np.matmul(da[lo:hi], h_xi, out=fp[lo:hi, :end])
+            f[lo:hi, end:] = f[lo:hi, end - 1:end]
+            fp[lo:hi, end:] = fp[lo:hi, end - 1:end]
+            self.evaluations[k] += 2 * (hi - lo) * end
+        pos = f > 0
+        cross = np.nonzero(pos[:, 1:] != pos[:, :-1])
+        # a cell whose ends share W's sign holds a pair of roots only if
+        # W' turns toward zero inside it: the extremum decides
+        dpos = fp > 0
+        turn = np.nonzero(
+            (pos[:, 1:] == pos[:, :-1]) & (dpos[:, 1:] != dpos[:, :-1])
+            & (dpos[:, 1:] == pos[:, 1:]))
+        return cross, turn, f, fp
+
+    @staticmethod
+    def _polish(a, rows, lo, hi, f_lo, f_hi):
         """A root of row rows[i]'s series a in each bracket [lo[i], hi[i]].
 
         f_lo and f_hi lie on opposite sides of the split f > 0 / f <= 0.
@@ -377,21 +547,23 @@ class _LineIntegrals:
         root error delta moves G only by O(delta^2), so a Newton step
         below _ROOT_STEP ends the iteration. f == 0 counts as a zero step
         even where f' == 0 too: a bracket update there would move away
-        from the root.
+        from the root. Returns the roots and the bracket index of each
+        step, which evaluates f and f'.
         """
         da = hermite_series_derivative(a)
         lo, hi, f_lo, f_hi = lo.copy(), hi.copy(), f_lo.copy(), f_hi.copy()
         lo_pos = f_lo > 0
         x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
         active = np.arange(x.size)
+        stepped = []
         for _ in range(_POLISH_STEPS):
             if active.size == 0:
                 break
+            stepped.append(active)
             xa, r = x[active], rows[active]
             h = hermite_functions(da.shape[1] - 1, xa)
             f = np.einsum("ik,ki->i", a[r], h[:-1])
             fp = np.einsum("ik,ki->i", da[r], h)
-            self.evaluations += 2 * active.size
             left = (f > 0) == lo_pos[active]
             lo[active] = l = np.where(left, xa, lo[active])
             hi[active] = u = np.where(left, hi[active], xa)
@@ -404,7 +576,7 @@ class _LineIntegrals:
             newton = small | ((xn > l) & (xn < u))
             x[active] = np.where(newton, xn, l - fl * (u - l) / (fu - fl))
             active = active[~(small | (u - l <= _ROOT_BRACKET))]
-        return x
+        return x, np.concatenate(stepped) if stepped else active
 
 
 def effective_radius(rho) -> float:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pbsim.errors import (CutoffError, DegenerateHeraldError, LeakageWarning,
-                          ValidationError)
+                          QuadratureError, ValidationError)
 from pbsim.fock import (FockVector, conditional_density, tensor_product,
                         vacuum_state)
 from pbsim.herald import (HeraldConfig, alpha_polynomial, build_state,
@@ -373,3 +373,39 @@ def test_sweep_grid_order_and_errors():
     assert good.error is None
     assert good.P > 0 and 0 < good.F <= 1
     assert sweep(2, [], [1.0]) == []
+
+
+def test_sweep_rows_match_herald_point():
+    # the sweep's volumes share one batched pass; each row is still what
+    # herald_point gives for its point, and r = 0 keeps its error row
+    rows = sweep(4, [0.0, 0.1, 0.3], [1.0, 0.6])
+    assert [(r.eta, r.r) for r in rows] == [
+        (eta, r) for eta in (1.0, 0.6) for r in (0.0, 0.1, 0.3)]
+    for row in rows:
+        if row.r == 0.0:
+            assert "conditioning probability" in row.error
+            assert all(math.isnan(v) for v in (row.P, row.F, row.V,
+                                                row.leakage))
+            continue
+        res = herald_point(HeraldConfig(s=4, r=row.r, eta=row.eta))
+        assert row.error is None
+        assert (row.P, row.F, row.V, row.leakage) == (res.P, res.F, res.V,
+                                                      res.leakage)
+
+
+def test_sweep_volume_failure_is_its_row_only(monkeypatch):
+    import pbsim.herald
+    real = pbsim.herald._negativity_volumes
+
+    def second_fails(densities, quad=None):
+        out = real(densities, quad)
+        out[1] = QuadratureError("forced failure")
+        return out
+
+    monkeypatch.setattr(pbsim.herald, "_negativity_volumes", second_fails)
+    rows = sweep(2, [0.0, 0.1, 0.2], [1.0])
+    assert rows[0].error.startswith("conditioning probability")
+    assert rows[1].error is None and rows[1].V > 0
+    assert rows[2].error == "forced failure"
+    assert all(math.isnan(v) for v in (rows[2].P, rows[2].F, rows[2].V,
+                                        rows[2].leakage))

@@ -224,6 +224,27 @@ def test_phase_two_setting_sampled():
     assert est.stderr < 0.02
 
 
+def test_exact_tables_report_zero_stderr():
+    # a table of probabilities is the exact limit: its trials = 1 are not
+    # events, so no binomial error may be read off them
+    phi_j, phi_k, aux_phi = 0.0, 0.7, math.pi / 2
+    for s in (1, 4):
+        main = eigen_pair_dist(s, phi_j, phi_k)
+        aux = eigen_pair_dist(s, aux_phi, phi_k)
+        assert estimate_phase(main, phi_j, s).stderr == 0.0
+        est = estimate_phase(main, phi_j, s, aux=(aux_phi, aux))
+        assert est.stderr == 0.0
+        assert est.phi_k == pytest.approx(phi_k, abs=1e-12)
+        # a drawn table keeps its sampling error, even of one trial
+        counts = np.zeros_like(main.counts)
+        counts[1, 0] = 1.0
+        drawn = CountTable(counts, trials=1.0, rng_seed=0)
+        assert estimate_phase(drawn, phi_j, s).stderr == 1.0
+        sampled = sample_outcomes(main, 10_000, seed=3)
+        assert estimate_phase(sampled, phi_j, s,
+                              aux=(aux_phi, aux)).stderr > 0.0
+
+
 def test_phase_rejects_degenerate_aux():
     s, phi_j = 2, 0.1
     t = eigen_pair_dist(s, phi_j, 0.5)

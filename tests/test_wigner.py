@@ -1,6 +1,7 @@
 """Tests for the phase-space layer: wavefunctions, W values, integrals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,11 +12,12 @@ from pbsim._kernels import (hermite_functions, hermite_primitives,
                             wigner_batch, wigner_coefficients)
 from pbsim.errors import QuadratureError, ValidationError
 from pbsim.fock import FockDensity, FockVector, number_state, vacuum_state
-from pbsim.herald import HeraldConfig, herald_point
+from pbsim.herald import HeraldConfig, _condition, herald_point
 from pbsim.phase_states import pb_eigenstate
-from pbsim.wigner import (DEFAULT_QUADRATURE, MAX_DEPTH, QuadratureSpec,
-                          WignerGrid, _LineIntegrals, effective_radius,
-                          hermite_wavefunctions_all,
+from pbsim.wigner import (DEFAULT_QUADRATURE, MAX_DEPTH, NegativityResult,
+                          QuadratureSpec,
+                          WignerGrid, _LineIntegrals, _negativity_volumes,
+                          effective_radius, hermite_wavefunctions_all,
                           negativity_volume, negativity_volume_detailed,
                           wigner_grid, wigner_point,
                           wigner_point_integral)
@@ -242,18 +244,96 @@ def test_line_integrals_match_comrade_oracle(name):
     # against the largest |W| on its line
     rho = LINE_STATES[name]()
     half_width = effective_radius(rho) + 2.0
-    lines = _LineIntegrals(wigner_coefficients(rho.matrix), half_width)
+    lines = _LineIntegrals(wigner_coefficients(rho.matrix)[None],
+                           [half_width])
     qs = np.linspace(-half_width, half_width, 51)
-    got = lines.at(qs)
-    a, rows, roots = lines.find_roots(qs)
+    got = lines.at(qs, [(0, 0, qs.size)])
+    a, rows, roots = lines.find_roots(qs, [(0, 0, qs.size)])
     dim = a.shape[1]
-    w_lines = a @ hermite_functions(dim - 1, lines.xi)
+    w_lines = a @ hermite_functions(dim - 1, lines.xi[0])
     w_roots = np.einsum("ik,ki->i", a[rows], hermite_functions(dim - 1, roots))
     assert roots.size > 0
     for i in range(qs.size):
         assert abs(got[i] - _comrade_line_integral(a[i])) <= 1e-12
         peak = np.abs(w_lines[i]).max()
         assert np.all(np.abs(w_roots[rows == i]) <= 1e-12 * peak)
+
+
+@pytest.fixture(scope="module")
+def herald_grid():
+    # the README's herald-sweep grid: 18 heralded s = 4 densities
+    return [_condition(HeraldConfig(s=4, r=float(r), eta=eta))["rho_A"]
+            for eta in (1.0, 0.8, 0.6) for r in np.linspace(0.05, 0.3, 6)]
+
+
+def _assert_alone(batch, results, quad=None):
+    # each state's batched result is the one it gets alone, bit for bit
+    for rho, got in zip(batch, results):
+        try:
+            want = negativity_volume_detailed(rho, quad)
+        except QuadratureError as exc:
+            assert isinstance(got, QuadratureError) and str(got) == str(exc)
+            continue
+        assert got == want
+
+
+def test_batch_equals_single_states(herald_grid):
+    pb4 = [pb_eigenstate(4, m) for m in range(5)]
+    for batch in (herald_grid, pb4):
+        results = _negativity_volumes(batch)
+        assert all(r.volume > 0 for r in results)
+        _assert_alone(batch, results)
+
+
+def test_batch_peak_memory(herald_grid):
+    # lines are evaluated LINE_BLOCK at a time, so the p-grid tables and
+    # brackets of all 18 states are never alive at once
+    tracemalloc.start()
+    try:
+        _negativity_volumes(herald_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6e6
+
+
+def _dim5_batch():
+    # |phi_1>_4 needs depth 9 and the most evaluations; the rest less
+    return [pb_eigenstate(4, 0), pb_eigenstate(4, 1), pb_eigenstate(4, 2),
+            vacuum_state(4), number_state(1, 4)]
+
+
+def test_batch_isolates_an_exhausted_budget():
+    batch = _dim5_batch()
+    evals = [negativity_volume_detailed(rho).evaluations for rho in batch]
+    budget = QuadratureSpec(max_evals=max(evals[:1] + evals[2:]))
+    assert evals[1] > budget.max_evals
+    results = _negativity_volumes(batch, budget)
+    assert isinstance(results[1], QuadratureError)
+    assert "evaluation budget" in str(results[1])
+    assert all(isinstance(r, NegativityResult)
+               for i, r in enumerate(results) if i != 1)
+    _assert_alone(batch, results, budget)
+
+
+def test_batch_isolates_max_depth(monkeypatch):
+    import pbsim.wigner
+    batch = _dim5_batch()
+    depths = [negativity_volume_detailed(rho).max_depth_reached
+              for rho in batch]
+    monkeypatch.setattr(pbsim.wigner, "MAX_DEPTH", depths[1] - 1)
+    assert max(depths[:1] + depths[2:]) < depths[1]
+    results = _negativity_volumes(batch)
+    assert "unconverged at max depth" in str(results[1])
+    assert all(isinstance(r, NegativityResult)
+               for i, r in enumerate(results) if i != 1)
+    _assert_alone(batch, results)
+
+
+def test_batch_needs_one_dimension():
+    with pytest.raises(ValidationError, match="one dimension"):
+        _negativity_volumes([pb_eigenstate(4, 0), pb_eigenstate(5, 0)])
+    assert _negativity_volumes([]) == []
 
 
 def test_effective_radius_vacuum_closed_form():
