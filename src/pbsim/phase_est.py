@@ -5,8 +5,14 @@ beam splitter; the joint photon-number distribution at the two outputs
 carries the phase information. Every distribution is a CountTable: an
 exact one holds the probabilities as fractional counts with trials = 1,
 a sampled one integer counts. estimate_phase inverts the single-photon
-contrast; estimate_coefficients fits a full superposition by
-Levenberg-Marquardt least squares on the frequencies. Both treat exact
+contrast; estimate_coefficients fits a full superposition by one
+Levenberg-Marquardt least-squares solve on the frequencies. Each
+frequency is a quadratic form |M_i c|^2, a phase-retrieval problem
+(Candes, Li & Soltanolkotabi, IEEE Trans. Inf. Theory 61, 1985 (2015);
+Netrapalli, Jain & Sanghavi, NeurIPS 2013), so the solve starts from a
+spectral estimate: the top eigenvector of the linear least-squares
+estimate of c c^H, as in projected least-squares tomography (Guta,
+Kahn, Kueng & Tropp, J. Phys. A 53, 204001 (2020)). Both treat exact
 and sampled tables alike.
 """
 
@@ -319,19 +325,49 @@ def _residuals(mat: np.ndarray, freqs: np.ndarray):
     return fun, jac
 
 
-def estimate_coefficients(tables, s: int, *, phi0: float = 0.0,
-                          rng_seed: int = 20240, starts: int = 8
+def _spectral_start(mat: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """Spectral start of the fit, as (Re c, Im c).
+
+    f_i = M_i C M_i^H is linear in C = c c^H. The top eigenvector z of
+    its least-squares estimate (minimum norm, so parts of C that the
+    settings leave unmeasured stay zero), scaled by sqrt(f.m / m.m) with
+    m = |M z|^2, starts the fit. This whitens the phase-retrieval matrix
+    M^H diag(f) M, whose own top eigenvector can start the fit in a
+    spurious minimum for these M. f.m is zero when every count lies in a
+    cell the model cannot reach.
+    """
+    n = mat.shape[1]
+    reach = mat.any(axis=1)  # a cell no amplitude reaches says nothing on C
+    lifted = mat[reach, :, None] * mat[reach].conj()[:, None, :]
+    rho = np.linalg.lstsq(lifted.reshape(-1, n * n), freqs[reach],
+                          rcond=None)[0]
+    _, vecs = np.linalg.eigh(rho.reshape(n, n))
+    z = vecs[:, -1]
+    amp = mat @ z
+    m = amp.real ** 2 + amp.imag ** 2
+    fm = float(freqs @ m)
+    if fm <= 0.0:
+        raise LowInformationError(
+            "no count falls in an outcome cell the model reaches; the "
+            "tables hold no information on the coefficients")
+    z = z * math.sqrt(fm / float(m @ m))
+    return np.concatenate([z.real, z.imag])
+
+
+def estimate_coefficients(tables, s: int, *, phi0: float = 0.0
                           ) -> SuperpositionCoeffs:
     """Superposition coefficients from count tables at several settings.
 
     tables: sequence of (phi_j, CountTable); the settings must include
     every eigenphase of order s (extra settings sharpen identifiability,
     and s = 1 needs one off-axis setting to fix the sign of the relative
-    phase). The residuals |M c|^2 - f between modelled and observed
-    frequencies, over every setting at once, are minimized by
-    Levenberg-Marquardt in (Re c, Im c) from several starts (all-ones
-    and starts - 1 seeded draws); the lowest-cost optimum is
-    gauge-fixed. Exact tables fit like sampled ones.
+    phase). The residuals |M c|^2 - f over every setting at once are
+    minimized by one Levenberg-Marquardt solve in (Re c, Im c) from the
+    spectral start of phase retrieval (Candes, Li & Soltanolkotabi 2015;
+    Netrapalli, Jain & Sanghavi 2013), here the top eigenvector of the
+    least-squares estimate of c c^H, and the optimum is gauge-fixed.
+    Exact tables fit like sampled ones. Raises LowInformationError when
+    no count falls in a cell the model reaches.
     """
     tables = list(tables)
     _check_order([t for _, t in tables], s)
@@ -348,21 +384,18 @@ def estimate_coefficients(tables, s: int, *, phi0: float = 0.0,
         warnings.warn(
             f"only {populated} populated outcome cells for the "
             f"{2 * (s + 1)} fit parameters", RankDeficiencyWarning, stacklevel=2)
-    fun, jac = _residuals(_model_matrix(settings, s, phi0), freqs)
-
-    rng = np.random.Generator(np.random.PCG64(rng_seed))
-    inits = [np.ones(s + 1, dtype=np.complex128)]
-    for _ in range(max(0, starts - 1)):
-        inits.append(rng.standard_normal(s + 1)
-                     + 1j * rng.standard_normal(s + 1))
-    best = None
-    for z in inits:
-        z = z / float(np.linalg.norm(z))
-        fit = least_squares(fun, np.concatenate([z.real, z.imag]), jac=jac,
-                            method="lm")
-        if best is None or fit.cost < best.cost:
-            best = fit
+    mat = _model_matrix(settings, s, phi0)
+    fun, jac = _residuals(mat, freqs)
+    x0 = _spectral_start(mat, freqs)
+    # Im <z0, c> = 0 fixes the global phase, which the frequencies leave
+    # free; the optimal cost is unchanged. Without this row the Jacobian
+    # is singular along the phase, and LM stops at a near-exact start
+    # without polishing it.
+    gauge = np.concatenate([-x0[s + 1:], x0[:s + 1]])
+    fit = least_squares(lambda x: np.append(fun(x), gauge @ x), x0,
+                        jac=lambda x: np.vstack([jac(x), gauge]),
+                        method="lm")
     note = ""
     if s == 1 and all(abs(math.sin(p - phi0)) < 1e-9 for p in settings):
         note = "relative-phase sign not identifiable from on-axis settings"
-    return gauge_fixed(best.x[:s + 1] + 1j * best.x[s + 1:], s, note=note)
+    return gauge_fixed(fit.x[:s + 1] + 1j * fit.x[s + 1:], s, note=note)

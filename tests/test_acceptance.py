@@ -459,7 +459,7 @@ def test_criterion_12_estimation_round_trips():
     for rep in range(50):
         tables = [(p, sample_outcomes(d, 100_000, seed=3000 + 7 * rep + i))
                   for i, (p, d) in enumerate(dists2)]
-        got = estimate_coefficients(tables, 2, starts=4)
+        got = estimate_coefficients(tables, 2)
         if np.abs(got.c - truth2.c).max() < 0.03:
             coeff_hits += 1
 

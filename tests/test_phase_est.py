@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
+
+from pbsim import phase_est
 
 from pbsim.errors import (LowInformationError, RankDeficiencyWarning,
                           ValidationError)
@@ -333,8 +336,7 @@ def test_coefficients_s2_least_squares():
     c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     truth = gauge_fixed(c, 2)
     settings = [phase_value(2, m) for m in range(3)]
-    got = estimate_coefficients(exact_tables(truth, settings), 2,
-                                rng_seed=99, starts=6)
+    got = estimate_coefficients(exact_tables(truth, settings), 2)
     assert np.abs(got.c - truth.c).max() < 1e-6
 
 
@@ -346,6 +348,18 @@ def test_coefficients_exact_recovery(s):
     truth = gauge_fixed(raw, s)
     settings = [phase_value(s, m) for m in range(s + 1)]
     got = estimate_coefficients(exact_tables(truth, settings), s)
+    assert np.abs(got.c - truth.c).max() < 1e-12
+
+
+def test_coefficients_exact_recovery_off_the_plain_spectral_basin():
+    # At odd s the eigenphase settings leave part of c c^H unmeasured.
+    # For this truth the top eigenvector of M^H diag(f) M alone starts
+    # the solve in a spurious minimum (cost 3.2e-3, error 0.87).
+    raw = (np.array([1.3526, 1.459, 0.8734, 0.8137])
+           * np.exp(1j * np.array([-2.1598, -0.8427, -2.6209, -0.4132])))
+    truth = gauge_fixed(raw, 3)
+    settings = [phase_value(3, m) for m in range(4)]
+    got = estimate_coefficients(exact_tables(truth, settings), 3)
     assert np.abs(got.c - truth.c).max() < 1e-12
 
 
@@ -406,7 +420,60 @@ def test_coefficients_rank_warning():
               for i, p in enumerate(phase_value(2, m) for m in range(3))]
     with pytest.warns(RankDeficiencyWarning,
                       match=r"cells for the 6 fit parameters"):
-        estimate_coefficients(tables, 2, starts=1)
+        estimate_coefficients(tables, 2)
+
+
+def test_coefficients_reject_counts_the_model_cannot_reach():
+    # every count lies beyond a + b = 2s, where no amplitude reaches
+    grid = np.zeros((5, 5))
+    grid[4, 4] = grid[4, 3] = 50.0
+    tables = [(phase_value(2, m), CountTable(grid, trials=100.0, rng_seed=m))
+              for m in range(3)]
+    with pytest.raises(LowInformationError, match="cell the model reaches"):
+        estimate_coefficients(tables, 2)
+
+
+def multistart_cost(tables, s, starts=8, rng_seed=20240):
+    """Lowest cost of the former multi-start fit: all-ones and starts - 1
+    seeded complex normal draws, each solved by Levenberg-Marquardt."""
+    freqs = np.concatenate([t.frequencies().ravel() for _, t in tables])
+    fun, jac = _residuals(_model_matrix([p for p, _ in tables], s, 0.0),
+                          freqs)
+    rng = np.random.Generator(np.random.PCG64(rng_seed))
+    inits = [np.ones(s + 1, dtype=np.complex128)]
+    for _ in range(starts - 1):
+        inits.append(rng.standard_normal(s + 1)
+                     + 1j * rng.standard_normal(s + 1))
+    x0s = [np.concatenate([z.real, z.imag]) / np.linalg.norm(z)
+           for z in inits]
+    return min(least_squares(fun, x0, jac=jac, method="lm").cost
+               for x0 in x0s)
+
+
+@pytest.mark.parametrize("s", [2, 4, 6])
+def test_coefficients_single_solve_reaches_multistart_optimum(s, monkeypatch):
+    fits = []
+
+    def counted(*args, **kwargs):
+        fits.append(least_squares(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(phase_est, "least_squares", counted)
+    rng = np.random.default_rng(600 + s)
+    settings = [phase_value(s, m) for m in range(s + 1)]
+    for trials in (5_000, 100_000):
+        for _ in range(4):
+            # magnitudes from 0, so a near-zero coefficient can occur
+            raw = (rng.uniform(0.0, 1.5, s + 1)
+                   * np.exp(1j * rng.uniform(-math.pi, math.pi, s + 1)))
+            truth = gauge_fixed(raw, s)
+            tables = [(p, sample_outcomes(superposition_probs(p, truth),
+                                          trials, int(rng.integers(2**31))))
+                      for p in settings]
+            fits.clear()
+            estimate_coefficients(tables, s)
+            assert len(fits) == 1
+            assert fits[0].cost <= multistart_cost(tables, s) * (1 + 1e-8)
 
 
 def test_gauge_fixed_properties():
