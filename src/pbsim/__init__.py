@@ -14,8 +14,7 @@ from .errors import (ConfigMismatchError, CutoffError, DegenerateHeraldError,
                      PbsimError, QuadratureError, RankDeficiencyWarning,
                      RootQualityError, ValidationError, WindowExhaustedError)
 from .fock import (FockDensity, FockVector, conditional_density,
-                   fidelity_pure, number_state, pad_to_cutoff,
-                   tensor_product, vacuum_state)
+                   fidelity_pure, number_state, vacuum_state)
 from .herald import (HeraldConfig, HeraldResult, HeraldSweepRow,
                      alpha_polynomial, build_state, herald_alphas,
                      herald_point, solve_alphas, sweep, symmetric_factors)
@@ -26,12 +25,10 @@ from .phase_est import (CountTable, PhaseEstimate, SuperpositionCoeffs,
                         estimate_coefficients, estimate_phase, gauge_fixed,
                         interference_probs, sample_outcomes,
                         superposition_probs, superposition_state)
-from .phase_states import (pb_eigenstate, pb_phase_operator, phase_state,
-                           phase_value)
+from .phase_states import pb_eigenstate, phase_state, phase_value
 from .wigner import (DEFAULT_QUADRATURE, NegativityResult, QuadratureSpec,
                      WignerGrid, effective_radius, negativity_volume,
-                     negativity_volume_detailed, wigner_grid, wigner_point,
-                     wigner_point_integral)
+                     negativity_volume_detailed, wigner_grid)
 
 __version__ = "0.1.0"
 
@@ -41,13 +38,13 @@ __all__ = [
     "NumericalError", "QuadratureError", "WindowExhaustedError",
     "DegenerateHeraldError", "RootQualityError",
     "LowInformationError", "LeakageWarning", "RankDeficiencyWarning",
-    "FockVector", "FockDensity", "tensor_product", "fidelity_pure",
-    "conditional_density", "vacuum_state", "number_state", "pad_to_cutoff",
+    "FockVector", "FockDensity", "fidelity_pure",
+    "conditional_density", "vacuum_state", "number_state",
     "TwoModeUnitary", "DetectorPovm", "beam_splitter_pb",
     "beam_splitter_5050", "apply_two_mode_unitary", "apply_single_mode_op",
     "tmsv", "displacement_op", "detector_povm",
-    "phase_value", "phase_state", "pb_eigenstate", "pb_phase_operator",
-    "wigner_point", "wigner_point_integral", "WignerGrid", "wigner_grid",
+    "phase_value", "phase_state", "pb_eigenstate",
+    "WignerGrid", "wigner_grid",
     "QuadratureSpec", "DEFAULT_QUADRATURE", "NegativityResult",
     "negativity_volume",
     "negativity_volume_detailed", "effective_radius",

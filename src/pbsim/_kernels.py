@@ -22,6 +22,8 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy.special import erfc
 
+from .errors import NumericalError, ValidationError
+
 
 def hermite_functions(nmax: int, xi) -> np.ndarray:
     """Orthonormal Hermite functions h_n(xi), n = 0..nmax.
@@ -84,12 +86,24 @@ def wigner_coefficients(rho: np.ndarray) -> np.ndarray:
     transform in x then maps h_k(x) to sqrt(2 pi) i^k h_k(2p), so
     C = (2/sqrt(pi)) Re(A diag(i^k)). rho must be Hermitian, which makes
     every A[j, k] i^k real; Re drops the rounding residue.
+
+    The rule's weights times exp(x^2) must be finite and positive. From
+    N = 185 on (numpy 2.4) hermgauss's weights underflow to zero or are
+    not finite, and NumericalError names the table before any of it is
+    built.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     nmax = rho.shape[0] - 1
     dim = 2 * nmax + 1
-    x, w = hermgauss(dim)
-    g = hermite_functions(dim - 1, x).T * (w * np.exp(x * x))[:, None]
+    with np.errstate(all="ignore"):  # judged by the check below
+        x, w = hermgauss(dim)
+        scale = w * np.exp(x * x)
+    if not (np.isfinite(scale).all() and scale.min() > 0.0):
+        raise NumericalError(
+            f"Wigner coefficient table of size {dim} x {dim} (photon "
+            f"numbers up to {nmax}): its {dim}-point Gauss-Hermite weights "
+            f"times exp(x^2) are not all finite and positive")
+    g = hermite_functions(dim - 1, x).T * scale[:, None]
     u = ((x[:, None] + x[None, :]) / np.sqrt(2.0)).ravel()
     v = ((x[:, None] - x[None, :]) / np.sqrt(2.0)).ravel()
     # rho's real and imaginary parts go through one real product: numpy's
@@ -123,7 +137,20 @@ def wigner_points(coef: np.ndarray, qs, ps) -> np.ndarray:
 
 
 def wigner_batch(rho: np.ndarray, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """W of the Hermitian density rho at each point (qs[i], ps[i])."""
+    """W of the Hermitian matrix rho at each point (qs[i], ps[i]).
+
+    rho needs no unit trace or positivity, but a non-finite entry or an
+    entry of rho - rho^H above 1e-8 raises ValidationError.
+    """
+    rho = np.asarray(rho, dtype=np.complex128)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValidationError(f"density matrix must be square, got {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValidationError("density matrix has a non-finite entry")
+    asym = float(np.abs(rho - rho.conj().T).max())
+    if asym > 1e-8:
+        raise ValidationError(
+            f"input not Hermitian: max |m - m^H| = {asym:.3e}")
     qs = np.ascontiguousarray(qs, dtype=np.float64).ravel()
     ps = np.ascontiguousarray(ps, dtype=np.float64).ravel()
     if qs.shape != ps.shape:

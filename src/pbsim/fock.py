@@ -116,15 +116,6 @@ class FockDensity:
         return f"FockDensity(cutoff={self.cutoff}, trace={self.trace:.6g})"
 
 
-def tensor_product(a: FockVector, b: FockVector) -> FockVector:
-    """Joint state with a's modes first, then b's. Norm multiplies."""
-    if a.cutoff != b.cutoff:
-        raise ConfigMismatchError(
-            f"cutoff mismatch: {a.cutoff} vs {b.cutoff}")
-    return FockVector(np.tensordot(a.amplitudes, b.amplitudes, axes=0),
-                      leakage=a.leakage + b.leakage)
-
-
 def fidelity_pure(rho: FockDensity, psi: FockVector) -> float:
     """<psi|rho|psi> / trace(rho) for a normalized single-mode pure target."""
     if psi.modes != 1:
@@ -204,18 +195,6 @@ def conditional_density(state: FockVector, povm_per_mode, kept_mode: int
         raise DegenerateHeraldError(
             f"conditioning probability {p:.3e} below floor {PROB_FLOOR:.0e}")
     return FockDensity(raw / p, declared_trace=1.0), p
-
-
-def pad_to_cutoff(state: FockVector, cutoff: int) -> FockVector:
-    """Embed into a space with a larger per-mode cutoff, zero-padding."""
-    if cutoff < state.cutoff:
-        raise ValidationError(
-            f"cannot pad to smaller cutoff {cutoff} < {state.cutoff}")
-    if cutoff == state.cutoff:
-        return state
-    amp = np.zeros((cutoff + 1,) * state.modes, dtype=np.complex128)
-    amp[tuple(slice(0, n) for n in state.amplitudes.shape)] = state.amplitudes
-    return FockVector(amp, leakage=state.leakage)
 
 
 def vacuum_state(cutoff: int, modes: int = 1) -> FockVector:

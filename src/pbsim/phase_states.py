@@ -6,8 +6,10 @@ For order s the s+1 states
     phi_m = phi0 + 2 pi m / (s+1),
 
 form an orthonormal basis of the (s+1)-dimensional space. They are the
-eigenstates of the phase operator sum_m phi_m |phi_m><phi_m|. All
-amplitudes have equal weight (s+1)^(-1/2).
+eigenstates of the Pegg-Barnett phase operator sum_m phi_m |phi_m><phi_m|,
+with eigenvalues phi_m. All amplitudes have equal weight (s+1)^(-1/2).
+tests/oracles.py builds the operator from its closed-form matrix
+elements, as an independent check of these states and phases.
 """
 
 from __future__ import annotations
@@ -55,22 +57,3 @@ def pb_eigenstate(s: int, m: int, phi0: float = 0.0,
     """The m-th phase eigenstate of order s with offset phi0."""
     return phase_state(s, phase_value(s, m, phi0), cutoff)
 
-
-def pb_phase_operator(s: int, phi0: float = 0.0,
-                      cutoff: int | None = None) -> np.ndarray:
-    """Hermitian phase operator sum_m phi_m |phi_m><phi_m|.
-
-    Returned as a dense (cutoff+1, cutoff+1) matrix; photon numbers above
-    s lie in its kernel.
-    """
-    _check_order(s)
-    if cutoff is None:
-        cutoff = s
-    if cutoff < s:
-        raise CutoffError(f"cutoff {cutoff} cannot hold photon numbers up to {s}")
-    dim = cutoff + 1
-    op = np.zeros((dim, dim), dtype=np.complex128)
-    for m in range(s + 1):
-        v = pb_eigenstate(s, m, phi0, cutoff).amplitudes
-        op += phase_value(s, m, phi0) * np.outer(v, v.conj())
-    return op

@@ -7,9 +7,8 @@ expansion in _kernels: its coefficient table is computed once per state
 and public call, then each lattice or point set is a few matrix
 products. The negativity volume integrates |W| exactly along each line
 of fixed q, from the roots of W there, and adaptively over q; several
-states of one dimension share one adaptive pass.
-wigner_point_integral keeps the defining integral as an independent
-slow oracle.
+states of one dimension share one adaptive pass. Every public entry
+takes a FockDensity, a FockVector or a matrix that FockDensity accepts.
 """
 
 from __future__ import annotations
@@ -20,12 +19,11 @@ from itertools import accumulate
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from ._kernels import (hermite_functions, hermite_primitives,
-                       hermite_series_derivative, wigner_batch,
-                       wigner_coefficients, wigner_lattice, wigner_points)
+                       hermite_series_derivative, wigner_coefficients,
+                       wigner_lattice, wigner_points)
 from .errors import (NumericalError, QuadratureError, ValidationError,
                      WindowExhaustedError)
 from .fock import FockDensity, FockVector
@@ -35,7 +33,6 @@ PANEL_ORDER = 16
 MAX_DEPTH = 20
 _NODES, _WEIGHTS = leggauss(PANEL_ORDER)
 _TRACE_PRE_TOL = 1e-8
-_ORACLE_HALF_RANGE = 40.0
 _ROOT_STEP = 1e-8
 _ROOT_BRACKET = 1e-13
 _POLISH_STEPS = 64
@@ -44,73 +41,12 @@ _POLISH_STEPS = 64
 LINE_BLOCK = 2048
 
 
-def hermite_wavefunctions_all(nmax: int, x) -> np.ndarray:
-    """psi_n(x) for all n = 0..nmax, shape (nmax+1,) + x.shape.
-
-    The unit-normalized Hermite functions h_n(xi) at xi = sqrt(2) x,
-    rescaled by 2^(1/4) for the hbar = 1/2 units.
-    """
-    if nmax < 0:
-        raise ValidationError(f"nmax must be >= 0, got {nmax}")
-    xi = np.sqrt(2.0) * np.asarray(x, dtype=np.float64)
-    return 2.0 ** 0.25 * hermite_functions(nmax, xi)
-
-
 def _as_density(state) -> FockDensity:
     if isinstance(state, FockDensity):
         return state
     if isinstance(state, FockVector):
         return FockDensity.from_pure(state)
     return FockDensity(np.asarray(state))
-
-
-def wigner_point(rho, q: float, p: float) -> float:
-    """W(q, p) of a single-mode density.
-
-    FockDensity and FockVector inputs are Hermitian by construction. A
-    raw matrix is accepted without the positivity and trace checks, but
-    an entry of m - m^H above 1e-8 reports a non-Hermitian input.
-    """
-    if isinstance(rho, FockVector):
-        rho = FockDensity.from_pure(rho)
-    if isinstance(rho, FockDensity):
-        m = rho.matrix
-    else:
-        m = np.asarray(rho, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError(
-                f"density matrix must be square, got {m.shape}")
-        asym = float(np.abs(m - m.conj().T).max())
-        if asym > 1e-8:
-            raise ValidationError(
-                f"input not Hermitian: max |m - m^H| = {asym:.3e}")
-    return float(wigner_batch(m, np.array([q]), np.array([p]))[0])
-
-
-def wigner_point_integral(psi: FockVector, q: float, p: float) -> float:
-    """W(q, p) by direct integration of the defining transform.
-
-    W = (1/pi) Int dx psi(q + x/2) conj(psi)(q - x/2) exp(2ipx), for a
-    single-mode pure state. Slow; kept as the oracle for wigner_point.
-    """
-    if psi.modes != 1:
-        raise ValidationError("integral oracle expects a single-mode state")
-    a = psi.amplitudes
-    nmax = psi.cutoff
-
-    def integrand(x: float) -> float:
-        ph = hermite_wavefunctions_all(nmax, np.array([q + 0.5 * x,
-                                                       q - 0.5 * x]))
-        u = complex(a @ ph[:, 0])
-        w = complex(a @ ph[:, 1])
-        return (u * w.conjugate() * np.exp(2j * p * x)).real
-
-    val, abserr = quad(integrand, -_ORACLE_HALF_RANGE, _ORACLE_HALF_RANGE,
-                       limit=500, epsabs=1e-12, epsrel=1e-11)
-    if abserr > 1e-9:
-        raise QuadratureError(
-            f"oracle integral error estimate {abserr:.3e} above 1e-9")
-    return val / np.pi
 
 
 @dataclass(frozen=True)
@@ -259,8 +195,8 @@ def _negativity_volumes(densities, quad: QuadratureSpec | None = None
     results: list = [None] * len(dms)
     index, coefs, half_widths = [], [], []
     for i, dm in enumerate(dms):
-        coef = wigner_coefficients(dm.matrix)
         try:
+            coef = wigner_coefficients(dm.matrix)
             half_widths.append(_radius(coef) + spec.radius_margin)
         except NumericalError as exc:
             results[i] = exc
@@ -543,15 +479,15 @@ class _LineIntegrals:
 
         f_lo and f_hi lie on opposite sides of the split f > 0 / f <= 0.
         Newton steps start from the secant point; a step that leaves the
-        shrinking bracket is replaced by the bracket's secant point. A
-        root error delta moves G only by O(delta^2), so a Newton step
-        below _ROOT_STEP ends the iteration. f == 0 counts as a zero step
-        even where f' == 0 too: a bracket update there would move away
-        from the root. Returns the roots and the bracket index of each
-        step, which evaluates f and f'.
+        shrinking bracket is replaced by the bracket's midpoint, so every
+        such step at least halves it. A root error delta moves G only by
+        O(delta^2), so a Newton step below _ROOT_STEP ends the iteration.
+        f == 0 counts as a zero step even where f' == 0 too: a bracket
+        update there would move away from the root. Returns the roots and
+        the bracket index of each step, which evaluates f and f'.
         """
         da = hermite_series_derivative(a)
-        lo, hi, f_lo, f_hi = lo.copy(), hi.copy(), f_lo.copy(), f_hi.copy()
+        lo, hi = lo.copy(), hi.copy()
         lo_pos = f_lo > 0
         x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
         active = np.arange(x.size)
@@ -567,14 +503,12 @@ class _LineIntegrals:
             left = (f > 0) == lo_pos[active]
             lo[active] = l = np.where(left, xa, lo[active])
             hi[active] = u = np.where(left, hi[active], xa)
-            f_lo[active] = fl = np.where(left, f, f_lo[active])
-            f_hi[active] = fu = np.where(left, f_hi[active], f)
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = np.where(f == 0.0, 0.0, f / fp)
             small = np.abs(step) <= _ROOT_STEP
             xn = np.clip(xa - step, l, u)
             newton = small | ((xn > l) & (xn < u))
-            x[active] = np.where(newton, xn, l - fl * (u - l) / (fu - fl))
+            x[active] = np.where(newton, xn, 0.5 * (l + u))
             active = active[~(small | (u - l <= _ROOT_BRACKET))]
         return x, np.concatenate(stepped) if stepped else active
 

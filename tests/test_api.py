@@ -1,4 +1,11 @@
-"""The package's public surface: every exported name, listed once."""
+"""The package's public surface: every exported name, listed once, and
+what the package leaves to the tests."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pbsim
 
@@ -18,11 +25,11 @@ PUBLIC_NAMES = [
     "fidelity_pure", "gauge_fixed", "herald_alphas", "herald_point",
     "interference_probs",
     "negativity_volume", "negativity_volume_detailed", "number_state",
-    "pad_to_cutoff", "pb_eigenstate", "pb_phase_operator", "phase_state",
+    "pb_eigenstate", "phase_state",
     "phase_value", "sample_outcomes", "solve_alphas",
     "superposition_probs", "superposition_state", "sweep",
-    "symmetric_factors", "tensor_product", "tmsv", "vacuum_state",
-    "wigner_batch", "wigner_grid", "wigner_point", "wigner_point_integral",
+    "symmetric_factors", "tmsv", "vacuum_state",
+    "wigner_batch", "wigner_grid",
 ]
 
 
@@ -32,3 +39,34 @@ def test_public_names_are_pinned():
     assert sorted(pbsim.__all__) == PUBLIC_NAMES
     for name in pbsim.__all__:
         assert hasattr(pbsim, name), name
+
+
+def test_package_does_not_import_the_tests():
+    # the test oracles stay out of production: no pbsim module imports
+    # tests/ or its modules
+    src = Path(pbsim.__file__).parent
+    test_modules = {p.stem for p in Path(__file__).parent.glob("*.py")}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                root = name.split(".")[0]
+                assert root != "tests" and root not in test_modules, (
+                    f"{path.name} imports {name}")
+
+
+def test_import_loads_no_scipy_integrate():
+    # scipy.integrate serves only the integral oracle in tests/oracles.py
+    src = str(Path(pbsim.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, pbsim; print([m for m in sys.modules "
+            "if m.split('.')[:2] == ['scipy', 'integrate']])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -7,10 +7,11 @@ from pbsim import fock
 from pbsim.errors import (ConfigMismatchError, DegenerateHeraldError,
                           ValidationError)
 from pbsim.fock import (FockDensity, FockVector, conditional_density,
-                        fidelity_pure, number_state, pad_to_cutoff,
-                        tensor_product, vacuum_state)
+                        fidelity_pure, number_state, vacuum_state)
 from pbsim.ops import apply_single_mode_op, detector_povm
 from pbsim.phase_est import interference_probs
+
+from oracles import pad_to_cutoff, tensor_product
 
 
 def random_vector(cutoff, modes, seed, normalized=True):

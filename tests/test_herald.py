@@ -9,13 +9,14 @@ import pytest
 
 from pbsim.errors import (CutoffError, DegenerateHeraldError, LeakageWarning,
                           QuadratureError, ValidationError)
-from pbsim.fock import (FockVector, conditional_density, tensor_product,
-                        vacuum_state)
+from pbsim.fock import FockVector, conditional_density, vacuum_state
 from pbsim.herald import (HeraldConfig, alpha_polynomial, build_state,
                           herald_alphas, herald_point, solve_alphas, sweep,
                           symmetric_factors)
 from pbsim.ops import (apply_single_mode_op, apply_two_mode_unitary,
                        beam_splitter_pb, detector_povm, displacement_op, tmsv)
+
+from oracles import tensor_product
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])

@@ -10,8 +10,7 @@ from pbsim import phase_est
 
 from pbsim.errors import (LowInformationError, RankDeficiencyWarning,
                           ValidationError)
-from pbsim.fock import (FockVector, number_state, pad_to_cutoff,
-                        tensor_product, vacuum_state)
+from pbsim.fock import FockVector, number_state, vacuum_state
 from pbsim.ops import apply_two_mode_unitary, beam_splitter_5050
 from pbsim.phase_est import (CountTable, SuperpositionCoeffs, _model_matrix,
                              _residuals, _splitter_amplitudes,
@@ -19,6 +18,8 @@ from pbsim.phase_est import (CountTable, SuperpositionCoeffs, _model_matrix,
                              gauge_fixed, interference_probs,
                              sample_outcomes, superposition_probs)
 from pbsim.phase_states import phase_state, phase_value
+
+from oracles import pad_to_cutoff, tensor_product
 
 
 def eigen_pair_dist(s, phi_j, phi_k):

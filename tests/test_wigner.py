@@ -10,17 +10,18 @@ from scipy.integrate import quad
 
 from pbsim._kernels import (hermite_functions, hermite_primitives,
                             wigner_batch, wigner_coefficients)
-from pbsim.errors import QuadratureError, ValidationError
+from pbsim.errors import NumericalError, QuadratureError, ValidationError
 from pbsim.fock import FockDensity, FockVector, number_state, vacuum_state
 from pbsim.herald import HeraldConfig, _condition, herald_point
 from pbsim.phase_states import pb_eigenstate
 from pbsim.wigner import (DEFAULT_QUADRATURE, MAX_DEPTH, NegativityResult,
                           QuadratureSpec,
                           WignerGrid, _LineIntegrals, _negativity_volumes,
-                          effective_radius, hermite_wavefunctions_all,
-                          negativity_volume, negativity_volume_detailed,
-                          wigner_grid, wigner_point,
-                          wigner_point_integral)
+                          effective_radius, negativity_volume,
+                          negativity_volume_detailed, wigner_grid)
+
+from oracles import (hermite_wavefunctions_all, wigner_point,
+                     wigner_point_integral)
 
 
 def random_pure(cutoff, seed):
@@ -297,6 +298,25 @@ def test_batch_peak_memory(herald_grid):
     assert peak <= 6e6
 
 
+def test_polish_steps_per_bracket(monkeypatch, herald_grid):
+    # a Newton step that leaves its bracket falls back to the midpoint, so
+    # no bracket of the README's volumes (negativity-sweep --s 6 and the
+    # herald-sweep batch) waits on an end of the bracket that stays fixed
+    real = _LineIntegrals._polish
+    steps = []
+
+    def counting(*args):
+        roots, stepped = real(*args)
+        steps.append(np.bincount(stepped, minlength=roots.size))
+        return roots, stepped
+
+    monkeypatch.setattr(_LineIntegrals, "_polish", staticmethod(counting))
+    for s in range(1, 7):
+        negativity_volume(pb_eigenstate(s, 0))
+    _negativity_volumes(herald_grid)
+    assert max(int(c.max(initial=0)) for c in steps) <= 16
+
+
 def _dim5_batch():
     # |phi_1>_4 needs depth 9 and the most evaluations; the rest less
     return [pb_eigenstate(4, 0), pb_eigenstate(4, 1), pb_eigenstate(4, 2),
@@ -374,14 +394,20 @@ def test_lattice_path_matches_point_path():
 
 
 def test_raw_matrix_input():
+    # wigner_batch takes a raw matrix; it checks only that it is finite and
+    # Hermitian
     rho = FockDensity.from_pure(random_pure(6, 61))
     for q, p in [(0.0, 0.0), (0.9, -0.4), (-1.3, 1.1)]:
-        assert abs(wigner_point(rho.matrix.copy(), q, p)
+        assert abs(wigner_batch(rho.matrix.copy(), [q], [p])[0]
                    - wigner_point(rho, q, p)) <= 1e-14
     skew = rho.matrix.copy()
     skew[2, 0] += 1e-6
     with pytest.raises(ValidationError, match="not Hermitian"):
-        wigner_point(skew, 0.3, 0.2)
+        wigner_batch(skew, [0.3], [0.2])
+    blank = rho.matrix.copy()
+    blank[1, 1] = np.nan
+    with pytest.raises(ValidationError, match="non-finite"):
+        wigner_batch(blank, [0.3], [0.2])
 
 
 def test_tail_contract():
@@ -390,3 +416,45 @@ def test_tail_contract():
         negativity_volume(state, QuadratureSpec(radius_margin=0.0))
     result = negativity_volume_detailed(state)
     assert result.tail_estimate <= QuadratureSpec().tol
+
+
+def test_overflowing_weight_names_the_coefficient_table(monkeypatch):
+    # one node whose weight underflows to zero where exp(x^2) overflows;
+    # every public entry reports the table, not a symptom further on
+    import pbsim._kernels
+    real = pbsim._kernels.hermgauss
+
+    def overflowing(deg):
+        x, w = real(deg)
+        x[0], w[0] = -40.0, 0.0
+        return x, w
+
+    monkeypatch.setattr(pbsim._kernels, "hermgauss", overflowing)
+    psi = pb_eigenstate(4, 0)
+    for run in (lambda: wigner_coefficients(FockDensity.from_pure(psi).matrix),
+                lambda: effective_radius(psi),
+                lambda: negativity_volume(psi),
+                lambda: wigner_grid(psi, WignerGrid(-1.0, 1.0, -1.0, 1.0, 3, 3))):
+        with pytest.raises(NumericalError,
+                           match="coefficient table of size 9 x 9") as info:
+            run()
+        assert type(info.value) is NumericalError
+
+
+class _TableBuilt(Exception):
+    pass
+
+
+def test_coefficient_table_range(monkeypatch):
+    # the weights are checked before any Hermite table of (s+1) x (2s+1)^2
+    # points is built: s = 180 passes the check, s = 190 is refused
+    import pbsim._kernels
+
+    def no_tables(*args):
+        raise _TableBuilt
+
+    monkeypatch.setattr(pbsim._kernels, "hermite_functions", no_tables)
+    with pytest.raises(_TableBuilt):
+        wigner_coefficients(np.eye(181) / 181)
+    with pytest.raises(NumericalError, match="size 381 x 381"):
+        wigner_coefficients(np.eye(191) / 191)
