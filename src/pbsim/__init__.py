@@ -26,8 +26,7 @@ from .phase_est import (CountTable, PhaseEstimate, SuperpositionCoeffs,
                         interference_probs, sample_outcomes,
                         superposition_probs, superposition_state)
 from .phase_states import pb_eigenstate, phase_state, phase_value
-from .wigner import (DEFAULT_QUADRATURE, NegativityResult, QuadratureSpec,
-                     WignerGrid, effective_radius, negativity_volume,
+from .wigner import (NegativityResult, effective_radius, negativity_volume,
                      negativity_volume_detailed, wigner_grid)
 
 __version__ = "0.1.0"
@@ -44,9 +43,7 @@ __all__ = [
     "beam_splitter_5050", "apply_two_mode_unitary", "apply_single_mode_op",
     "tmsv", "displacement_op", "detector_povm",
     "phase_value", "phase_state", "pb_eigenstate",
-    "WignerGrid", "wigner_grid",
-    "QuadratureSpec", "DEFAULT_QUADRATURE", "NegativityResult",
-    "negativity_volume",
+    "wigner_grid", "NegativityResult", "negativity_volume",
     "negativity_volume_detailed", "effective_radius",
     "HeraldConfig", "HeraldResult", "HeraldSweepRow", "symmetric_factors",
     "alpha_polynomial", "solve_alphas", "herald_alphas", "build_state",

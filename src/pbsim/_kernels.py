@@ -117,15 +117,11 @@ def wigner_coefficients(rho: np.ndarray) -> np.ndarray:
 
 
 def wigner_lattice(coef: np.ndarray, qs, ps) -> np.ndarray:
-    """W on the tensor lattice qs x ps, shape (..., len_q, len_p).
-
-    Leading axes of qs and ps batch over lattices (one per quadrature
-    panel) and must broadcast against each other.
-    """
+    """W on the tensor lattice of the 1-D axes qs x ps, shape (len_q, len_p)."""
     nmax = coef.shape[0] - 1
     hq = hermite_functions(nmax, 2.0 * np.asarray(qs, dtype=np.float64))
     hp = hermite_functions(nmax, 2.0 * np.asarray(ps, dtype=np.float64))
-    return np.moveaxis(hq, 0, -1) @ coef @ np.moveaxis(hp, 0, -2)
+    return hq.T @ coef @ hp
 
 
 def wigner_points(coef: np.ndarray, qs, ps) -> np.ndarray:

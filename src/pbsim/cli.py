@@ -39,8 +39,7 @@ from .phase_est import (CountTable, estimate_coefficients, estimate_phase,
                         gauge_fixed, interference_probs, sample_outcomes,
                         superposition_probs)
 from .phase_states import pb_eigenstate, phase_state, phase_value
-from .wigner import (WignerGrid, effective_radius, negativity_volume,
-                     wigner_grid)
+from .wigner import effective_radius, negativity_volume, wigner_grid
 
 def _float_list(text: str) -> tuple:
     values = tuple(float(tok) for tok in text.split(",") if tok.strip())
@@ -192,48 +191,51 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_wigner_grid(eff: dict, out: str | None) -> int:
     state = pb_eigenstate(eff["s"], eff["m"], eff["phi0"])
-    e = eff["extent"]
-    if e <= 0:
-        raise ValidationError(f"extent must be positive, got {e!r}")
-    spec = WignerGrid(q_min=-e, q_max=e, p_min=-e, p_max=e,
-                      nq=eff["n"], np=eff["n"])
-    grid = wigner_grid(state, spec)
-    qs = grid.q_values()
-    ps = grid.p_values()
+    e, n = eff["extent"], eff["n"]
+    if not (e > 0 and math.isfinite(e)):
+        raise ValidationError(f"extent must be positive and finite, got {e!r}")
+    if n < 2:
+        raise ValidationError(f"n must be >= 2, got {n}")
+    axis = np.linspace(-e, e, n)
+    values = wigner_grid(state, axis, axis)
     if eff["format"] == "json":
         doc = {
             "config": eff,
-            "q": [float(v) for v in qs],
-            "p": [float(v) for v in ps],
-            "w": [[float(v) for v in row] for row in grid.values],
+            "q": [float(v) for v in axis],
+            "p": [float(v) for v in axis],
+            "w": [[float(v) for v in row] for row in values],
         }
         _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", out)
         return 0
     lines = _config_comments(eff)
     lines.append("q,p,W")
-    for i, q in enumerate(qs):
-        for j, p in enumerate(ps):
-            lines.append(f"{float(q)!r},{float(p)!r},{float(grid.values[i, j])!r}")
+    for i, q in enumerate(axis):
+        for j, p in enumerate(axis):
+            lines.append(f"{float(q)!r},{float(p)!r},{float(values[i, j])!r}")
     _emit("\n".join(lines) + "\n", out)
     return 0
 
 
-def _monotone_footer(values) -> str:
-    increasing = all(b > a for a, b in zip(values, values[1:]))
-    return f"# monotonic_increasing={'true' if increasing else 'false'}"
-
-
-def _cmd_negativity_sweep(eff: dict, out: str | None) -> int:
+def _order_sweep(eff: dict, column: str, value_of,
+                 judged_from: int = 1) -> list:
+    """CSV lines of value_of(|phi_0>_s) for s = 1..eff["s"], with a footer
+    saying whether the values increase from s = judged_from on."""
     if eff["s"] < 1:
         raise ValidationError(f"s must be >= 1, got {eff['s']}")
     lines = _config_comments(eff)
-    lines.append("s,V")
-    volumes = []
+    lines.append(f"s,{column}")
+    values = []
     for s in range(1, eff["s"] + 1):
-        v = float(negativity_volume(pb_eigenstate(s, 0)))
-        volumes.append(v)
-        lines.append(f"{s},{v!r}")
-    lines.append(_monotone_footer(volumes))
+        values.append(float(value_of(pb_eigenstate(s, 0))))
+        lines.append(f"{s},{values[-1]!r}")
+    judged = values[judged_from - 1:]
+    increasing = all(b > a for a, b in zip(judged, judged[1:]))
+    lines.append(f"# monotonic_increasing={'true' if increasing else 'false'}")
+    return lines
+
+
+def _cmd_negativity_sweep(eff: dict, out: str | None) -> int:
+    lines = _order_sweep(eff, "V", negativity_volume)
     if eff["ref_one_photon"]:
         ref = float(negativity_volume(number_state(1, 2)))
         lines.append(f"# ref_one_photon={ref!r}")
@@ -242,17 +244,8 @@ def _cmd_negativity_sweep(eff: dict, out: str | None) -> int:
 
 
 def _cmd_radius_sweep(eff: dict, out: str | None) -> int:
-    if eff["s"] < 1:
-        raise ValidationError(f"s must be >= 1, got {eff['s']}")
-    lines = _config_comments(eff)
-    lines.append("s,radius")
-    radii = []
-    for s in range(1, eff["s"] + 1):
-        radius = float(effective_radius(pb_eigenstate(s, 0)))
-        radii.append(radius)
-        lines.append(f"{s},{radius!r}")
     # the s = 1 state is the outlier; monotonicity is judged from s = 2 on
-    lines.append(_monotone_footer(radii[1:]))
+    lines = _order_sweep(eff, "radius", effective_radius, judged_from=2)
     _emit("\n".join(lines) + "\n", out)
     return 0
 

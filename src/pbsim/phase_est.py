@@ -106,6 +106,9 @@ class SuperpositionCoeffs:
 def gauge_fixed(c, s: int, note: str = "") -> SuperpositionCoeffs:
     """Normalize and rotate a raw coefficient vector into the gauge."""
     v = np.asarray(c, dtype=np.complex128).copy()
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise ValidationError(f"non-finite coefficient c_{bad[0]} = {v[bad[0]]}")
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ValidationError("zero coefficient vector")

@@ -14,7 +14,7 @@ takes a FockDensity, a FockVector or a matrix that FockDensity accepts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -31,6 +31,11 @@ from .fock import FockDensity, FockVector
 RADIUS_THRESHOLD = 0.001
 PANEL_ORDER = 16
 MAX_DEPTH = 20
+# the q box of a negativity volume reaches this far past effective_radius
+RADIUS_MARGIN = 2.0
+# Hermite-series evaluations allowed per negativity volume
+MAX_EVALS = 40_000_000
+DEFAULT_TOL = 1e-6
 _NODES, _WEIGHTS = leggauss(PANEL_ORDER)
 _TRACE_PRE_TOL = 1e-8
 _ROOT_STEP = 1e-8
@@ -49,78 +54,16 @@ def _as_density(state) -> FockDensity:
     return FockDensity(np.asarray(state))
 
 
-@dataclass(frozen=True)
-class WignerGrid:
-    """Rectangular lattice spec and, once evaluated, the W values.
+def wigner_grid(rho, qs, ps) -> np.ndarray:
+    """W on the lattice qs x ps: values[i, j] = W(qs[i], ps[j]).
 
-    values[i, j] = W(q_i, p_j) with q_i, p_j the uniform lattices given
-    by q_values()/p_values().
+    Both axes must be finite 1-D arrays.
     """
-
-    q_min: float
-    q_max: float
-    p_min: float
-    p_max: float
-    nq: int
-    np: int
-    values: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.nq < 2 or self.np < 2:
-            raise ValidationError("grid needs at least 2 points per axis")
-        for v in (self.q_min, self.q_max, self.p_min, self.p_max):
-            if not np.isfinite(v):
-                raise ValidationError("grid extents must be finite")
-        if not (self.q_max > self.q_min and self.p_max > self.p_min):
-            raise ValidationError("grid extents must have positive span")
-        if self.values is not None:
-            vals = np.asarray(self.values, dtype=np.float64)
-            if vals.shape != (self.nq, self.np):
-                raise ValidationError(
-                    f"values shape {vals.shape} != ({self.nq}, {self.np})")
-            if not np.all(np.isfinite(vals)):
-                raise ValidationError("non-finite grid value")
-            object.__setattr__(self, "values", vals)
-
-    def q_values(self) -> np.ndarray:
-        return np.linspace(self.q_min, self.q_max, self.nq)
-
-    def p_values(self) -> np.ndarray:
-        return np.linspace(self.p_min, self.p_max, self.np)
-
-
-def wigner_grid(rho, spec: WignerGrid) -> WignerGrid:
-    """Evaluate W on the lattice described by spec."""
-    coef = wigner_coefficients(_as_density(rho).matrix)
-    vals = wigner_lattice(coef, spec.q_values(), spec.p_values())
-    return replace(spec, values=vals)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """How to integrate |W| over phase space.
-
-    The integral over p along each line of fixed q is exact (see
-    negativity_volume); the outer integral over q in [-L, L] uses
-    PANEL_ORDER-point Gauss-Legendre panels, halved level by level,
-    at most MAX_DEPTH times, until parent and children agree to tol. L
-    is effective_radius plus radius_margin. max_evals caps the
-    Hermite-series evaluations per state: volumes integrated in one pass
-    (a herald sweep) each have their own budget, tolerance and depth.
-    """
-
-    tol: float = 1e-6
-    radius_margin: float = 2.0
-    max_evals: int = 40_000_000
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValidationError("tolerance must be > 0")
-        if self.radius_margin < 0:
-            raise ValidationError("radius margin must be >= 0")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
+    axes = [np.asarray(axis, dtype=np.float64) for axis in (qs, ps)]
+    for axis in axes:
+        if axis.ndim != 1 or not np.all(np.isfinite(axis)):
+            raise ValidationError("grid axes must be finite 1-D arrays")
+    return wigner_lattice(wigner_coefficients(_as_density(rho).matrix), *axes)
 
 
 @dataclass(frozen=True)
@@ -147,34 +90,35 @@ def _check_unit_trace(dm: FockDensity) -> None:
             f"expected a trace-1 density, got trace {dm.trace:.12g}")
 
 
-def negativity_volume(rho, quad: QuadratureSpec | None = None) -> float:
+def negativity_volume(rho, tol: float = DEFAULT_TOL) -> float:
     """Negativity volume (1/2)(Int |W| - 1), clamped at zero.
 
     On each line of fixed q, W(q, p) = sum_k a_k(q) h_k(2p) with
     a(q) = C^T h(2q). Its sign changes in p are bracketed on a grid of
     spacing 0.5 pi / sqrt(2D) over |2p| <= 2L + 4 (D = len(a),
-    L = effective_radius + radius_margin), with a check of each cell
+    L = effective_radius + RADIUS_MARGIN), with a check of each cell
     where W' turns toward zero for a hidden pair, and polished by
     safeguarded Newton steps. Between consecutive roots and +-inf,
     Int |W| dp is then a sum of a_k times exact integrals of h_k. Only
-    the outer q integral over [-L, L] is adaptive (QuadratureSpec).
-    QuadratureError is raised when the same line integrals over the
-    strips L < |q| < L + 2 exceed the quadrature tolerance, or when
-    the q refinement exceeds MAX_DEPTH or max_evals.
+    the outer q integral over [-L, L] is adaptive: PANEL_ORDER-point
+    Gauss-Legendre panels, halved level by level, at most MAX_DEPTH
+    times, until parent and children agree to tol. MAX_EVALS caps the
+    Hermite-series evaluations per state. QuadratureError is raised
+    when the same line integrals over the strips L < |q| < L + 2 exceed
+    tol, or when the q refinement exceeds MAX_DEPTH or MAX_EVALS.
     """
-    return negativity_volume_detailed(rho, quad).volume
+    return negativity_volume_detailed(rho, tol).volume
 
 
-def negativity_volume_detailed(rho, quad: QuadratureSpec | None = None
+def negativity_volume_detailed(rho, tol: float = DEFAULT_TOL
                                ) -> NegativityResult:
-    (result,) = _negativity_volumes([rho], quad)
+    (result,) = _negativity_volumes([rho], tol)
     if isinstance(result, NumericalError):
         raise result
     return result
 
 
-def _negativity_volumes(densities, quad: QuadratureSpec | None = None
-                        ) -> list:
+def _negativity_volumes(densities, tol: float = DEFAULT_TOL) -> list:
     """negativity_volume_detailed of each density, in one adaptive pass.
 
     The densities must share one dimension. Every line-integral call
@@ -184,7 +128,8 @@ def _negativity_volumes(densities, quad: QuadratureSpec | None = None
     whose numerics fail gets its NumericalError in its place in the
     returned list, and the others go on.
     """
-    spec = quad if quad is not None else DEFAULT_QUADRATURE
+    if not tol > 0:
+        raise ValidationError(f"tolerance must be > 0, got {tol!r}")
     dms = [_as_density(rho) for rho in densities]
     dims = sorted({dm.matrix.shape[0] for dm in dms})
     if len(dims) > 1:
@@ -197,7 +142,7 @@ def _negativity_volumes(densities, quad: QuadratureSpec | None = None
     for i, dm in enumerate(dms):
         try:
             coef = wigner_coefficients(dm.matrix)
-            half_widths.append(_radius(coef) + spec.radius_margin)
+            half_widths.append(_radius(coef) + RADIUS_MARGIN)
         except NumericalError as exc:
             results[i] = exc
             continue
@@ -211,26 +156,26 @@ def _negativity_volumes(densities, quad: QuadratureSpec | None = None
          for k, hw in enumerate(half_widths)])]
     boxed = []
     for k, (hw, tail) in enumerate(zip(half_widths, tails)):
-        if tail > spec.tol:
+        if tail > tol:
             results[index[k]] = QuadratureError(
-                f"|W| outside the box |q| <= {hw:.3f} integrates "
-                f"to {tail:.3e}, above tolerance {spec.tol:.1e}; raise "
-                f"radius_margin")
+                f"|W| outside the box |q| <= {hw:.3f} (effective radius "
+                f"+ RADIUS_MARGIN {RADIUS_MARGIN}) integrates to "
+                f"{tail:.3e}, above tolerance {tol:.1e}")
         else:
             boxed.append(k)
-    for k, integral in _adaptive_q_integrals(lines, boxed, spec).items():
-        results[index[k]] = _volume(integral, lines, k, tails[k], spec)
+    for k, integral in _adaptive_q_integrals(lines, boxed, tol).items():
+        results[index[k]] = _volume(integral, lines, k, tails[k], tol)
     return results
 
 
-def _volume(integral, lines, k, tail, spec):
+def _volume(integral, lines, k, tail, tol):
     """State k's NegativityResult from its adaptive integral, or the error."""
     if isinstance(integral, QuadratureError):
         return integral
     absint, depth = integral
     raw = 0.5 * (absint - 1.0)
     if raw < 0.0:
-        if raw < -100.0 * spec.tol:
+        if raw < -100.0 * tol:
             return QuadratureError(
                 f"negativity volume {raw:.3e} below zero beyond tolerance")
         raw = 0.0
@@ -242,14 +187,14 @@ def _volume(integral, lines, k, tail, spec):
                             roots=int(lines.roots[k]))
 
 
-def _adaptive_q_integrals(lines, states, spec) -> dict:
+def _adaptive_q_integrals(lines, states, tol) -> dict:
     """Integral over q in [-L, L] of the exact line integrals of |W|.
 
     Returns {state: (value, depth_reached) or QuadratureError}. Panels are
     halved level by level; a panel is accepted when its parent/children
     difference is below its width share of the tolerance, and a state's
     refinement stops early once its remaining difference budget is below
-    half the target. Tolerance, MAX_DEPTH and max_evals hold per state;
+    half the target. tol, MAX_DEPTH and MAX_EVALS hold per state;
     one line-integral call per level serves all states still refining.
     """
     if not states:
@@ -268,17 +213,17 @@ def _adaptive_q_integrals(lines, states, spec) -> dict:
                           np.concatenate([qm, q1])))
         for (k, cq0, cq1), cvals in zip(parts, lines.panels(parts)):
             q0, q1, vals, total = live.pop(k)
-            if lines.evaluations[k] > spec.max_evals:
+            if lines.evaluations[k] > MAX_EVALS:
                 out[k] = QuadratureError(
-                    f"evaluation budget {spec.max_evals} exceeded at "
+                    f"evaluation budget {MAX_EVALS} exceeded at "
                     f"depth {depth}")
                 continue
             child_sum = cvals[:q0.size] + cvals[q0.size:]
             diff = np.abs(child_sum - vals)
-            if diff.sum() <= 0.5 * spec.tol:
+            if diff.sum() <= 0.5 * tol:
                 out[k] = (float(total + child_sum.sum()), depth)
                 continue
-            done = diff <= spec.tol * (q1 - q0) / (2.0 * hw[k])
+            done = diff <= tol * (q1 - q0) / (2.0 * hw[k])
             total += float(child_sum[done].sum())
             keep2 = np.concatenate([~done, ~done])
             if keep2.any():

@@ -29,8 +29,7 @@ from pbsim.phase_est import (estimate_coefficients, estimate_phase,
                              sample_outcomes, superposition_probs)
 from pbsim.phase_est import SuperpositionCoeffs
 from pbsim.phase_states import pb_eigenstate, phase_state, phase_value
-from pbsim.wigner import (WignerGrid, effective_radius, negativity_volume,
-                          wigner_grid)
+from pbsim.wigner import effective_radius, negativity_volume, wigner_grid
 
 from oracles import wigner_point, wigner_point_integral
 
@@ -101,9 +100,9 @@ def test_criterion_05_radius_monotone_and_vacuum_value():
 
 def test_criterion_06_quarter_turn_rotation():
     n = 121
-    spec = WignerGrid(-5.0, 5.0, -5.0, 5.0, n, n)
-    w0 = wigner_grid(pb_eigenstate(11, 0), spec).values
-    w3 = wigner_grid(pb_eigenstate(11, 3), spec).values
+    axis = np.linspace(-5.0, 5.0, n)
+    w0 = wigner_grid(pb_eigenstate(11, 0), axis, axis)
+    w3 = wigner_grid(pb_eigenstate(11, 3), axis, axis)
     # clockwise quarter turn on the symmetric lattice is exact:
     # W3(q, p) = W0(-p, q)
     rotated = w0[::-1, :].T

@@ -3,6 +3,7 @@ what the package leaves to the tests."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,14 +11,14 @@ from pathlib import Path
 import pbsim
 
 PUBLIC_NAMES = [
-    "ConfigMismatchError", "CountTable", "CutoffError", "DEFAULT_QUADRATURE",
+    "ConfigMismatchError", "CountTable", "CutoffError",
     "DegenerateHeraldError", "DetectorPovm", "FockDensity", "FockVector",
     "HeraldConfig", "HeraldResult", "HeraldSweepRow", "LeakageWarning",
     "LowInformationError", "NegativityResult", "NumericalError",
     "PbsimError", "PhaseEstimate", "QuadratureError",
-    "QuadratureSpec", "RankDeficiencyWarning", "RootQualityError",
+    "RankDeficiencyWarning", "RootQualityError",
     "SuperpositionCoeffs", "TwoModeUnitary",
-    "ValidationError", "WignerGrid", "WindowExhaustedError", "__version__",
+    "ValidationError", "WindowExhaustedError", "__version__",
     "alpha_polynomial", "apply_single_mode_op", "apply_two_mode_unitary",
     "beam_splitter_5050", "beam_splitter_pb", "build_state",
     "conditional_density", "detector_povm", "displacement_op",
@@ -39,6 +40,22 @@ def test_public_names_are_pinned():
     assert sorted(pbsim.__all__) == PUBLIC_NAMES
     for name in pbsim.__all__:
         assert hasattr(pbsim, name), name
+
+
+def test_readme_names_exist():
+    # every backticked bare identifier in the README names something in
+    # the package or the test oracles, so removing a name means editing
+    # the docs too
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    names = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", readme))
+    assert names
+    code = "\n".join(path.read_text() for path in sorted(
+        (root / "src" / "pbsim").glob("*.py")))
+    code += (root / "tests" / "oracles.py").read_text()
+    missing = sorted(name for name in names
+                     if not re.search(rf"\b{name}\b", code))
+    assert missing == []
 
 
 def test_package_does_not_import_the_tests():

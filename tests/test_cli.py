@@ -230,6 +230,28 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["radius-sweep", "--s", "2", "--out", str(missing)]) == 3
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--n", "1", "n must be >= 2"),
+    ("--extent", "0", "extent must be positive and finite"),
+    ("--extent", "inf", "extent must be positive and finite"),
+    ("--extent", "nan", "extent must be positive and finite"),
+])
+def test_wigner_grid_rejects_bad_lattice(capsys, flag, value, message):
+    assert main(["wigner-grid", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"pbsim: {message}")
+
+
+@pytest.mark.parametrize("coeffs", ["1,inf", "1,nan"])
+def test_phase_sim_rejects_non_finite_coefficients(capsys, coeffs):
+    assert main(["phase-sim", "--s", "1", "--target", "coefficients",
+                 "--coeffs", coeffs]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("pbsim: non-finite coefficient c_1")
+
+
 def test_herald_sweep_rows_and_slopes(tmp_path):
     code, text = run_to_file(tmp_path, "h.csv", SMALL_RUNS["herald-sweep"])
     assert code == 0

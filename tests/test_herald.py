@@ -398,8 +398,8 @@ def test_sweep_volume_failure_is_its_row_only(monkeypatch):
     import pbsim.herald
     real = pbsim.herald._negativity_volumes
 
-    def second_fails(densities, quad=None):
-        out = real(densities, quad)
+    def second_fails(*args):
+        out = real(*args)
         out[1] = QuadratureError("forced failure")
         return out
 

@@ -414,6 +414,13 @@ def test_coefficients_validation():
         estimate_coefficients(tables, 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gauge_fixed_rejects_non_finite(bad):
+    # checked before normalizing, which would spread the NaN or inf
+    with pytest.raises(ValidationError, match="non-finite coefficient c_1"):
+        gauge_fixed([1.0, bad], 1)
+
+
 def test_coefficients_rank_warning():
     truth = SuperpositionCoeffs(
         2, np.array([0.8, 0.4, 0.4 + 0.2j]) / math.sqrt(0.8 ** 2 + 0.16 + 0.2))

@@ -14,11 +14,11 @@ from pbsim.errors import NumericalError, QuadratureError, ValidationError
 from pbsim.fock import FockDensity, FockVector, number_state, vacuum_state
 from pbsim.herald import HeraldConfig, _condition, herald_point
 from pbsim.phase_states import pb_eigenstate
-from pbsim.wigner import (DEFAULT_QUADRATURE, MAX_DEPTH, NegativityResult,
-                          QuadratureSpec,
-                          WignerGrid, _LineIntegrals, _negativity_volumes,
-                          effective_radius, negativity_volume,
-                          negativity_volume_detailed, wigner_grid)
+from pbsim.wigner import (DEFAULT_TOL, MAX_DEPTH, RADIUS_MARGIN,
+                          NegativityResult, _LineIntegrals,
+                          _negativity_volumes, effective_radius,
+                          negativity_volume, negativity_volume_detailed,
+                          wigner_grid)
 
 from oracles import (hermite_wavefunctions_all, wigner_point,
                      wigner_point_integral)
@@ -112,38 +112,42 @@ def test_conjugate_density_mirrors_momentum():
 def test_lattice_sum_is_unity(s, m):
     # W is a Gaussian times a polynomial, so the trapezoid sum over a lattice
     # this fine and wide is its plane integral (the trace) to rounding
-    grid = wigner_grid(pb_eigenstate(s, m),
-                       WignerGrid(-8.0, 8.0, -8.0, 8.0, 321, 321))
+    axis = np.linspace(-8.0, 8.0, 321)
+    values = wigner_grid(pb_eigenstate(s, m), axis, axis)
     h = 16.0 / 320
-    assert grid.values.sum() * h * h == pytest.approx(1.0, abs=1e-12)
+    assert values.sum() * h * h == pytest.approx(1.0, abs=1e-12)
 
 
 def test_grid_validation():
-    with pytest.raises(ValidationError):
-        WignerGrid(-1.0, 1.0, -1.0, 1.0, 1, 5)
-    with pytest.raises(ValidationError):
-        WignerGrid(1.0, -1.0, -1.0, 1.0, 5, 5)
-    with pytest.raises(ValidationError):
-        WignerGrid(-1.0, 1.0, -1.0, 1.0, 3, 3, values=np.zeros((2, 2)))
-    with pytest.raises(ValidationError):
-        QuadratureSpec(tol=0.0)
+    psi = pb_eigenstate(2, 0)
+    axis = np.linspace(-1.0, 1.0, 3)
+    for bad in (np.array([0.0, np.inf]), np.array([np.nan, 1.0]),
+                np.zeros((2, 2)), 0.5):
+        with pytest.raises(ValidationError, match="finite 1-D"):
+            wigner_grid(psi, bad, axis)
+        with pytest.raises(ValidationError, match="finite 1-D"):
+            wigner_grid(psi, axis, bad)
+    for tol in (0.0, -1e-6, np.nan):
+        with pytest.raises(ValidationError, match="tolerance must be > 0"):
+            negativity_volume(psi, tol)
 
 
 def test_grid_matches_pointwise():
     psi = pb_eigenstate(3, 2)
-    spec = WignerGrid(-2.0, 2.0, -1.5, 1.5, 5, 4)
-    grid = wigner_grid(psi, spec)
-    qv, pv = grid.q_values(), grid.p_values()
+    qv, pv = np.linspace(-2.0, 2.0, 5), np.linspace(-1.5, 1.5, 4)
+    values = wigner_grid(psi, qv, pv)
+    assert values.shape == (5, 4)
     for i in (0, 2, 4):
         for j in (0, 3):
-            assert grid.values[i, j] == pytest.approx(
+            assert values[i, j] == pytest.approx(
                 wigner_point(psi, float(qv[i]), float(pv[j])), abs=1e-13)
 
 
-def test_tiny_budget_raises():
-    with pytest.raises(QuadratureError):
-        negativity_volume(pb_eigenstate(4, 0),
-                          QuadratureSpec(tol=1e-10, max_evals=2000))
+def test_tiny_budget_raises(monkeypatch):
+    import pbsim.wigner
+    monkeypatch.setattr(pbsim.wigner, "MAX_EVALS", 2000)
+    with pytest.raises(QuadratureError, match="evaluation budget 2000"):
+        negativity_volume(pb_eigenstate(4, 0), tol=1e-10)
 
 
 def test_negativity_anchors():
@@ -160,11 +164,10 @@ REFERENCE_VOLUMES = {1: 0.0697148152685, 4: 0.1701009778123,
 
 
 def test_negativity_reference_values():
-    quad_spec = QuadratureSpec(tol=1e-10)
-    assert negativity_volume(number_state(1, 2), quad_spec) == pytest.approx(
+    assert negativity_volume(number_state(1, 2), tol=1e-10) == pytest.approx(
         2 * math.exp(-0.5) - 1, abs=1e-9)
     for s, want in REFERENCE_VOLUMES.items():
-        result = negativity_volume_detailed(pb_eigenstate(s, 0), quad_spec)
+        result = negativity_volume_detailed(pb_eigenstate(s, 0), tol=1e-10)
         assert result.volume == pytest.approx(want, abs=1e-9)
         assert result.max_depth_reached < MAX_DEPTH
 
@@ -194,8 +197,7 @@ def test_one_coefficient_table_per_volume(monkeypatch):
     psi = pb_eigenstate(4, 0)
     result = negativity_volume_detailed(psi)
     assert len(calls) == 1
-    assert result.box_half_width == (effective_radius(psi)
-                                     + DEFAULT_QUADRATURE.radius_margin)
+    assert result.box_half_width == effective_radius(psi) + RADIUS_MARGIN
 
 
 def test_hermite_primitives_match_quadrature():
@@ -267,11 +269,11 @@ def herald_grid():
             for eta in (1.0, 0.8, 0.6) for r in np.linspace(0.05, 0.3, 6)]
 
 
-def _assert_alone(batch, results, quad=None):
+def _assert_alone(batch, results):
     # each state's batched result is the one it gets alone, bit for bit
     for rho, got in zip(batch, results):
         try:
-            want = negativity_volume_detailed(rho, quad)
+            want = negativity_volume_detailed(rho)
         except QuadratureError as exc:
             assert isinstance(got, QuadratureError) and str(got) == str(exc)
             continue
@@ -323,17 +325,18 @@ def _dim5_batch():
             vacuum_state(4), number_state(1, 4)]
 
 
-def test_batch_isolates_an_exhausted_budget():
+def test_batch_isolates_an_exhausted_budget(monkeypatch):
+    import pbsim.wigner
     batch = _dim5_batch()
     evals = [negativity_volume_detailed(rho).evaluations for rho in batch]
-    budget = QuadratureSpec(max_evals=max(evals[:1] + evals[2:]))
-    assert evals[1] > budget.max_evals
-    results = _negativity_volumes(batch, budget)
+    monkeypatch.setattr(pbsim.wigner, "MAX_EVALS", max(evals[:1] + evals[2:]))
+    assert evals[1] > pbsim.wigner.MAX_EVALS
+    results = _negativity_volumes(batch)
     assert isinstance(results[1], QuadratureError)
     assert "evaluation budget" in str(results[1])
     assert all(isinstance(r, NegativityResult)
                for i, r in enumerate(results) if i != 1)
-    _assert_alone(batch, results, budget)
+    _assert_alone(batch, results)
 
 
 def test_batch_isolates_max_depth(monkeypatch):
@@ -387,10 +390,11 @@ def test_lattice_path_matches_point_path():
     rng = np.random.default_rng(41)
     a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
     rho = FockDensity(a @ a.conj().T / np.trace(a @ a.conj().T).real)
-    grid = wigner_grid(rho, WignerGrid(-3.0, 2.5, -2.0, 3.5, 23, 19))
-    qq, pp = np.meshgrid(grid.q_values(), grid.p_values(), indexing="ij")
+    qs, ps = np.linspace(-3.0, 2.5, 23), np.linspace(-2.0, 3.5, 19)
+    values = wigner_grid(rho, qs, ps)
+    qq, pp = np.meshgrid(qs, ps, indexing="ij")
     points = wigner_batch(rho.matrix, qq.ravel(), pp.ravel())
-    assert np.abs(grid.values.ravel() - points).max() <= 1e-13
+    assert np.abs(values.ravel() - points).max() <= 1e-13
 
 
 def test_raw_matrix_input():
@@ -410,12 +414,15 @@ def test_raw_matrix_input():
         wigner_batch(blank, [0.3], [0.2])
 
 
-def test_tail_contract():
+def test_tail_contract(monkeypatch):
+    import pbsim.wigner
     state = pb_eigenstate(4, 0)
-    with pytest.raises(QuadratureError, match="outside the box"):
-        negativity_volume(state, QuadratureSpec(radius_margin=0.0))
     result = negativity_volume_detailed(state)
-    assert result.tail_estimate <= QuadratureSpec().tol
+    assert result.tail_estimate <= DEFAULT_TOL
+    monkeypatch.setattr(pbsim.wigner, "RADIUS_MARGIN", 0.0)
+    with pytest.raises(QuadratureError,
+                       match=r"outside the box .*RADIUS_MARGIN 0\.0"):
+        negativity_volume(state)
 
 
 def test_overflowing_weight_names_the_coefficient_table(monkeypatch):
@@ -434,7 +441,7 @@ def test_overflowing_weight_names_the_coefficient_table(monkeypatch):
     for run in (lambda: wigner_coefficients(FockDensity.from_pure(psi).matrix),
                 lambda: effective_radius(psi),
                 lambda: negativity_volume(psi),
-                lambda: wigner_grid(psi, WignerGrid(-1.0, 1.0, -1.0, 1.0, 3, 3))):
+                lambda: wigner_grid(psi, [-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0])):
         with pytest.raises(NumericalError,
                            match="coefficient table of size 9 x 9") as info:
             run()
