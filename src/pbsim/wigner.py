@@ -31,8 +31,8 @@ from .fock import FockDensity, FockVector
 RADIUS_THRESHOLD = 0.001
 PANEL_ORDER = 16
 MAX_DEPTH = 20
-# the q box of a negativity volume reaches this far past effective_radius
-RADIUS_MARGIN = 2.0
+# the q box of dimension D reaches this far past sqrt(2D)/2
+BOX_MARGIN = 3.0
 # Hermite-series evaluations allowed per negativity volume
 MAX_EVALS = 40_000_000
 DEFAULT_TOL = 1e-6
@@ -70,6 +70,8 @@ def wigner_grid(rho, qs, ps) -> np.ndarray:
 class NegativityResult:
     """A negativity volume with its integration record.
 
+    box_half_width is L = sqrt(2D)/2 + BOX_MARGIN, shared by every state
+    of dimension D, and tail_estimate is Int |W| over L < |q| < L + 2.
     evaluations counts every Hermite-series evaluation at one point of
     one q line (the p grid, W' there, root polishing and primitives);
     roots counts the sign changes of W found on all q lines.
@@ -84,6 +86,12 @@ class NegativityResult:
     roots: int
 
 
+def _box(dim: int) -> float:
+    """The q box's half-width for every state whose table has size dim."""
+    # each h_j(2q), j < dim, decays like a Gaussian past |2q| = sqrt(2dim-1)
+    return math.sqrt(2.0 * dim) / 2.0 + BOX_MARGIN
+
+
 def _check_unit_trace(dm: FockDensity) -> None:
     if abs(dm.trace - 1.0) > _TRACE_PRE_TOL:
         raise ValidationError(
@@ -95,10 +103,10 @@ def negativity_volume(rho, tol: float = DEFAULT_TOL) -> float:
 
     On each line of fixed q, W(q, p) = sum_k a_k(q) h_k(2p) with
     a(q) = C^T h(2q). Its sign changes in p are bracketed on a grid of
-    spacing 0.5 pi / sqrt(2D) over |2p| <= 2L + 4 (D = len(a),
-    L = effective_radius + RADIUS_MARGIN), with a check of each cell
-    where W' turns toward zero for a hidden pair, and polished by
-    safeguarded Newton steps. Between consecutive roots and +-inf,
+    spacing 0.5 pi / sqrt(2D) over |2p| <= 2L + 4 (D = len(a), and
+    L = sqrt(2D)/2 + BOX_MARGIN for every state of that dimension), with
+    a check of each cell where W' turns toward zero for a hidden pair,
+    and polished by safeguarded Newton steps. Between consecutive roots and +-inf,
     Int |W| dp is then a sum of a_k times exact integrals of h_k. Only
     the outer q integral over [-L, L] is adaptive: PANEL_ORDER-point
     Gauss-Legendre panels, halved level by level, at most MAX_DEPTH
@@ -121,12 +129,13 @@ def negativity_volume_detailed(rho, tol: float = DEFAULT_TOL
 def _negativity_volumes(densities, tol: float = DEFAULT_TOL) -> list:
     """negativity_volume_detailed of each density, in one adaptive pass.
 
-    The densities must share one dimension. Every line-integral call
-    carries the q lines of all states still refining, but each state
-    keeps its own box, tail check, panels, stopping rule, depth and
-    evaluation budget, so its result is the one it gets alone. A state
-    whose numerics fail gets its NumericalError in its place in the
-    returned list, and the others go on.
+    The densities must share one dimension, and with it one q box, p
+    grid and Hermite table. Every line-integral call carries the q lines
+    of all states still refining, but each state keeps its own tail
+    check, panels, stopping rule, depth and evaluation budget, so its
+    result is the one it gets alone. A state whose numerics fail gets its
+    NumericalError in its place in the returned list, and the others go
+    on.
     """
     if not tol > 0:
         raise ValidationError(f"tolerance must be > 0, got {tol!r}")
@@ -138,29 +147,28 @@ def _negativity_volumes(densities, tol: float = DEFAULT_TOL) -> list:
     for dm in dms:
         _check_unit_trace(dm)
     results: list = [None] * len(dms)
-    index, coefs, half_widths = [], [], []
+    index, coefs = [], []
     for i, dm in enumerate(dms):
         try:
-            coef = wigner_coefficients(dm.matrix)
-            half_widths.append(_radius(coef) + RADIUS_MARGIN)
+            coefs.append(wigner_coefficients(dm.matrix))
         except NumericalError as exc:
             results[i] = exc
             continue
         index.append(i)
-        coefs.append(coef)
     if not index:
         return results
-    lines = _LineIntegrals(np.stack(coefs), half_widths)
-    tails = [float(t.sum()) for t in lines.panels(
-        [(k, np.array([-hw - 2.0, hw]), np.array([-hw, hw + 2.0]))
-         for k, hw in enumerate(half_widths)])]
+    lines = _LineIntegrals(np.stack(coefs))
+    hw = lines.half_width
+    strips = (np.array([-hw - 2.0, hw]), np.array([-hw, hw + 2.0]))
+    tails = [float(t.sum())
+             for t in lines.panels([(k, *strips) for k in range(len(index))])]
     boxed = []
-    for k, (hw, tail) in enumerate(zip(half_widths, tails)):
+    for k, tail in enumerate(tails):
         if tail > tol:
             results[index[k]] = QuadratureError(
-                f"|W| outside the box |q| <= {hw:.3f} (effective radius "
-                f"+ RADIUS_MARGIN {RADIUS_MARGIN}) integrates to "
-                f"{tail:.3e}, above tolerance {tol:.1e}")
+                f"|W| outside the box |q| <= {hw:.3f} (sqrt(2D)/2 + "
+                f"BOX_MARGIN {BOX_MARGIN}, D = {lines.coef.shape[1]}) "
+                f"integrates to {tail:.3e}, above tolerance {tol:.1e}")
         else:
             boxed.append(k)
     for k, integral in _adaptive_q_integrals(lines, boxed, tol).items():
@@ -181,7 +189,7 @@ def _volume(integral, lines, k, tail, tol):
         raw = 0.0
     return NegativityResult(volume=float(raw), abs_integral=float(absint),
                             tail_estimate=tail,
-                            box_half_width=float(lines.half_widths[k]),
+                            box_half_width=lines.half_width,
                             evaluations=int(lines.evaluations[k]),
                             max_depth_reached=depth,
                             roots=int(lines.roots[k]))
@@ -199,8 +207,8 @@ def _adaptive_q_integrals(lines, states, tol) -> dict:
     """
     if not states:
         return {}
-    hw = lines.half_widths
-    parts = [(k, np.array([-hw[k]]), np.array([hw[k]])) for k in states]
+    hw = lines.half_width
+    parts = [(k, np.array([-hw]), np.array([hw])) for k in states]
     # state -> (q0, q1, panel values, accepted total)
     live = {k: (q0, q1, vals, 0.0)
             for (k, q0, q1), vals in zip(parts, lines.panels(parts))}
@@ -223,7 +231,7 @@ def _adaptive_q_integrals(lines, states, tol) -> dict:
             if diff.sum() <= 0.5 * tol:
                 out[k] = (float(total + child_sum.sum()), depth)
                 continue
-            done = diff <= tol * (q1 - q0) / (2.0 * hw[k])
+            done = diff <= tol * (q1 - q0) / (2.0 * hw)
             total += float(child_sum[done].sum())
             keep2 = np.concatenate([~done, ~done])
             if keep2.any():
@@ -267,29 +275,22 @@ class _LineIntegrals:
     """G(q) = Int |W(q, p)| dp, exact up to root polishing, for a batch of
     states of one dimension.
 
-    Holds each state's coefficient table, box half-width, p grid with its
-    Hermite table, and running evaluation and root counts. Lines come as
-    ranges (state, lo, hi) of a q array: lines lo..hi-1 belong to that
-    state. Each state's matrix products run on exactly the rows it would
+    Holds each state's coefficient table and running evaluation and root
+    counts, and the box half-width, p grid and Hermite table that the
+    dimension fixes. Lines come as ranges (state, lo, hi) of a q array:
+    lines lo..hi-1 belong to that state. Each state's matrix products run on exactly the rows it would
     have alone; the bracket search and polishing run once per block of
     at most LINE_BLOCK lines, over all its states.
     """
 
-    def __init__(self, coefs: np.ndarray, half_widths):
+    def __init__(self, coefs: np.ndarray):
         self.coef = coefs
-        self.half_widths = list(half_widths)
         dim = coefs.shape[1]
-        grids = []
-        for hw in self.half_widths:
-            end = 2.0 * hw + 4.0
-            cells = math.ceil(
-                2.0 * end / (0.5 * math.pi / math.sqrt(2.0 * dim)))
-            grids.append(np.linspace(-end, end, cells + 1))
-        self.h_xi = [hermite_functions(dim, xi) for xi in grids]
-        # each state's p grid, padded to the widest by its last point
-        width = max(xi.size for xi in grids)
-        self.xi = np.array([np.pad(xi, (0, width - xi.size), mode="edge")
-                            for xi in grids])
+        self.half_width = _box(dim)
+        end = 2.0 * self.half_width + 4.0
+        cells = math.ceil(2.0 * end / (0.5 * math.pi / math.sqrt(2.0 * dim)))
+        self.xi = np.linspace(-end, end, cells + 1)
+        self.h_xi = hermite_functions(dim, self.xi)
         self.full_line = hermite_primitives(dim - 1, np.array([np.inf]))[:, 0]
         self.evaluations = np.zeros(len(coefs), dtype=np.int64)
         self.roots = np.zeros(len(coefs), dtype=np.int64)
@@ -351,8 +352,8 @@ class _LineIntegrals:
     def find_roots(self, qs: np.ndarray, segs):
         """Sign changes of W(q, p) in xi = 2p on each line q = qs[i].
 
-        Each range (state, lo, hi) of segs takes its state's table and p
-        grid. Returns (a, rows, roots): the lines' series coefficients
+        Each range (state, lo, hi) of segs takes its state's table.
+        Returns (a, rows, roots): the lines' series coefficients
         a(q) = C^T h(2q), and each root's line index and xi.
         """
         dim = self.coef.shape[1]
@@ -362,10 +363,8 @@ class _LineIntegrals:
         da = hermite_series_derivative(a)
         (row, cell), (tr, tc), f, fp = self._brackets(a, da, segs)
         state = _line_states(segs)
-        xi = self.xi.ravel()
-        grid = state * self.xi.shape[1]  # each line's offset into xi
-        c, t = grid[row] + cell, grid[tr] + tc
-        c_lo, c_hi, t_lo, t_hi = xi[c], xi[c + 1], xi[t], xi[t + 1]
+        xi = self.xi
+        c_lo, c_hi, t_lo, t_hi = xi[cell], xi[cell + 1], xi[tc], xi[tc + 1]
         f_lo, f_hi = f[row, cell], f[row, cell + 1]
         fp_lo, fp_hi = fp[tr, tc], fp[tr, tc + 1]
         ft_lo, ft_hi = f[tr, tc], f[tr, tc + 1]
@@ -392,22 +391,17 @@ class _LineIntegrals:
     def _brackets(self, a, da, segs):
         """Grid cells bracketing a root of W, and cells to check for a pair.
 
-        W and W' of each line are evaluated on its state's p grid, padded
-        to the widest grid by repeating the last point, which adds no sign
-        change and no turn. Returns the (line, cell) indices of both kinds
-        and the padded W and W' tables.
+        W and W' of each line are evaluated on the p grid, one product per
+        state over its own lines. Returns the (line, cell) indices of both
+        kinds and the W and W' tables.
         """
         dim = a.shape[1]
-        f = np.empty((a.shape[0], self.xi.shape[1]))
+        f = np.empty((a.shape[0], self.xi.size))
         fp = np.empty_like(f)
         for k, lo, hi in segs:
-            h_xi = self.h_xi[k]
-            end = h_xi.shape[1]
-            np.matmul(a[lo:hi], h_xi[:dim], out=f[lo:hi, :end])
-            np.matmul(da[lo:hi], h_xi, out=fp[lo:hi, :end])
-            f[lo:hi, end:] = f[lo:hi, end - 1:end]
-            fp[lo:hi, end:] = fp[lo:hi, end - 1:end]
-            self.evaluations[k] += 2 * (hi - lo) * end
+            np.matmul(a[lo:hi], self.h_xi[:dim], out=f[lo:hi])
+            np.matmul(da[lo:hi], self.h_xi, out=fp[lo:hi])
+            self.evaluations[k] += 2 * (hi - lo) * self.xi.size
         pos = f > 0
         cross = np.nonzero(pos[:, 1:] != pos[:, :-1])
         # a cell whose ends share W's sign holds a pair of roots only if
@@ -461,42 +455,26 @@ class _LineIntegrals:
 def effective_radius(rho) -> float:
     """Outermost |W| = RADIUS_THRESHOLD crossing along the +q axis.
 
-    Scans outward with step 0.01, extends the window when the boundary
-    is still above threshold, then solves for the final crossing to
-    1e-10 with Brent's method.
+    Scans [0, L] with step 0.01, L the negativity volume's box for the
+    state's dimension, then solves for the last crossing to 1e-10 with
+    Brent's method. WindowExhaustedError is raised when no scanned point
+    reaches the threshold or |W| is still above it at the box edge.
     """
     dm = _as_density(rho)
     _check_unit_trace(dm)
-    return _radius(wigner_coefficients(dm.matrix))
-
-
-def _radius(coef: np.ndarray) -> float:
-    """effective_radius from the state's (2N+1, 2N+1) coefficient table."""
-    cutoff = (coef.shape[0] - 1) // 2
+    coef = wigner_coefficients(dm.matrix)
     step = 0.01
-    window = math.sqrt(4.0 * cutoff + 2.0) / 2.0 + 4.0
-    t_lo = 0.0
-    last_above = -1.0
-    for _ in range(6):
-        ts = np.arange(t_lo, window + step, step)
-        vals = np.abs(wigner_points(coef, ts, np.zeros_like(ts)))
-        above = np.nonzero(vals >= RADIUS_THRESHOLD)[0]
-        if above.size:
-            last_above = max(last_above, float(ts[above[-1]]))
-        if above.size == 0 or ts[above[-1]] < ts[-1]:
-            break
-        t_lo = float(ts[-1])
-        window += 4.0
-    else:
-        raise WindowExhaustedError(
-            f"|W| still above {RADIUS_THRESHOLD} at ray distance "
-            f"{window:.1f}")
-    if last_above < 0.0:
+    ts = np.arange(0.0, _box(coef.shape[0]) + step, step)
+    above = np.nonzero(np.abs(wigner_points(coef, ts, np.zeros_like(ts)))
+                       >= RADIUS_THRESHOLD)[0]
+    if above.size == 0:
         raise WindowExhaustedError(
             f"no |W| >= {RADIUS_THRESHOLD} point found along the ray")
-
-    def g(t: float) -> float:
-        w = float(wigner_points(coef, [t], [0.0])[0])
-        return abs(w) - RADIUS_THRESHOLD
-
-    return float(brentq(g, last_above, last_above + step, xtol=1e-10))
+    if above[-1] == ts.size - 1:
+        raise WindowExhaustedError(
+            f"|W| still above {RADIUS_THRESHOLD} at the box edge "
+            f"q = {ts[-1]:.2f}")
+    last_above = float(ts[above[-1]])
+    return float(brentq(
+        lambda t: abs(wigner_points(coef, [t], [0.0])[0]) - RADIUS_THRESHOLD,
+        last_above, last_above + step, xtol=1e-10))

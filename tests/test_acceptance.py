@@ -39,6 +39,12 @@ def report(num, ok, detail):
     return ok
 
 
+def budget(elapsed, limit):
+    # the report line says only whether the time budget held, so reruns
+    # of the same code print the same line
+    return f"{'within' if elapsed < limit else 'over'} {limit:g}s"
+
+
 def test_criterion_01_orthonormality():
     t0 = time.perf_counter()
     worst = 0.0
@@ -49,8 +55,8 @@ def test_criterion_01_orthonormality():
         worst = max(worst, float(np.abs(gram - np.eye(s + 1)).max()))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-12 and elapsed < 1.0
-    assert report(1, ok,
-                  f"max Gram deviation {worst:.3e} (<1e-12), {elapsed:.2f}s")
+    assert report(1, ok, f"max Gram deviation {worst:.3e} (<1e-12), "
+                  f"{budget(elapsed, 1.0)}")
 
 
 def test_criterion_02_wigner_oracle_equivalence():
@@ -85,7 +91,7 @@ def test_criterion_04_negativity_monotone_in_s():
     gaps = np.diff(vols)
     ok = bool(np.all(gaps > 0)) and elapsed < 600.0
     assert report(4, ok, f"min increment {gaps.min():.5f} over s=1..17, "
-                  f"{elapsed:.0f}s (<600s)")
+                  f"{budget(elapsed, 600.0)}")
 
 
 def test_criterion_05_radius_monotone_and_vacuum_value():

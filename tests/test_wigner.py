@@ -14,7 +14,7 @@ from pbsim.errors import NumericalError, QuadratureError, ValidationError
 from pbsim.fock import FockDensity, FockVector, number_state, vacuum_state
 from pbsim.herald import HeraldConfig, _condition, herald_point
 from pbsim.phase_states import pb_eigenstate
-from pbsim.wigner import (DEFAULT_TOL, MAX_DEPTH, RADIUS_MARGIN,
+from pbsim.wigner import (BOX_MARGIN, DEFAULT_TOL, MAX_DEPTH,
                           NegativityResult, _LineIntegrals,
                           _negativity_volumes, effective_radius,
                           negativity_volume, negativity_volume_detailed,
@@ -157,8 +157,15 @@ def test_negativity_anchors():
 
 
 # V(|phi_0>_s) from two independent root-based evaluations (comrade-matrix
-# roots and grid-bracketed Newton roots), which agree to 1e-13
+# roots and grid-bracketed Newton roots), which agree to 1e-13. V(5) is
+# the outer q integral on uniform 16-point Gauss-Legendre panels instead
+# (12 000 to 32 000 panels over three boxes agree to 2e-12). It guards
+# the adaptive rule against a root-pair birth between a panel's edge and
+# its first node, which neither the panel nor its children see: with the
+# box sized by effective_radius + 2, the panel [1.25098, 2.50196] passed
+# at depth 4 off by 7.9e-7 (birth at q = 1.2537), and V(5) by 3.97e-7.
 REFERENCE_VOLUMES = {1: 0.0697148152685, 4: 0.1701009778123,
+                     5: 0.19141209848,
                      8: 0.2357593505655, 12: 0.2774926003676,
                      17: 0.3147545070149}
 
@@ -184,7 +191,8 @@ def test_negativity_record_is_filled():
 
 
 def test_one_coefficient_table_per_volume(monkeypatch):
-    # the box radius and the line integrals share one coefficient table
+    # the tail strips and the line integrals share one coefficient table,
+    # and the box comes from the dimension alone
     import pbsim.wigner
     real = pbsim.wigner.wigner_coefficients
     calls = []
@@ -197,7 +205,7 @@ def test_one_coefficient_table_per_volume(monkeypatch):
     psi = pb_eigenstate(4, 0)
     result = negativity_volume_detailed(psi)
     assert len(calls) == 1
-    assert result.box_half_width == effective_radius(psi) + RADIUS_MARGIN
+    assert result.box_half_width == math.sqrt(2.0 * 9) / 2.0 + BOX_MARGIN
 
 
 def test_hermite_primitives_match_quadrature():
@@ -246,14 +254,12 @@ def test_line_integrals_match_comrade_oracle(name):
     # G(q) on 51 lines against the comrade roots; each root's residual
     # against the largest |W| on its line
     rho = LINE_STATES[name]()
-    half_width = effective_radius(rho) + 2.0
-    lines = _LineIntegrals(wigner_coefficients(rho.matrix)[None],
-                           [half_width])
-    qs = np.linspace(-half_width, half_width, 51)
+    lines = _LineIntegrals(wigner_coefficients(rho.matrix)[None])
+    qs = np.linspace(-lines.half_width, lines.half_width, 51)
     got = lines.at(qs, [(0, 0, qs.size)])
     a, rows, roots = lines.find_roots(qs, [(0, 0, qs.size)])
     dim = a.shape[1]
-    w_lines = a @ hermite_functions(dim - 1, lines.xi[0])
+    w_lines = a @ hermite_functions(dim - 1, lines.xi)
     w_roots = np.einsum("ik,ki->i", a[rows], hermite_functions(dim - 1, roots))
     assert roots.size > 0
     for i in range(qs.size):
@@ -278,6 +284,20 @@ def _assert_alone(batch, results):
             assert isinstance(got, QuadratureError) and str(got) == str(exc)
             continue
         assert got == want
+
+
+def truncated_coherent(alpha, cutoff):
+    amps = np.array([alpha ** n / math.sqrt(math.factorial(n))
+                     for n in range(cutoff + 1)], dtype=np.complex128)
+    return FockVector(amps / np.linalg.norm(amps))
+
+
+def test_box_is_reflection_and_rotation_invariant():
+    # the q box comes from the dimension, not from a scan along +q, so a
+    # state reflected or turned in phase space keeps its volume
+    vols = [negativity_volume(truncated_coherent(alpha, 30))
+            for alpha in (3.0, -3.0, 3.0j)]
+    assert max(vols) - min(vols) <= 1e-6
 
 
 def test_batch_equals_single_states(herald_grid):
@@ -320,7 +340,8 @@ def test_polish_steps_per_bracket(monkeypatch, herald_grid):
 
 
 def _dim5_batch():
-    # |phi_1>_4 needs depth 9 and the most evaluations; the rest less
+    # |phi_1>_4 needs the most evaluations and |1> the deepest refinement;
+    # each by itself
     return [pb_eigenstate(4, 0), pb_eigenstate(4, 1), pb_eigenstate(4, 2),
             vacuum_state(4), number_state(1, 4)]
 
@@ -344,12 +365,13 @@ def test_batch_isolates_max_depth(monkeypatch):
     batch = _dim5_batch()
     depths = [negativity_volume_detailed(rho).max_depth_reached
               for rho in batch]
-    monkeypatch.setattr(pbsim.wigner, "MAX_DEPTH", depths[1] - 1)
-    assert max(depths[:1] + depths[2:]) < depths[1]
+    deep = int(np.argmax(depths))
+    monkeypatch.setattr(pbsim.wigner, "MAX_DEPTH", depths[deep] - 1)
+    assert max(depths[:deep] + depths[deep + 1:]) < depths[deep]
     results = _negativity_volumes(batch)
-    assert "unconverged at max depth" in str(results[1])
+    assert "unconverged at max depth" in str(results[deep])
     assert all(isinstance(r, NegativityResult)
-               for i, r in enumerate(results) if i != 1)
+               for i, r in enumerate(results) if i != deep)
     _assert_alone(batch, results)
 
 
@@ -419,9 +441,9 @@ def test_tail_contract(monkeypatch):
     state = pb_eigenstate(4, 0)
     result = negativity_volume_detailed(state)
     assert result.tail_estimate <= DEFAULT_TOL
-    monkeypatch.setattr(pbsim.wigner, "RADIUS_MARGIN", 0.0)
+    monkeypatch.setattr(pbsim.wigner, "BOX_MARGIN", 0.0)
     with pytest.raises(QuadratureError,
-                       match=r"outside the box .*RADIUS_MARGIN 0\.0"):
+                       match=r"outside the box .*BOX_MARGIN 0\.0, D = 9"):
         negativity_volume(state)
 
 
