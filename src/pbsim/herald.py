@@ -7,8 +7,12 @@ target mode A. The displacement amplitudes are the roots of a degree-s
 polynomial whose coefficients make the heralded amplitudes equal weight
 order by order in q = tanh(r).
 
-Mode layout of the built state: axes 0..s-1 are the distribution modes
-(the cascade feeds axis s-1), axis s is the heralded mode A, always last.
+No multimode state is built: the cascade sends b+ to sum_i b_i+ / sqrt(s),
+so with F_i = D_i^H E D_i (D_i a truncated displacement, E the click
+diagonal) rho_A[j, k] = (1-q^2) q^(j+k) sqrt(j! k!) T[k, j] unnormalized,
+T the convolution over the modes of G_i[m', m] = s^(-(m+m')/2) F_i[m', m]
+/ sqrt(m! m'!), j, k < min(tmsv_terms, cutoff + 1); build_state is the
+dense reference the tests check it against.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ from math import factorial, sqrt, tanh
 
 import numpy as np
 
-from .errors import (CutoffError, LeakageWarning, NumericalError,
-                     RootQualityError, ValidationError)
-from .fock import (FockDensity, FockVector, conditional_density,
+from .errors import (CutoffError, DegenerateHeraldError, LeakageWarning,
+                     NumericalError, RootQualityError, ValidationError)
+from .fock import (HERM_TOL, PROB_FLOOR, FockDensity, FockVector,
                    fidelity_pure)
 from .ops import (_transfer_tensor, beam_splitter_pb, detector_povm,
                   displacement_op, tmsv)
@@ -29,7 +33,7 @@ from .phase_states import pb_eigenstate
 from .wigner import (NegativityResult, _negativity_volumes,
                      negativity_volume)
 
-# Summed truncation leakage above which build_state warns.
+# Truncation leakage above which build_state and the conditioning warn.
 LEAKAGE_BOUND = 1e-6
 
 
@@ -74,7 +78,9 @@ class HeraldConfig:
 
 @dataclass(frozen=True)
 class HeraldResult:
-    """Everything derived from one configuration."""
+    """Everything derived from one configuration. leakage is the squared
+    norm all truncated displacements lose before detection, clamped at 0;
+    a series displacement's gain offsets it, and the TMSV cut is not in it."""
 
     alphas: tuple
     P: float
@@ -197,21 +203,51 @@ def build_state(cfg: HeraldConfig, alphas=None) -> FockVector:
     return FockVector(amp, leakage=leakage)
 
 
-def _condition(cfg: HeraldConfig) -> dict:
-    """HeraldResult's fields but V for one configuration.
+def _convolve(kernels: np.ndarray) -> np.ndarray:
+    """Truncated 2-D convolution of kernels (s, ..., J, J) over axis 0 as a
+    direct sum; row c of g acts on the last axis as g[c, b - b1], b >= b1."""
+    n = kernels.shape[-1]
+    d = np.arange(n) - np.arange(n)[:, None]  # d[b1, b] = b - b1
+    out = kernels[0]
+    for g in kernels[1:]:
+        upper = np.where(d >= 0, g[..., np.maximum(d, 0)], 0.0)
+        acc, out = out, np.zeros_like(out)
+        for c in range(n):
+            out[..., c:, :] += acc[..., :n - c, :] @ upper[..., c, :, :]
+    return out
 
-    Builds the circuit state, conditions mode A on a click at every
-    distribution detector and scores rho_A against the target |phi_0>_s.
-    """
+
+def _condition(cfg: HeraldConfig) -> dict:
+    """HeraldResult's fields but V, by the module docstring's convolution."""
     alphas = herald_alphas(cfg)
-    state = build_state(cfg, alphas)
-    povm = detector_povm(cfg.eta, cfg.cutoff)
-    rho_a, p = conditional_density(state, [povm.click] * cfg.s,
-                                   kept_mode=cfg.s)
-    target = pb_eigenstate(cfg.s, 0, cutoff=cfg.cutoff)
-    fid = fidelity_pure(rho_a, target)
-    return dict(alphas=tuple(complex(a) for a in alphas), P=float(p),
-                F=float(fid), rho_A=rho_a, leakage=float(state.leakage))
+    j = np.arange(min(cfg.tmsv_terms, cfg.cutoff + 1))
+    root_fact = np.sqrt([float(factorial(n)) for n in j])
+    ds = np.array([displacement_op(complex(a), cfg.cutoff,
+                                   cfg.displacement_scheme) for a in alphas])
+    e = np.stack([np.diagonal(detector_povm(cfg.eta, cfg.cutoff).click).real,
+                  np.ones(cfg.cutoff + 1)])  # E = I: norm after displacing
+    f = np.einsum("ixm,ex,ixn->ienm", ds.conj(), e, ds)[..., :j.size, :j.size]
+    v = cfg.s ** (-j / 2) / root_fact
+    w = sqrt(1.0 - cfg.q ** 2) * cfg.q ** j * root_fact
+    # f holds F_i^T, so the convolution is T^T and raw[e] is rho_A[j, k]
+    raw = np.multiply.outer(w, w) * _convolve(f * np.multiply.outer(v, v))
+    p = float(np.trace(raw[0]).real)
+    if p < PROB_FLOOR:
+        raise DegenerateHeraldError(
+            f"conditioning probability {p:.3e} below floor {PROB_FLOOR:.0e}")
+    leakage = max(0.0, 1.0 - cfg.q ** (2 * j.size) - np.trace(raw[1]).real)
+    if leakage > LEAKAGE_BOUND:
+        warnings.warn(f"truncation leakage {leakage:.3e} above bound "
+                      f"{LEAKAGE_BOUND:.0e}", LeakageWarning, stacklevel=3)
+    rho = np.pad(raw[0] / p, (0, cfg.cutoff + 1 - j.size))
+    asym = float(np.abs(rho - rho.conj().T).max())
+    if asym > HERM_TOL:
+        raise NumericalError(f"rho_A's Hermiticity residual {asym:.3e} is "
+                             f"past the convolution's precision floor")
+    rho_a = FockDensity(rho, declared_trace=1.0)
+    fid = fidelity_pure(rho_a, pb_eigenstate(cfg.s, 0, cutoff=cfg.cutoff))
+    return dict(alphas=tuple(complex(a) for a in alphas), P=p,
+                F=float(fid), rho_A=rho_a, leakage=float(leakage))
 
 
 def herald_point(cfg: HeraldConfig) -> HeraldResult:
@@ -234,7 +270,8 @@ class HeraldSweepRow:
 
 
 def sweep(s: int, r_values, eta_values) -> list[HeraldSweepRow]:
-    """Herald figures over an (eta, r) grid at HeraldConfig defaults.
+    """Herald figures over an (eta, r) grid at cutoff 5 and 6 TMSV terms up
+    to s = 5 (the source material's), else cutoff s + 2 and s + 3 terms.
 
     Each grid point is conditioned on its own; then the negativity
     volumes of all points that conditioned share one batched adaptive
@@ -245,10 +282,11 @@ def sweep(s: int, r_values, eta_values) -> list[HeraldSweepRow]:
     error field and the sweep continues; invalid configurations still
     raise.
     """
+    truncation = (5, 6) if s <= 5 else (s + 2, s + 3)  # cutoff, tmsv_terms
     points = []  # (r, eta, HeraldResult's fields but V, or the error text)
     for eta in eta_values:
         for r in r_values:
-            cfg = HeraldConfig(s=s, r=float(r), eta=float(eta))
+            cfg = HeraldConfig(s, float(r), float(eta), *truncation)
             try:
                 points.append((cfg.r, cfg.eta, _condition(cfg)))
             except NumericalError as exc:

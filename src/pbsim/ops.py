@@ -208,7 +208,9 @@ def apply_single_mode_op(state: FockVector, mode: int, op: np.ndarray
 def detector_povm(eta: float, cutoff: int) -> DetectorPovm:
     """Click/no-click POVM of an inefficient detector.
 
-    Click weight for k photons is eta*(1-eta)^(k-1), vacuum never clicks.
+    Click weight for k photons is eta*(1-eta)^(k-1), one given photon
+    detected and the other k - 1 lost; vacuum never clicks. The binomial
+    k*eta*(1-eta)^(k-1) and on/off 1 - (1-eta)^k agree with it only at k = 1.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValidationError(f"require 0 <= eta <= 1, got {eta}")

@@ -78,12 +78,14 @@ def test_package_does_not_import_the_tests():
 
 
 def test_import_loads_no_scipy_integrate():
-    # scipy.integrate serves only the integral oracle in tests/oracles.py
+    # scipy.integrate serves only the integral oracle in tests/oracles.py,
+    # and scipy.signal nothing: importing it would add to every start-up
     src = str(Path(pbsim.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, pbsim; print([m for m in sys.modules "
-            "if m.split('.')[:2] == ['scipy', 'integrate']])")
+    banned = ["scipy.integrate", "scipy.signal"]
+    code = (f"import sys, pbsim; print([m for m in sys.modules "
+            f"if '.'.join(m.split('.')[:2]) in {banned!r}])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

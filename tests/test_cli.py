@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import math
 import shlex
 from pathlib import Path
 
@@ -261,6 +262,18 @@ def test_herald_sweep_rows_and_slopes(tmp_path):
     assert len(rows) == 1 + 4
     slopes = [l for l in lines if l.startswith("# slope[")]
     assert len(slopes) == 2
+
+
+def test_herald_sweep_above_s5(tmp_path):
+    # the sweep's truncation grows with s (cutoff 10, 11 TMSV terms here)
+    code, text = run_to_file(tmp_path, "h.csv", [
+        "herald-sweep", "--s", "8", "--r-min", "0.3", "--r-max", "0.3",
+        "--r-steps", "1", "--eta", "1.0"])
+    assert code == 0
+    rows = [l for l in text.splitlines() if l and not l.startswith("#")]
+    assert len(rows) == 2
+    row = dict(zip(rows[0].split(","), rows[1].split(",")))
+    assert all(math.isfinite(float(row[k])) for k in ("P", "F", "V"))
 
 
 @pytest.mark.parametrize("extra", [["--r", "0.6"], ["--theta", "0.8"],

@@ -1,20 +1,27 @@
 """Tests for the heralded generation circuit and its displacement solver."""
 
+import dataclasses
 import math
+import re
+import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import pbsim.fock
+import pbsim.herald
 from pbsim.errors import (CutoffError, DegenerateHeraldError, LeakageWarning,
-                          QuadratureError, ValidationError)
-from pbsim.fock import FockVector, conditional_density, vacuum_state
-from pbsim.herald import (HeraldConfig, alpha_polynomial, build_state,
-                          herald_alphas, herald_point, solve_alphas, sweep,
-                          symmetric_factors)
+                          NumericalError, QuadratureError, ValidationError)
+from pbsim.fock import (HERM_TOL, FockVector, conditional_density,
+                        fidelity_pure, vacuum_state)
+from pbsim.herald import (HeraldConfig, _condition, alpha_polynomial,
+                          build_state, herald_alphas, herald_point,
+                          solve_alphas, sweep, symmetric_factors)
 from pbsim.ops import (apply_single_mode_op, apply_two_mode_unitary,
                        beam_splitter_pb, detector_povm, displacement_op, tmsv)
+from pbsim.phase_states import pb_eigenstate
 
 from oracles import tensor_product
 
@@ -410,3 +417,119 @@ def test_sweep_volume_failure_is_its_row_only(monkeypatch):
     assert rows[2].error == "forced failure"
     assert all(math.isnan(v) for v in (rows[2].P, rows[2].F, rows[2].V,
                                         rows[2].leakage))
+
+
+@pytest.mark.parametrize("scheme", ["series", "exact"])
+@pytest.mark.parametrize("s", range(1, 7))
+def test_condition_matches_dense_reference(s, scheme):
+    # the convolution against the dense state conditioned mode by mode;
+    # each dense state is built once per (s, r, scheme)
+    truncation = dict(cutoff=8, tmsv_terms=9) if s == 6 else {}
+    for r in (0.05, 0.3):
+        cfg = HeraldConfig(s=s, r=r, eta=1.0, displacement_scheme=scheme,
+                           **truncation)
+        state = build_state(cfg)
+        target = pb_eigenstate(s, 0, cutoff=cfg.cutoff)
+        for eta in (1.0, 0.8, 0.6):
+            got = _condition(dataclasses.replace(cfg, eta=eta))
+            clicks = [detector_povm(eta, cfg.cutoff).click] * s
+            rho, p = conditional_density(state, clicks, kept_mode=s)
+            assert abs(got["P"] / p - 1) < 1e-12
+            assert abs(got["F"] - fidelity_pure(rho, target)) < 1e-12
+            assert np.abs(got["rho_A"].matrix - rho.matrix).max() < 1e-12
+            assert abs(got["leakage"] - state.leakage) < 1e-12
+
+
+def test_condition_matches_dense_reference_complex_rho(monkeypatch):
+    # herald_alphas come in conjugate pairs, which makes rho_A real; these
+    # amplitudes do not, so a transposed or conjugated rho_A shows
+    cfg = HeraldConfig(s=3, r=0.3, eta=0.8, displacement_scheme="exact")
+    alphas = np.array([0.3 + 0.2j, -0.1 + 0.1j, 0.05j])
+    state = build_state(cfg, alphas)
+    rho, p = conditional_density(
+        state, [detector_povm(cfg.eta, cfg.cutoff).click] * 3, kept_mode=3)
+    assert np.abs(rho.matrix.imag).max() > 1e-3
+    monkeypatch.setattr(pbsim.herald, "herald_alphas", lambda cfg: alphas)
+    got = _condition(cfg)
+    assert abs(got["P"] / p - 1) < 1e-12
+    assert np.abs(got["rho_A"].matrix - rho.matrix).max() < 1e-12
+
+
+def test_production_builds_no_multimode_state(monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("the dense herald path was called")
+
+    for name in ("build_state", "tmsv", "beam_splitter_pb",
+                 "_transfer_tensor"):
+        monkeypatch.setattr(pbsim.herald, name, dense)
+    monkeypatch.setattr(pbsim.fock, "conditional_density", dense)
+    monkeypatch.setattr(pbsim.herald, "conditional_density", dense,
+                        raising=False)
+    res = herald_point(HeraldConfig(s=3, r=0.2, eta=0.8))
+    assert 0 < res.P < 1 and 0.9 < res.F <= 1 and res.V > 0
+    rows = sweep(6, [0.3], [1.0, 0.6])
+    assert [row.error for row in rows] == [None, None]
+    assert all(0.9 < row.F <= 1 and row.V > 0 for row in rows)
+
+
+def test_condition_leakage_is_the_displacements_loss(monkeypatch):
+    # an order-5 series displacement at alpha = 1.5 and cutoff 2 really
+    # loses norm; with one mode the dense path counts the same loss
+    cfg = HeraldConfig(s=1, r=0.3, eta=1.0, cutoff=2)
+    with pytest.warns(LeakageWarning):
+        want = build_state(cfg, [1.5]).leakage
+    monkeypatch.setattr(pbsim.herald, "herald_alphas",
+                        lambda cfg: np.array([1.5 + 0j]))
+    with pytest.warns(LeakageWarning):
+        got = _condition(cfg)["leakage"]
+    assert want > 0.1
+    assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_sweep_truncation_follows_s():
+    # the source material's cutoff 5 and 6 TMSV terms up to s = 5, then
+    # cutoff s + 2 and s + 3 terms; HeraldConfig's defaults stay
+    assert (HeraldConfig(s=2, r=0.1, eta=1.0).cutoff,
+            HeraldConfig(s=2, r=0.1, eta=1.0).tmsv_terms) == (5, 6)
+    for s, cutoff in ((5, 5), (6, 8)):
+        (row,) = sweep(s, [0.2], [1.0])
+        want = _condition(HeraldConfig(s=s, r=0.2, eta=1.0, cutoff=cutoff,
+                                       tmsv_terms=cutoff + 1))
+        assert (row.P, row.F) == (want["P"], want["F"])
+
+
+def floor_residual(s):
+    """rho_A's Hermiticity residual at order s, as the floor check reports
+    it (r = 0.3, eta = 0.8, the sweep's truncation)."""
+    cfg = HeraldConfig(s=s, r=0.3, eta=0.8, cutoff=s + 2, tmsv_terms=s + 3)
+    with pytest.raises(NumericalError, match="precision floor") as err:
+        _condition(cfg)
+    return float(re.search(r"residual (\S+)", str(err.value)).group(1))
+
+
+def test_precision_floor(monkeypatch):
+    # the equal-weight design works by cancellation, so the rounding of
+    # the normalized rho_A grows with s: residuals of 1.5e-15 at s = 12,
+    # 6.4e-13 at s = 20 and 7.5e-12 at s = 24 were measured
+    with monkeypatch.context() as m:
+        m.setattr(pbsim.herald, "HERM_TOL", 0.0)  # every order reports
+        res = {s: floor_residual(s) for s in (12, 20, 24)}
+    assert res[12] < 1e-14 < res[20] < 1e-11
+    assert res[24] > 2 * HERM_TOL
+    assert floor_residual(24) == res[24]
+    (row,) = sweep(24, [0.3], [0.8])
+    assert "precision floor" in row.error
+    assert all(math.isnan(v) for v in (row.P, row.F, row.V, row.leakage))
+
+
+def test_herald_point_at_s12_is_fast():
+    # the convolution costs O(J^4) per mode, J = 15 here; the dense state
+    # would hold 15^13 amplitudes
+    cfg = HeraldConfig(s=12, r=0.3, eta=0.8, cutoff=14, tmsv_terms=15)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        fields = _condition(cfg)
+        times.append(time.perf_counter() - start)
+    assert fields["F"] == pytest.approx(0.983003, abs=1e-6)
+    assert min(times) < 0.1

@@ -207,3 +207,18 @@ def test_detector_povm_entries():
     assert np.allclose(unit.click, want)
     with pytest.raises(ValidationError):
         detector_povm(1.2, 4)
+
+
+def test_click_diagonal_is_one_given_photon_detected():
+    # E[k, k] = eta (1-eta)^(k-1): one given photon is detected and the
+    # other k - 1 are lost. The binomial weight k eta (1-eta)^(k-1) and
+    # the on/off weight 1 - (1-eta)^k agree with it only at k = 1 (all
+    # three vanish at k = 0).
+    eta, k = 0.6, np.arange(6)
+    diag = np.diagonal(detector_povm(eta, 5).click)
+    want = np.where(k > 0, eta * (1 - eta) ** (k - 1.0), 0.0)
+    assert np.abs(diag - want).max() < 1e-15
+    binomial = k * eta * (1 - eta) ** (k - 1.0)
+    on_off = 1 - (1 - eta) ** k
+    for other in (binomial, on_off):
+        assert list(k[np.isclose(want, other, rtol=1e-12, atol=0)]) == [0, 1]
