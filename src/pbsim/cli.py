@@ -209,9 +209,10 @@ def _cmd_wigner_grid(eff: dict, out: str | None) -> int:
         return 0
     lines = _config_comments(eff)
     lines.append("q,p,W")
-    for i, q in enumerate(axis):
-        for j, p in enumerate(axis):
-            lines.append(f"{float(q)!r},{float(p)!r},{float(values[i, j])!r}")
+    # tolist() gives Python floats, whose repr is float(v)'s
+    reprs = [repr(v) for v in axis.tolist()]
+    for q, row in zip(reprs, values.tolist()):
+        lines.extend(f"{q},{p},{w!r}" for p, w in zip(reprs, row))
     _emit("\n".join(lines) + "\n", out)
     return 0
 

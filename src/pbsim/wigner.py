@@ -41,6 +41,16 @@ _TRACE_PRE_TOL = 1e-8
 _ROOT_STEP = 1e-8
 _ROOT_BRACKET = 1e-13
 _POLISH_STEPS = 64
+# the birth scan: uniform q lines per state over |q| <= sqrt(2D)/2 +
+# _SCAN_REACH, past which no h_j(2q), j < D, oscillates
+_SCAN_LINES = 128
+_SCAN_REACH = 1.0
+# halvings of a scan bracket in which no birth is found
+_BISECTIONS = 6
+# births closer than this in q count once
+_BIRTH_MERGE = 1e-9
+# |W| below this share of its line's largest |W| on the p grid is noise
+_NOISE = 1e-13
 # q lines per line-integral block: bounds the p-grid tables' memory when
 # many states share one pass
 LINE_BLOCK = 2048
@@ -73,8 +83,10 @@ class NegativityResult:
     box_half_width is L = sqrt(2D)/2 + BOX_MARGIN, shared by every state
     of dimension D, and tail_estimate is Int |W| over L < |q| < L + 2.
     evaluations counts every Hermite-series evaluation at one point of
-    one q line (the p grid, W' there, root polishing and primitives);
-    roots counts the sign changes of W found on all q lines.
+    one q line (the p grid, W' there, root polishing and primitives, and
+    the scan lines and extremum steps that bracket and locate births);
+    roots counts the sign changes of W found on the integration's q
+    lines, and births the root-pair births located and cut at.
     """
 
     volume: float
@@ -84,6 +96,7 @@ class NegativityResult:
     evaluations: int
     max_depth_reached: int
     roots: int
+    births: int
 
 
 def _box(dim: int) -> float:
@@ -106,14 +119,21 @@ def negativity_volume(rho, tol: float = DEFAULT_TOL) -> float:
     spacing 0.5 pi / sqrt(2D) over |2p| <= 2L + 4 (D = len(a), and
     L = sqrt(2D)/2 + BOX_MARGIN for every state of that dimension), with
     a check of each cell where W' turns toward zero for a hidden pair,
-    and polished by safeguarded Newton steps. Between consecutive roots and +-inf,
-    Int |W| dp is then a sum of a_k times exact integrals of h_k. Only
-    the outer q integral over [-L, L] is adaptive: PANEL_ORDER-point
-    Gauss-Legendre panels, halved level by level, at most MAX_DEPTH
-    times, until parent and children agree to tol. MAX_EVALS caps the
-    Hermite-series evaluations per state. QuadratureError is raised
-    when the same line integrals over the strips L < |q| < L + 2 exceed
-    tol, or when the q refinement exceeds MAX_DEPTH or MAX_EVALS.
+    and polished by safeguarded Newton steps. Between consecutive roots
+    and +-inf, Int |W| dp is then a sum of a_k times exact integrals of
+    h_k. Only the outer q integral over [-L, L] is adaptive. Where a pair
+    of roots is born, at q0, G(q) = Int |W| dp has a (q - q0)^(3/2) kink,
+    so the q range is cut at the births: root counts on scan lines
+    bracket them, and Newton steps in q on the value of the touching
+    extremum, W(q, p_e(q)), locate them. Each segment between births is
+    mapped by q = a + (b - a)(3t^2 - 2t^3), which makes the kink smooth
+    in t, and integrated by PANEL_ORDER-point Gauss-Legendre panels in
+    t, halved level by level, or cut at births that their node lines
+    reveal, at most MAX_DEPTH times, until each panel and its children
+    agree to its q-width share of tol. MAX_EVALS caps the Hermite-series
+    evaluations per state. QuadratureError is raised when the same line
+    integrals over the strips L < |q| < L + 2 exceed tol, or when the q
+    refinement exceeds MAX_DEPTH or MAX_EVALS.
     """
     return negativity_volume_detailed(rho, tol).volume
 
@@ -158,29 +178,16 @@ def _negativity_volumes(densities, tol: float = DEFAULT_TOL) -> list:
     if not index:
         return results
     lines = _LineIntegrals(np.stack(coefs))
-    hw = lines.half_width
-    strips = (np.array([-hw - 2.0, hw]), np.array([-hw, hw + 2.0]))
-    tails = [float(t.sum())
-             for t in lines.panels([(k, *strips) for k in range(len(index))])]
-    boxed = []
-    for k, tail in enumerate(tails):
-        if tail > tol:
-            results[index[k]] = QuadratureError(
-                f"|W| outside the box |q| <= {hw:.3f} (sqrt(2D)/2 + "
-                f"BOX_MARGIN {BOX_MARGIN}, D = {lines.coef.shape[1]}) "
-                f"integrates to {tail:.3e}, above tolerance {tol:.1e}")
-        else:
-            boxed.append(k)
-    for k, integral in _adaptive_q_integrals(lines, boxed, tol).items():
-        results[index[k]] = _volume(integral, lines, k, tails[k], tol)
+    for k, integral in enumerate(_box_integrals(lines, tol)):
+        results[index[k]] = _volume(integral, lines, k, tol)
     return results
 
 
-def _volume(integral, lines, k, tail, tol):
-    """State k's NegativityResult from its adaptive integral, or the error."""
+def _volume(integral, lines, k, tol):
+    """State k's NegativityResult from its box integral, or the error."""
     if isinstance(integral, QuadratureError):
         return integral
-    absint, depth = integral
+    absint, depth, tail, births = integral
     raw = 0.5 * (absint - 1.0)
     if raw < 0.0:
         if raw < -100.0 * tol:
@@ -192,58 +199,134 @@ def _volume(integral, lines, k, tail, tol):
                             box_half_width=lines.half_width,
                             evaluations=int(lines.evaluations[k]),
                             max_depth_reached=depth,
-                            roots=int(lines.roots[k]))
+                            roots=int(lines.roots[k]), births=births)
 
 
-def _adaptive_q_integrals(lines, states, tol) -> dict:
-    """Integral over q in [-L, L] of the exact line integrals of |W|.
+def _smoothstep(a, b, t):
+    """q = a + (b - a)(3t^2 - 2t^3) and dq/dt, mapping [0, 1] onto [a, b].
 
-    Returns {state: (value, depth_reached) or QuadratureError}. Panels are
-    halved level by level; a panel is accepted when its parent/children
-    difference is below its width share of the tolerance, and a state's
-    refinement stops early once its remaining difference budget is below
-    half the target. tol, MAX_DEPTH and MAX_EVALS hold per state;
-    one line-integral call per level serves all states still refining.
+    The derivative vanishes at both ends, so a (q - a)^(3/2) term of G
+    there becomes smooth in t.
     """
-    if not states:
-        return {}
+    span = b - a
+    return a + span * t * t * (3.0 - 2.0 * t), 6.0 * span * t * (1.0 - t)
+
+
+def _children(t0, t1, a, b, cut, cut_q):
+    """The panels' children: the halves in t of a panel, or, where births
+    cut_q lie inside panels cut, its pieces between them, each mapped by
+    _smoothstep of its own. Returns their t0, t1, a, b and parents.
+    """
+    whole = np.ones(t0.size, dtype=bool)
+    whole[cut] = False
+    h = np.flatnonzero(whole)
+    tm = 0.5 * (t0[h] + t1[h])
+    c = np.flatnonzero(~whole)
+    owner = np.concatenate([c, cut, c])
+    ends = np.concatenate([_smoothstep(a[c], b[c], t0[c])[0], cut_q,
+                           _smoothstep(a[c], b[c], t1[c])[0]])
+    order = np.lexsort((ends, owner))
+    owner, ends = owner[order], ends[order]
+    piece = np.flatnonzero(owner[1:] == owner[:-1])
+    return (np.concatenate([t0[h], tm, np.zeros(piece.size)]),
+            np.concatenate([tm, t1[h], np.ones(piece.size)]),
+            np.concatenate([a[h], a[h], ends[piece]]),
+            np.concatenate([b[h], b[h], ends[piece + 1]]),
+            np.concatenate([h, h, owner[piece]]))
+
+
+def _box_integrals(lines, tol) -> list:
+    """Each state's Int |W| over the box |q| <= L, as (value, depth,
+    tail, births), or its QuadratureError.
+
+    The births that lines.births() locates cut the box into segments.
+    Level 0 integrates each segment, and each strip L < |q| < L + 2, as
+    one panel mapped by _smoothstep; a tail above tol is an error. Each
+    further level splits every live panel into its halves in t, or at
+    the births that its node lines revealed, and accepts a panel when its
+    children's sum is within its q-width share of tol of its own value.
+    A panel cut at births is not accepted against its pieces, and one
+    whose child holds a newly found birth waits for that child's pieces.
+    tol, MAX_DEPTH and MAX_EVALS hold per state; one line-integral call
+    per level serves all states still refining. births counts every
+    located birth.
+    """
     hw = lines.half_width
-    parts = [(k, np.array([-hw]), np.array([hw])) for k in states]
-    # state -> (q0, q1, panel values, accepted total)
-    live = {k: (q0, q1, vals, 0.0)
-            for (k, q0, q1), vals in zip(parts, lines.panels(parts))}
-    out: dict = {}
+    out: list = [None] * lines.evaluations.size
+    # a birth whose kink is at most tol / 2L is left to the acceptance
+    # rule: over a unit of q it stays within that unit's share of tol
+    floor = tol / (2.0 * hw)
+    parts = []
+    for k, born in enumerate(lines.births(floor)):
+        e = np.concatenate([[-hw - 2.0, -hw], born, [hw, hw + 2.0]])
+        parts.append((k, np.zeros(e.size - 1), np.ones(e.size - 1), e[:-1],
+                      e[1:]))
+    # state -> [t0, t1, a, b, panel values, cut panels, cuts, accepted total]
+    live, tails, births = {}, {}, {}
+    first = zip(parts, *lines.panels(parts, floor))
+    for (k, t0, t1, a, b), vals, (cut, cut_q) in first:
+        tail = float(vals[0] + vals[-1])
+        if tail > tol:
+            out[k] = QuadratureError(
+                f"|W| outside the box |q| <= {hw:.3f} (sqrt(2D)/2 + "
+                f"BOX_MARGIN {BOX_MARGIN}, D = {lines.coef.shape[1]}) "
+                f"integrates to {tail:.3e}, above tolerance {tol:.1e}")
+            continue
+        inner = (cut > 0) & (cut < vals.size - 1)
+        box = slice(1, -1)
+        live[k] = [t0[box], t1[box], a[box], b[box], vals[box],
+                   cut[inner] - 1, cut_q[inner], 0.0]
+        tails[k], births[k] = tail, a.size - 3 + int(inner.sum())
     for depth in range(1, MAX_DEPTH + 1):
-        parts = []
-        for k, (q0, q1, _, _) in live.items():
-            qm = 0.5 * (q0 + q1)
-            parts.append((k, np.concatenate([q0, qm]),
-                          np.concatenate([qm, q1])))
-        for (k, cq0, cq1), cvals in zip(parts, lines.panels(parts)):
-            q0, q1, vals, total = live.pop(k)
+        if not live:
+            break
+        kids = {k: _children(*p[:4], *p[5:7]) for k, p in live.items()}
+        parts = [(k, *c[:4]) for k, c in kids.items()]
+        for (k, *_), cvals, (cut, cut_q) in zip(parts,
+                                                *lines.panels(parts, floor)):
+            t0, t1, a, b, vals, was_cut, _, total = live.pop(k)
             if lines.evaluations[k] > MAX_EVALS:
                 out[k] = QuadratureError(
                     f"evaluation budget {MAX_EVALS} exceeded at "
                     f"depth {depth}")
                 continue
-            child_sum = cvals[:q0.size] + cvals[q0.size:]
-            diff = np.abs(child_sum - vals)
-            if diff.sum() <= 0.5 * tol:
-                out[k] = (float(total + child_sum.sum()), depth)
-                continue
-            done = diff <= tol * (q1 - q0) / (2.0 * hw)
+            ct0, ct1, ca, cb, parent = kids[k]
+            births[k] += cut.size
+            child_sum = np.bincount(parent, weights=cvals,
+                                    minlength=vals.size)
+            width = _smoothstep(a, b, t1)[0] - _smoothstep(a, b, t0)[0]
+            done = np.abs(child_sum - vals) <= tol * width / (2.0 * hw)
+            # pieces cut at births are checked against their own halves,
+            # and a child that births cut is not checked yet
+            done[was_cut] = False
+            done[parent[cut]] = False
             total += float(child_sum[done].sum())
-            keep2 = np.concatenate([~done, ~done])
-            if keep2.any():
-                live[k] = (cq0[keep2], cq1[keep2], cvals[keep2], total)
+            keep = np.flatnonzero(~done[parent])
+            if keep.size:
+                renumber = np.cumsum(~done[parent]) - 1
+                live[k] = [ct0[keep], ct1[keep], ca[keep], cb[keep],
+                           cvals[keep], renumber[cut], cut_q, total]
             else:
-                out[k] = (float(total), depth)
-        if not live:
-            return out
-    for k, (q0, _, _, _) in live.items():
+                out[k] = (total, depth, tails[k], births[k])
+    for k, p in live.items():
         out[k] = QuadratureError(
-            f"{q0.size} panels unconverged at max depth {MAX_DEPTH}")
+            f"{p[0].size} panels unconverged at max depth {MAX_DEPTH}")
     return out
+
+
+def _cell_kinds(f_lo, f_hi, fp_lo, fp_hi):
+    """Cells where W changes sign, and cells to check for a pair of roots.
+
+    From W and W' at the cells' ends: a cell whose ends share W's sign
+    holds a pair only if W' turns toward zero inside it, and then the
+    extremum decides.
+    """
+    pos_hi, dpos_hi = f_hi > 0, fp_hi > 0
+    same = (f_lo > 0) == pos_hi
+    turn = dpos_hi == pos_hi
+    turn &= same
+    turn &= (fp_lo > 0) != dpos_hi
+    return ~same, turn
 
 
 def _blocks(segs):
@@ -277,14 +360,18 @@ class _LineIntegrals:
 
     Holds each state's coefficient table and running evaluation and root
     counts, and the box half-width, p grid and Hermite table that the
-    dimension fixes. Lines come as ranges (state, lo, hi) of a q array:
-    lines lo..hi-1 belong to that state. Each state's matrix products run on exactly the rows it would
-    have alone; the bracket search and polishing run once per block of
-    at most LINE_BLOCK lines, over all its states.
+    dimension fixes; also locates where G has its root-pair kinks. Lines
+    come as ranges (state, lo, hi) of a q array: lines lo..hi-1 belong to
+    that state. Each state's matrix products run on exactly the rows it
+    would have alone; the bracket search and polishing run once per block
+    of at most LINE_BLOCK lines, over all its states.
     """
 
     def __init__(self, coefs: np.ndarray):
         self.coef = coefs
+        # C differentiated on the q side: dW/dx = h(x) . coef_x . h(y)
+        self.coef_x = hermite_series_derivative(
+            coefs.transpose(0, 2, 1)).transpose(0, 2, 1)
         dim = coefs.shape[1]
         self.half_width = _box(dim)
         end = 2.0 * self.half_width + 4.0
@@ -299,34 +386,73 @@ class _LineIntegrals:
         """How many entries of states name each state."""
         return np.bincount(states, minlength=self.evaluations.size)
 
-    def panels(self, parts) -> list:
-        """Gauss-Legendre estimates of Int G dq over panels [q0, q1].
+    def panels(self, parts, floor):
+        """Gauss-Legendre estimates of Int G dq over panels, and the births
+        that their node lines reveal.
 
-        parts lists (state, q0, q1); returns each part's panel values.
+        parts lists (state, t0, t1, a, b): panel i covers t0[i] <= t <=
+        t1[i] of the map _smoothstep(a[i], b[i], t). Returns each part's
+        panel values, and its (panel, q) births: those located between
+        neighbouring nodes of one panel whose root counts differ, with a
+        kink above floor.
         """
-        q0 = np.concatenate([p[1] for p in parts])
-        q1 = np.concatenate([p[2] for p in parts])
-        hq = 0.5 * (q1 - q0)
-        qs = (0.5 * (q1 + q0))[:, None] + hq[:, None] * _NODES
         bounds = list(accumulate((p[1].size for p in parts), initial=0))
-        g = self.at(qs.ravel(), [(k, PANEL_ORDER * lo, PANEL_ORDER * hi)
-                                 for (k, _, _), lo, hi in
-                                 zip(parts, bounds, bounds[1:])])
-        g = g.reshape(qs.shape)
-        return [(g[lo:hi] @ _WEIGHTS) * hq[lo:hi]
+        t0, t1, a, b = (np.concatenate([p[i] for p in parts])
+                        for i in range(1, 5))
+        ht = 0.5 * (t1 - t0)
+        qs, dq = _smoothstep(a[:, None], b[:, None],
+                             (0.5 * (t1 + t0))[:, None] + ht[:, None] * _NODES)
+        segs = [(k, PANEL_ORDER * lo, PANEL_ORDER * hi)
+                for (k, *_), lo, hi in zip(parts, bounds, bounds[1:])]
+        qs = qs.ravel()
+        g, count = self.at(qs, segs)
+        g = g.reshape(dq.shape) * dq
+        vals = [(g[lo:hi] @ _WEIGHTS) * ht[lo:hi]
                 for lo, hi in zip(bounds, bounds[1:])]
+        count = count.reshape(dq.shape)
+        panel, node = np.nonzero(count[:, 1:] != count[:, :-1])
+        if panel.size == 0:
+            return vals, [(panel, np.empty(0))] * len(parts)
+        lo = PANEL_ORDER * panel + node
+        fewer = np.where(count[panel, node] < count[panel, node + 1], lo,
+                         lo + 1)
+        # the fewer ends' extrema, from the lines evaluated once more
+        again, line = np.unique(fewer, return_inverse=True)
+        state = _line_states(segs)
+        turns = self._line_counts(state[again], qs[again])[1]
+        which, born = self._locate(state[fewer], qs[fewer],
+                                   qs[2 * lo + 1 - fewer], line, turns, floor)
+        big = np.isfinite(born)
+        panel, born = panel[which[big]], born[big]
+        # a birth within _BIRTH_MERGE of its panel's ends or of another
+        # counts once
+        order = np.lexsort((born, panel))
+        panel, born = panel[order], born[order]
+        ends = _smoothstep(a[panel], b[panel], np.stack([t0[panel],
+                                                         t1[panel]]))[0]
+        apart = np.diff(born, prepend=-np.inf) > _BIRTH_MERGE
+        apart[1:] |= panel[1:] != panel[:-1]
+        new = (apart & (born - ends[0] > _BIRTH_MERGE)
+               & (ends[1] - born > _BIRTH_MERGE))
+        part = np.searchsorted(bounds, panel, "right") - 1
+        cuts = [(panel[new & (part == i)] - first,
+                 born[new & (part == i)])
+                for i, first in enumerate(bounds[:-1])]
+        return vals, cuts
 
-    def at(self, qs: np.ndarray, segs) -> np.ndarray:
-        """G at each q of qs, evaluated LINE_BLOCK lines at a time."""
+    def at(self, qs: np.ndarray, segs):
+        """G and the number of roots on each line q of qs, evaluated
+        LINE_BLOCK lines at a time."""
         out = np.empty(qs.size)
+        count = np.empty(qs.size, dtype=np.intp)
         for block in _blocks(segs):
             lo, hi = block[0][1], block[-1][2]
-            out[lo:hi] = self._block_at(
+            out[lo:hi], count[lo:hi] = self._block_at(
                 qs[lo:hi], [(k, a - lo, b - lo) for k, a, b in block])
-        return out
+        return out, count
 
-    def _block_at(self, qs: np.ndarray, segs) -> np.ndarray:
-        """G on the lines of one block."""
+    def _block_at(self, qs: np.ndarray, segs):
+        """G and the root counts on the lines of one block."""
         a, rows, roots = self.find_roots(qs, segs)
         state = _line_states(segs)
         found = self._per_state(state[rows])
@@ -345,9 +471,10 @@ class _LineIntegrals:
         order = np.lexsort((xs, line))
         line, prim = line[order], prim[order]
         same = line[1:] == line[:-1]
-        return 0.5 * np.bincount(line[1:][same],
-                                 weights=np.abs(np.diff(prim))[same],
-                                 minlength=n)
+        return (0.5 * np.bincount(line[1:][same],
+                                  weights=np.abs(np.diff(prim))[same],
+                                  minlength=n),
+                np.bincount(rows, minlength=n))
 
     def find_roots(self, qs: np.ndarray, segs):
         """Sign changes of W(q, p) in xi = 2p on each line q = qs[i].
@@ -356,76 +483,305 @@ class _LineIntegrals:
         Returns (a, rows, roots): the lines' series coefficients
         a(q) = C^T h(2q), and each root's line index and xi.
         """
+        a, state, (row, c_lo, c_hi, f_lo, f_hi), turns, pair = (
+            self._sign_changes(qs, segs))
+        tr, t_lo, t_hi, ft_lo, ft_hi, ext, f_ext = (v[pair] for v in turns)
+        rows = np.concatenate([row, tr, tr])
+        roots, root_evals = self._polish(
+            self._series(a, rows), np.concatenate([c_lo, t_lo, ext]),
+            np.concatenate([c_hi, ext, t_hi]),
+            np.concatenate([f_lo, ft_lo, f_ext]),
+            np.concatenate([f_hi, f_ext, ft_hi]))
+        # a polishing step evaluates f and f'
+        self.evaluations += 2 * self._per_state(state[rows[root_evals]])
+        return a, rows, roots
+
+    def _sign_changes(self, qs: np.ndarray, segs):
+        """The p-grid cells where W(q, .) changes sign, and its extrema
+        that turn toward zero, on each line q = qs[i].
+
+        Returns (a, state, cross, turns, pair): the lines' series
+        coefficients a(q) = C^T h(2q) and each line's state; for each
+        sign-change cell its line, ends and W there; for each turn cell
+        its line, ends, W there, its extremum's xi and W there; and
+        whether that extremum lies across zero, so that the cell holds a
+        pair of roots.
+        """
         dim = self.coef.shape[1]
         hq = hermite_functions(dim - 1, 2.0 * qs)
         a = np.concatenate([hq[:, lo:hi].T @ self.coef[k]
                             for k, lo, hi in segs])
         da = hermite_series_derivative(a)
-        (row, cell), (tr, tc), f, fp = self._brackets(a, da, segs)
         state = _line_states(segs)
-        xi = self.xi
-        c_lo, c_hi, t_lo, t_hi = xi[cell], xi[cell + 1], xi[tc], xi[tc + 1]
-        f_lo, f_hi = f[row, cell], f[row, cell + 1]
-        fp_lo, fp_hi = fp[tr, tc], fp[tr, tc + 1]
-        ft_lo, ft_hi = f[tr, tc], f[tr, tc + 1]
-        del f, fp  # block-sized tables: not kept through the polishing
-        ext, ext_evals = self._polish(da, tr, t_lo, t_hi, fp_lo, fp_hi)
+        ((row, c_lo, c_hi, f_lo, f_hi),
+         (tr, t_lo, t_hi, ft_lo, ft_hi, fp_lo, fp_hi)) = self._brackets(
+             a, da, segs, state)
+        ext, ext_evals = self._polish(self._series(da, tr), t_lo, t_hi,
+                                      fp_lo, fp_hi)
         f_ext = np.einsum("ik,ki->i", a[tr], hermite_functions(dim - 1, ext))
-        turned = tr
+        # a polishing step evaluates W' and W'', an extremum's check W
+        self.evaluations += 2 * self._per_state(
+            state[tr[ext_evals]]) + self._per_state(state[tr])
         pair = (f_ext > 0) != (ft_lo > 0)
-        tr, t_lo, t_hi, ext, f_ext, ft_lo, ft_hi = (
-            tr[pair], t_lo[pair], t_hi[pair], ext[pair], f_ext[pair],
-            ft_lo[pair], ft_hi[pair])
-        rows = np.concatenate([row, tr, tr])
-        roots, root_evals = self._polish(
-            a, rows, np.concatenate([c_lo, t_lo, ext]),
-            np.concatenate([c_hi, ext, t_hi]),
-            np.concatenate([f_lo, ft_lo, f_ext]),
-            np.concatenate([f_hi, f_ext, ft_hi]))
-        # a polishing step evaluates f and f', an extremum's check f
-        self.evaluations += 2 * self._per_state(state[np.concatenate(
-            [turned[ext_evals], rows[root_evals]])]) + self._per_state(
-                state[turned])
-        return a, rows, roots
+        return (a, state, (row, c_lo, c_hi, f_lo, f_hi),
+                (tr, t_lo, t_hi, ft_lo, ft_hi, ext, f_ext), pair)
 
-    def _brackets(self, a, da, segs):
-        """Grid cells bracketing a root of W, and cells to check for a pair.
+    def _brackets(self, a, da, segs, state):
+        """Cells bracketing a root of W, and cells to check for a pair.
 
         W and W' of each line are evaluated on the p grid, one product per
-        state over its own lines. Returns the (line, cell) indices of both
-        kinds and the W and W' tables.
+        state over its own lines. A cell whose ends share the sign of W'
+        can still hold two extrema, and with them two roots more: where
+        the cubic through W and W' at its ends turns twice inside, the
+        cell is split at its midpoint, where W and W' are evaluated too.
+        Cells where |W| stays below _NOISE times the line's largest |W|
+        on the grid are left out. Returns, for each cell of both kinds,
+        its line, ends and W there, and for the cells to check also W'
+        there.
         """
         dim = a.shape[1]
-        f = np.empty((a.shape[0], self.xi.size))
+        xi = self.xi
+        f = np.empty((a.shape[0], xi.size))
         fp = np.empty_like(f)
         for k, lo, hi in segs:
             np.matmul(a[lo:hi], self.h_xi[:dim], out=f[lo:hi])
             np.matmul(da[lo:hi], self.h_xi, out=fp[lo:hi])
-            self.evaluations[k] += 2 * (hi - lo) * self.xi.size
-        pos = f > 0
-        cross = np.nonzero(pos[:, 1:] != pos[:, :-1])
-        # a cell whose ends share W's sign holds a pair of roots only if
-        # W' turns toward zero inside it: the extremum decides
-        dpos = fp > 0
-        turn = np.nonzero(
-            (pos[:, 1:] == pos[:, :-1]) & (dpos[:, 1:] != dpos[:, :-1])
-            & (dpos[:, 1:] == pos[:, 1:]))
-        return cross, turn, f, fp
+            self.evaluations[k] += 2 * (hi - lo) * xi.size
+        # the cubic through W and W' at a cell's ends has 1/4 of
+        # 6 (W1 - W0) / h - W'0 - W'1 as its slope at the midpoint; where
+        # that has the other sign than W' at both ends, W turns twice.
+        # Single precision suffices to pick the cells, in half the memory.
+        h = xi[1] - xi[0]
+        mid = np.subtract(f[:, 1:], f[:, :-1], dtype=np.float32)
+        mid *= 6.0 / h
+        mid -= fp[:, :-1]
+        mid -= fp[:, 1:]
+        rising = fp[:, :-1] > 0
+        split = rising != (mid > 0)
+        del mid
+        split &= rising == (fp[:, 1:] > 0)
+        del rising
+        # roots where W is rounding noise move G by next to nothing
+        floor = _NOISE * np.maximum(f.max(axis=1), -f.min(axis=1))[:, None]
+        loud = (f >= floor) | (f <= -floor)
+        loud = loud[:, :-1] | loud[:, 1:]
+        split &= loud
+        row, cell = np.nonzero(split)
+        x_s = 0.5 * (xi[cell] + xi[cell + 1])
+        # row sums, whose order does not depend on the other lines
+        hs = hermite_functions(dim, x_s).T
+        f_s = (a[row] * hs[:, :-1]).sum(axis=1)
+        fp_s = (da[row] * hs).sum(axis=1)
+        self.evaluations += 2 * self._per_state(state[row])
+        halves = [np.concatenate(v) for v in zip(
+            (row, xi[cell], x_s, f[row, cell], f_s, fp[row, cell], fp_s),
+            (row, x_s, xi[cell + 1], f_s, f[row, cell + 1], fp_s,
+             fp[row, cell + 1]))]
+        loud &= ~split
+        kinds = zip(_cell_kinds(f[:, :-1], f[:, 1:], fp[:, :-1], fp[:, 1:]),
+                    _cell_kinds(*halves[3:]))
+        del split
+        out = []
+        for grid, half in kinds:
+            r, c = np.nonzero(grid & loud)
+            cells = [np.concatenate(v) for v in zip(
+                (r, xi[c], xi[c + 1], f[r, c], f[r, c + 1], fp[r, c],
+                 fp[r, c + 1]), (v[half] for v in halves))]
+            order = np.lexsort((cells[1], cells[0]))
+            out.append([v[order] for v in cells])
+        return out[0][:5], out[1]
+
+    def births(self, floor) -> list:
+        """Each state's root-pair births in (-L, L), ascending.
+
+        _SCAN_LINES uniform q lines per state bracket them by their root
+        counts: a birth lies between neighbouring lines whose counts
+        differ, and _locate finds it from the line with fewer roots. A
+        bracket where it finds none is halved, and the halves whose
+        counts differ are tried from the new line, up to _BISECTIONS
+        times. Births within _BIRTH_MERGE of each other count once, and
+        births whose kink is at most floor are left out.
+        """
+        n = _SCAN_LINES
+        hw = math.sqrt(2.0 * self.coef.shape[1]) / 2.0 + _SCAN_REACH
+        scan = -hw + (np.arange(n) + 0.5) * (2.0 * hw / n)
+        states = self.evaluations.size
+        state = np.repeat(np.arange(states), n)
+        q = np.tile(scan, states)
+        count, turns = self._line_counts(state, q)
+        lo = np.nonzero((state[1:] == state[:-1])
+                        & (count[1:] != count[:-1]))[0]
+        # brackets: state, both ends' q and counts, and the line of turns
+        # at the end with fewer roots (-1: an end tried before)
+        brackets = (state[lo], q[lo], q[lo + 1], count[lo], count[lo + 1],
+                    np.where(count[lo] < count[lo + 1], lo, lo + 1))
+        found = []
+        for step in range(_BISECTIONS + 1):
+            ks, q0, q1, n0, n1, fewer = brackets
+            rise = n0 < n1
+            which, born = self._locate(ks, np.where(rise, q0, q1),
+                                       np.where(rise, q1, q0), fewer, turns,
+                                       floor)
+            found.append((ks[which], born))
+            open_ = np.bincount(which, minlength=ks.size) == 0
+            if step == _BISECTIONS or not open_.any():
+                break
+            ks, q0, q1, n0, n1 = (v[open_] for v in (ks, q0, q1, n0, n1))
+            q = 0.5 * (q0 + q1)
+            count, turns = self._line_counts(ks, q)
+            mid = np.arange(ks.size)
+            halves = [np.concatenate(v) for v in zip(
+                (ks, q0, q, n0, count, np.where(count < n0, mid, -1)),
+                (ks, q, q1, count, n1, np.where(count < n1, mid, -1)))]
+            keep = halves[3] != halves[4]
+            order = np.lexsort((halves[1][keep], halves[0][keep]))
+            brackets = tuple(v[keep][order] for v in halves)
+        state, born = (np.concatenate(v) for v in zip(*found))
+        out = []
+        for k in range(states):
+            mine = np.sort(born[(state == k) & np.isfinite(born)])
+            out.append(mine[np.diff(mine, prepend=-np.inf) > _BIRTH_MERGE])
+        return out
+
+    def _line_counts(self, state, q):
+        """Root counts of the lines (state[i], q[i]), each state's lines
+        contiguous, and their extrema that turn toward zero without
+        crossing it, as (line, xi, W) arrays ordered by line.
+        """
+        run = np.flatnonzero(np.diff(state, prepend=-1, append=-1))
+        segs = [(int(state[lo]), int(lo), int(hi))
+                for lo, hi in zip(run[:-1], run[1:])]
+        count, line, xi, f = [], [], [], []
+        for block in _blocks(segs):
+            lo, hi = block[0][1], block[-1][2]
+            _, _, cross, turns, pair = self._sign_changes(
+                q[lo:hi], [(k, a - lo, b - lo) for k, a, b in block])
+            tr, lone = turns[0], ~pair
+            count.append(np.bincount(cross[0], minlength=hi - lo)
+                         + 2 * np.bincount(tr[pair], minlength=hi - lo))
+            line.append(tr[lone] + lo)
+            xi.append(turns[5][lone])
+            f.append(turns[6][lone])
+        return np.concatenate(count), tuple(
+            np.concatenate(v) for v in (line, xi, f))
+
+    def _locate(self, state, q_f, q_o, fewer, turns, floor):
+        """The births in brackets between lines q_f and q_o, q_f with fewer
+        roots.
+
+        Each extremum of line fewer[i] in turns = (line, xi, W) (-1: none)
+        is followed to q_o. Returns the bracket of each that changes sign
+        there, and the q where its value W(q, p_e(q)) is zero: safeguarded
+        Newton steps in x = 2q inside the bracket, with dW/dx at the
+        extremum as the derivative of its value (the envelope theorem).
+        Near a birth G gains kink |q - q0|^(3/2), kink =
+        (16/3) |dW/dx|^(3/2) / |W''|^(1/2); where that, taken at q_o, is
+        at most floor, q is nan.
+        """
+        line, xi, f_f = turns
+        first = np.searchsorted(line, fewer)
+        size = np.where(fewer >= 0,
+                        np.searchsorted(line, fewer, "right") - first, 0)
+        which = np.repeat(np.arange(state.size), size)
+        ext = (np.arange(which.size)
+               + np.repeat(first - np.cumsum(size) + size, size))
+        state, x_f, x_o, f_f = (state[which], 2.0 * q_f[which],
+                                2.0 * q_o[which], f_f[ext])
+        xi, f_o, fx, fyy = self._extremum(state, x_o, xi[ext])
+        born = np.isfinite(f_o) & ((f_o > 0) != (f_f > 0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            big = 16.0 / 3.0 * np.abs(fx) ** 1.5 / np.sqrt(np.abs(fyy)) > floor
+        q = np.full(born.sum(), np.nan)
+        big = big[born]
+        state, x_f, x_o, xi, f_f, f_o = (
+            v[born][big] for v in (state, x_f, x_o, xi, f_f, f_o))
+        left = x_f < x_o
+
+        def value(active, x):
+            xi[active], f, fx, _ = self._extremum(state[active], x,
+                                                  xi[active])
+            return f, fx
+
+        q[big] = 0.5 * self._polish(value, np.where(left, x_f, x_o),
+                                    np.where(left, x_o, x_f),
+                                    np.where(left, f_f, f_o),
+                                    np.where(left, f_o, f_f))[0]
+        return which[born], q
+
+    def _extremum(self, state, x, xi):
+        """The extremum of W on each line x = 2q nearest xi, by Newton steps
+        on W' from xi; returns its xi, and W, dW/dx and W'' there. W is
+        nan where a step leaves the grid cell: the extremum is lost.
+        """
+        dim = self.coef.shape[1]
+        cell = self.xi[1] - self.xi[0]
+        n = x.size
+        # one recurrence for the lines and the first Newton step
+        h = hermite_functions(dim + 1, np.concatenate([x, xi])).T
+        hx, h = h[:n, :-1], h[n:]
+        a = np.empty((n, dim))
+        ax = np.empty_like(a)
+        # one product per state over its own points, as for the lines
+        for k in np.unique(state):
+            at = state == k
+            a[at] = hx[at, :-1] @ self.coef[k]
+            ax[at] = hx[at] @ self.coef_x[k]
+        da = hermite_series_derivative(a)
+        dda = hermite_series_derivative(da)
+        xi = xi.copy()
+        f, fx, fyy = np.empty(n), np.empty(n), np.empty(n)
+        live = np.arange(n)
+        for _ in range(_POLISH_STEPS):
+            if live.size == 0:
+                break
+            if h is None:
+                h = hermite_functions(dim + 1, xi[live]).T
+            # row sums, whose order does not depend on how many points
+            # share the call
+            f[live] = (a[live] * h[:, :-2]).sum(axis=1)
+            fx[live] = (ax[live] * h[:, :-2]).sum(axis=1)
+            fyy[live] = (dda[live] * h).sum(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = (da[live] * h[:, :-1]).sum(axis=1) / fyy[live]
+            self.evaluations += 4 * self._per_state(state[live])
+            # a step below _ROOT_STEP moves W by O(step^2): xi stays; a
+            # step beyond a grid cell has lost the extremum: W is nan
+            lost = ~(np.abs(step) <= cell)
+            f[live[lost]] = np.nan
+            go = ~lost & (np.abs(step) > _ROOT_STEP)
+            live = live[go]
+            xi[live] -= step[go]
+            h = None
+        return xi, f, fx, fyy
 
     @staticmethod
-    def _polish(a, rows, lo, hi, f_lo, f_hi):
-        """A root of row rows[i]'s series a in each bracket [lo[i], hi[i]].
+    def _series(a, rows):
+        """f and f' at x of sum_k a[rows[i], k] h_k, for _polish."""
+        da = hermite_series_derivative(a)
 
+        def values(active, x):
+            h = hermite_functions(da.shape[1] - 1, x)
+            r = rows[active]
+            return (np.einsum("ik,ki->i", a[r], h[:-1]),
+                    np.einsum("ik,ki->i", da[r], h))
+
+        return values
+
+    @staticmethod
+    def _polish(values, lo, hi, f_lo, f_hi):
+        """A root of f in each bracket [lo[i], hi[i]].
+
+        values(active, x) returns f and f' of the brackets active at x;
         f_lo and f_hi lie on opposite sides of the split f > 0 / f <= 0.
         Newton steps start from the secant point; a step that leaves the
         shrinking bracket is replaced by the bracket's midpoint, so every
         such step at least halves it. A root error delta moves G only by
         O(delta^2), so a Newton step below _ROOT_STEP ends the iteration.
         f == 0 counts as a zero step even where f' == 0 too: a bracket
-        update there would move away from the root. Returns the roots and
-        the bracket index of each step, which evaluates f and f'.
+        update there would move away from the root. Where f is nan the
+        root is nan. Returns the roots and the bracket index of each step,
+        which evaluates f and f'.
         """
-        da = hermite_series_derivative(a)
         lo, hi = lo.copy(), hi.copy()
         lo_pos = f_lo > 0
         x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
@@ -435,10 +791,8 @@ class _LineIntegrals:
             if active.size == 0:
                 break
             stepped.append(active)
-            xa, r = x[active], rows[active]
-            h = hermite_functions(da.shape[1] - 1, xa)
-            f = np.einsum("ik,ki->i", a[r], h[:-1])
-            fp = np.einsum("ik,ki->i", da[r], h)
+            xa = x[active]
+            f, fp = values(active, xa)
             left = (f > 0) == lo_pos[active]
             lo[active] = l = np.where(left, xa, lo[active])
             hi[active] = u = np.where(left, hi[active], xa)
@@ -447,8 +801,10 @@ class _LineIntegrals:
             small = np.abs(step) <= _ROOT_STEP
             xn = np.clip(xa - step, l, u)
             newton = small | ((xn > l) & (xn < u))
-            x[active] = np.where(newton, xn, 0.5 * (l + u))
-            active = active[~(small | (u - l <= _ROOT_BRACKET))]
+            lost = np.isnan(f)
+            x[active] = np.where(lost, np.nan,
+                                 np.where(newton, xn, 0.5 * (l + u)))
+            active = active[~(small | lost | (u - l <= _ROOT_BRACKET))]
         return x, np.concatenate(stepped) if stepped else active
 
 

@@ -157,16 +157,23 @@ def test_negativity_anchors():
 
 
 # V(|phi_0>_s) from two independent root-based evaluations (comrade-matrix
-# roots and grid-bracketed Newton roots), which agree to 1e-13. V(5) is
-# the outer q integral on uniform 16-point Gauss-Legendre panels instead
-# (12 000 to 32 000 panels over three boxes agree to 2e-12). It guards
-# the adaptive rule against a root-pair birth between a panel's edge and
-# its first node, which neither the panel nor its children see: with the
-# box sized by effective_radius + 2, the panel [1.25098, 2.50196] passed
-# at depth 4 off by 7.9e-7 (birth at q = 1.2537), and V(5) by 3.97e-7.
-REFERENCE_VOLUMES = {1: 0.0697148152685, 4: 0.1701009778123,
-                     5: 0.19141209848,
-                     8: 0.2357593505655, 12: 0.2774926003676,
+# roots and grid-bracketed Newton roots), which agree to 1e-13, for
+# s = 1, 4, 8, 12 and 17. The other orders take the outer q integral on
+# uniform 16-point Gauss-Legendre panels instead (12 000 to 32 000 panels
+# over three boxes agree to 2e-12), which agree with the root-based values
+# to 1.6e-11 where both exist. V(5) guards against a root-pair birth
+# between a panel's edge and its first node, which neither the panel nor
+# its children see: with halved panels and the box sized by
+# effective_radius + 2, the panel [1.25098, 2.50196] passed at depth 4 off
+# by 7.9e-7 (birth at q = 1.2537), and V(5) by 3.97e-7.
+REFERENCE_VOLUMES = {1: 0.0697148152685, 2: 0.110174283667,
+                     3: 0.145538590995, 4: 0.1701009778123,
+                     5: 0.19141209848, 6: 0.206884917739,
+                     7: 0.222284618843, 8: 0.2357593505655,
+                     9: 0.248018449009, 10: 0.258200801344,
+                     11: 0.268272918116, 12: 0.2774926003676,
+                     13: 0.286038812405, 14: 0.293614643978,
+                     15: 0.301323129085, 16: 0.308258270826,
                      17: 0.3147545070149}
 
 
@@ -179,12 +186,33 @@ def test_negativity_reference_values():
         assert result.max_depth_reached < MAX_DEPTH
 
 
+def test_default_tolerance_volumes_resolve_the_births():
+    # with the panels split at the root-pair births, the default tol leaves
+    # V(|phi_0>_s) within 1e-8 of the references; halving alone left it
+    # 3.1e-8 off at s = 4 and 6.6e-8 at s = 5
+    for s in range(1, 13):
+        assert negativity_volume(pb_eigenstate(s, 0)) == pytest.approx(
+            REFERENCE_VOLUMES[s], abs=1e-8)
+
+
+def test_one_photon_births_in_closed_form():
+    # |1> has W proportional to (4(q^2 + p^2) - 1) exp(-2(q^2 + p^2)): its
+    # pair of roots on the line q is born at q = -1/2 and dies at q = 1/2
+    rho = FockDensity.from_pure(number_state(1, 2))
+    lines = _LineIntegrals(wigner_coefficients(rho.matrix)[None])
+    (births,) = lines.births(0.0)
+    assert births.shape == (2,)
+    assert np.abs(births - [-0.5, 0.5]).max() <= 1e-12
+    assert negativity_volume_detailed(rho).births == 2
+    assert negativity_volume_detailed(vacuum_state(2)).births == 0
+
+
 def test_negativity_record_is_filled():
     # perfbench's tracer reads evaluations, max_depth_reached, tail_estimate
     result = negativity_volume_detailed(pb_eigenstate(4, 0))
     for value in (result.abs_integral, result.tail_estimate,
                   result.box_half_width, result.evaluations,
-                  result.max_depth_reached, result.roots):
+                  result.max_depth_reached, result.roots, result.births):
         assert math.isfinite(value) and value > 0
     assert result.volume == pytest.approx(
         0.5 * (result.abs_integral - 1.0), abs=1e-15)
@@ -256,7 +284,7 @@ def test_line_integrals_match_comrade_oracle(name):
     rho = LINE_STATES[name]()
     lines = _LineIntegrals(wigner_coefficients(rho.matrix)[None])
     qs = np.linspace(-lines.half_width, lines.half_width, 51)
-    got = lines.at(qs, [(0, 0, qs.size)])
+    got = lines.at(qs, [(0, 0, qs.size)])[0]
     a, rows, roots = lines.find_roots(qs, [(0, 0, qs.size)])
     dim = a.shape[1]
     w_lines = a @ hermite_functions(dim - 1, lines.xi)
@@ -308,6 +336,19 @@ def test_batch_equals_single_states(herald_grid):
         _assert_alone(batch, results)
 
 
+def test_readme_volumes_work_counts(herald_grid):
+    # the README's volumes (negativity-sweep --s 6 and the herald-sweep
+    # batch) at no more than 60 % of the evaluations, and no deeper than
+    # level 6, where halving alone took 1 385 877 and 5 644 473
+    # evaluations and levels 7 to 9
+    sweep = [negativity_volume_detailed(pb_eigenstate(s, 0))
+             for s in range(1, 7)]
+    herald = _negativity_volumes(herald_grid)
+    assert sum(r.evaluations for r in sweep) <= 0.6 * 1_385_877
+    assert sum(r.evaluations for r in herald) <= 0.6 * 5_644_473
+    assert max(r.max_depth_reached for r in sweep + herald) <= 6
+
+
 def test_batch_peak_memory(herald_grid):
     # lines are evaluated LINE_BLOCK at a time, so the p-grid tables and
     # brackets of all 18 states are never alive at once
@@ -340,9 +381,9 @@ def test_polish_steps_per_bracket(monkeypatch, herald_grid):
 
 
 def _dim5_batch():
-    # |phi_1>_4 needs the most evaluations and |1> the deepest refinement;
-    # each by itself
-    return [pb_eigenstate(4, 0), pb_eigenstate(4, 1), pb_eigenstate(4, 2),
+    # |phi_1>_4 needs the most evaluations and the deepest refinement, each
+    # by itself (|phi_2>_4 would tie its depth)
+    return [pb_eigenstate(4, 0), pb_eigenstate(4, 1), number_state(3, 4),
             vacuum_state(4), number_state(1, 4)]
 
 
