@@ -150,5 +150,5 @@ def wigner_batch(rho: np.ndarray, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     qs = np.ascontiguousarray(qs, dtype=np.float64).ravel()
     ps = np.ascontiguousarray(ps, dtype=np.float64).ravel()
     if qs.shape != ps.shape:
-        raise ValueError("qs and ps must have equal length")
+        raise ValidationError("qs and ps must have equal length")
     return wigner_points(wigner_coefficients(rho), qs, ps)

@@ -48,7 +48,8 @@ class TwoModeUnitary:
 class DetectorPovm:
     """Two-outcome POVM {E, I-E} of a click detector with efficiency eta.
 
-    E is diagonal with E[0,0] = 0 and E[k,k] = eta*(1-eta)^(k-1) for k >= 1.
+    click is E, diagonal with E[0,0] = 0 and E[k,k] = eta*(1-eta)^(k-1) for
+    k >= 1; the no-click element is I - E.
     tail_weight bounds the probability weight of the discarded k > cutoff
     part, (1-eta)^cutoff.
     """
@@ -56,7 +57,6 @@ class DetectorPovm:
     eta: float
     cutoff: int
     click: np.ndarray
-    no_click: np.ndarray
     tail_weight: float
 
 
@@ -218,7 +218,6 @@ def detector_povm(eta: float, cutoff: int) -> DetectorPovm:
     k = np.arange(dim, dtype=float)
     diag = np.zeros(dim)
     diag[1:] = eta * (1.0 - eta) ** (k[1:] - 1.0)
-    click = np.diag(diag).astype(np.complex128)
-    no_click = np.eye(dim, dtype=np.complex128) - click
-    return DetectorPovm(eta=float(eta), cutoff=cutoff, click=click,
-                        no_click=no_click, tail_weight=float((1.0 - eta) ** cutoff))
+    return DetectorPovm(eta=float(eta), cutoff=cutoff,
+                        click=np.diag(diag).astype(np.complex128),
+                        tail_weight=float((1.0 - eta) ** cutoff))

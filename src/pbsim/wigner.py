@@ -85,8 +85,10 @@ class NegativityResult:
     evaluations counts every Hermite-series evaluation at one point of
     one q line (the p grid, W' there, root polishing and primitives, and
     the scan lines and extremum steps that bracket and locate births);
-    roots counts the sign changes of W found on the integration's q
-    lines, and births the root-pair births located and cut at.
+    each line is evaluated once, and births between a panel's nodes are
+    located from the extrema of that evaluation. roots counts the sign
+    changes of W found on the integration's q lines, and births the
+    root-pair births located and cut at.
     """
 
     volume: float
@@ -329,29 +331,35 @@ def _cell_kinds(f_lo, f_hi, fp_lo, fp_hi):
     return ~same, turn
 
 
-def _blocks(segs):
-    """Line ranges (state, lo, hi) packed into blocks of <= LINE_BLOCK lines.
+def _runs(state):
+    """(state, lo, hi) of each state's contiguous lines lo..hi-1."""
+    edge = [0, *(np.flatnonzero(np.diff(state)) + 1).tolist(), state.size]
+    return [(int(state[lo]), lo, hi) for lo, hi in zip(edge, edge[1:])]
 
-    A state's lines stay in one block unless they alone exceed LINE_BLOCK.
-    """
-    blocks, size = [[]], 0
-    for k, lo, hi in segs:
+
+def _blocks(state):
+    """Consecutive ranges (lo, hi) of at most LINE_BLOCK lines; a state's
+    lines stay in one range unless they alone exceed LINE_BLOCK."""
+    bounds, size = [0], 0
+    for _, lo, hi in _runs(state):
         for a in range(lo, hi, LINE_BLOCK):
-            b = min(a + LINE_BLOCK, hi)
-            if size + (b - a) > LINE_BLOCK:
-                blocks.append([])
+            n = min(LINE_BLOCK, hi - a)
+            if size + n > LINE_BLOCK:
+                bounds.append(a)
                 size = 0
-            blocks[-1].append((k, a, b))
-            size += b - a
-    return blocks
+            size += n
+    return zip(bounds, bounds[1:] + [state.size])
 
 
-def _line_states(segs) -> np.ndarray:
-    """The state index of each line of a block's ranges segs."""
-    state = np.empty(segs[-1][2], dtype=np.intp)
-    for k, lo, hi in segs:
-        state[lo:hi] = k
-    return state
+def _merge(group, born):
+    """The finite births, ascending within each group, with those within
+    _BIRTH_MERGE of the one before them in their group left out."""
+    keep = np.isfinite(born)
+    order = np.lexsort((born[keep], group[keep]))
+    group, born = group[keep][order], born[keep][order]
+    apart = np.diff(born, prepend=-np.inf) > _BIRTH_MERGE
+    apart[1:] |= group[1:] != group[:-1]
+    return group[apart], born[apart]
 
 
 class _LineIntegrals:
@@ -360,11 +368,12 @@ class _LineIntegrals:
 
     Holds each state's coefficient table and running evaluation and root
     counts, and the box half-width, p grid and Hermite table that the
-    dimension fixes; also locates where G has its root-pair kinks. Lines
-    come as ranges (state, lo, hi) of a q array: lines lo..hi-1 belong to
-    that state. Each state's matrix products run on exactly the rows it
-    would have alone; the bracket search and polishing run once per block
-    of at most LINE_BLOCK lines, over all its states.
+    dimension fixes; also locates where G has its root-pair kinks. A batch
+    of lines is an array of q and a per-line state array in which each
+    state's lines are contiguous (_runs). Each state's matrix products run
+    on exactly the rows it would have alone; the bracket search and
+    polishing run once per block of at most LINE_BLOCK lines, over all its
+    states.
     """
 
     def __init__(self, coefs: np.ndarray):
@@ -392,9 +401,9 @@ class _LineIntegrals:
 
         parts lists (state, t0, t1, a, b): panel i covers t0[i] <= t <=
         t1[i] of the map _smoothstep(a[i], b[i], t). Returns each part's
-        panel values, and its (panel, q) births: those located between
-        neighbouring nodes of one panel whose root counts differ, with a
-        kink above floor.
+        panel values, and its (panel, q) births: those that _locate finds
+        between neighbouring nodes of one panel, from the nodes' own
+        evaluation, more than _BIRTH_MERGE inside the panel.
         """
         bounds = list(accumulate((p[1].size for p in parts), initial=0))
         t0, t1, a, b = (np.concatenate([p[i] for p in parts])
@@ -402,120 +411,123 @@ class _LineIntegrals:
         ht = 0.5 * (t1 - t0)
         qs, dq = _smoothstep(a[:, None], b[:, None],
                              (0.5 * (t1 + t0))[:, None] + ht[:, None] * _NODES)
-        segs = [(k, PANEL_ORDER * lo, PANEL_ORDER * hi)
-                for (k, *_), lo, hi in zip(parts, bounds, bounds[1:])]
+        state = np.repeat([p[0] for p in parts],
+                          PANEL_ORDER * np.diff(bounds))
         qs = qs.ravel()
-        g, count = self.at(qs, segs)
+        count, lone, g = self.evaluate(qs, state, integrate=True)
         g = g.reshape(dq.shape) * dq
         vals = [(g[lo:hi] @ _WEIGHTS) * ht[lo:hi]
                 for lo, hi in zip(bounds, bounds[1:])]
-        count = count.reshape(dq.shape)
-        panel, node = np.nonzero(count[:, 1:] != count[:, :-1])
-        if panel.size == 0:
-            return vals, [(panel, np.empty(0))] * len(parts)
-        lo = PANEL_ORDER * panel + node
-        fewer = np.where(count[panel, node] < count[panel, node + 1], lo,
-                         lo + 1)
-        # the fewer ends' extrema, from the lines evaluated once more
-        again, line = np.unique(fewer, return_inverse=True)
-        state = _line_states(segs)
-        turns = self._line_counts(state[again], qs[again])[1]
-        which, born = self._locate(state[fewer], qs[fewer],
-                                   qs[2 * lo + 1 - fewer], line, turns, floor)
-        big = np.isfinite(born)
-        panel, born = panel[which[big]], born[big]
-        # a birth within _BIRTH_MERGE of its panel's ends or of another
-        # counts once
-        order = np.lexsort((born, panel))
-        panel, born = panel[order], born[order]
+        # brackets: each node and the next one of its panel
+        node = np.flatnonzero(np.arange(1, qs.size) % PANEL_ORDER)
+        (node, _), which, born = self._locate(state, qs, count, lone,
+                                              (node, node + 1), 0, floor)
+        panel, born = _merge(node[which] // PANEL_ORDER, born)
         ends = _smoothstep(a[panel], b[panel], np.stack([t0[panel],
                                                          t1[panel]]))[0]
-        apart = np.diff(born, prepend=-np.inf) > _BIRTH_MERGE
-        apart[1:] |= panel[1:] != panel[:-1]
-        new = (apart & (born - ends[0] > _BIRTH_MERGE)
-               & (ends[1] - born > _BIRTH_MERGE))
+        inside = ((born - ends[0] > _BIRTH_MERGE)
+                  & (ends[1] - born > _BIRTH_MERGE))
+        panel, born = panel[inside], born[inside]
         part = np.searchsorted(bounds, panel, "right") - 1
-        cuts = [(panel[new & (part == i)] - first,
-                 born[new & (part == i)])
-                for i, first in enumerate(bounds[:-1])]
-        return vals, cuts
+        return vals, [(panel[part == i] - first, born[part == i])
+                      for i, first in enumerate(bounds[:-1])]
 
-    def at(self, qs: np.ndarray, segs):
-        """G and the number of roots on each line q of qs, evaluated
-        LINE_BLOCK lines at a time."""
-        out = np.empty(qs.size)
+    def births(self, floor) -> list:
+        """Each state's root-pair births in (-L, L), ascending.
+
+        _SCAN_LINES uniform q lines per state bracket them by their root
+        counts, and _locate finds them from the line with fewer roots. A
+        bracket where it finds none is halved, and the halves whose
+        counts differ are tried from the new line, up to _BISECTIONS
+        times. Births within _BIRTH_MERGE of each other count once, and
+        births whose kink is at most floor are left out.
+        """
+        n = _SCAN_LINES
+        hw = math.sqrt(2.0 * self.coef.shape[1]) / 2.0 + _SCAN_REACH
+        states = self.evaluations.size
+        state = np.repeat(np.arange(states), n)
+        q = np.tile(-hw + (np.arange(n) + 0.5) * (2.0 * hw / n), states)
+        count, lone, _ = self.evaluate(q, state)
+        lo = np.flatnonzero(state[1:] == state[:-1])
+        ends, fresh, found = (lo, lo + 1), 0, []
+        for step in range(_BISECTIONS + 1):
+            ends, which, born = self._locate(state, q, count, lone, ends,
+                                             fresh, floor)
+            found.append((state[ends[0][which]], born))
+            open_ = np.bincount(which, minlength=ends[0].size) == 0
+            if step == _BISECTIONS or not open_.any():
+                break
+            # halve the open brackets at new lines, whose lone extrema
+            # alone are followed
+            lo, hi = (e[open_] for e in ends)
+            fresh, ks, q_mid = q.size, state[lo], 0.5 * (q[lo] + q[hi])
+            n_mid, lone, _ = self.evaluate(q_mid, ks)
+            state, q, count = (np.concatenate(v) for v in (
+                (state, ks), (q, q_mid), (count, n_mid)))
+            mid = np.arange(fresh, q.size)
+            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+            order = np.lexsort((q[lo], state[lo]))
+            ends = (lo[order], hi[order])
+        state, born = _merge(*(np.concatenate(v) for v in zip(*found)))
+        return [born[state == k] for k in range(states)]
+
+    def evaluate(self, qs: np.ndarray, state: np.ndarray, integrate=False):
+        """Root counts, lone extrema as find_roots gives them, and G if
+        integrate (else None) on the lines (qs[i], state[i]), evaluated
+        LINE_BLOCK lines at a time: the roots are polished only for G."""
         count = np.empty(qs.size, dtype=np.intp)
-        for block in _blocks(segs):
-            lo, hi = block[0][1], block[-1][2]
-            out[lo:hi], count[lo:hi] = self._block_at(
-                qs[lo:hi], [(k, a - lo, b - lo) for k, a, b in block])
-        return out, count
+        g = np.empty(qs.size) if integrate else None
+        lone = []
+        for lo, hi in _blocks(state):
+            a, rows, roots, (line, xi, f) = self.find_roots(
+                qs[lo:hi], state[lo:hi], integrate)
+            count[lo:hi] = np.bincount(rows, minlength=hi - lo)
+            lone.append((line + lo, xi, f))
+            if integrate:
+                g[lo:hi] = self._integrals(a, rows, roots, state[lo:hi])
+        return count, tuple(np.concatenate(v) for v in zip(*lone)), g
 
-    def _block_at(self, qs: np.ndarray, segs):
-        """G and the root counts on the lines of one block."""
-        a, rows, roots = self.find_roots(qs, segs)
-        state = _line_states(segs)
+    def _integrals(self, a, rows, roots, state):
+        """G on one block's lines, of series coefficients a, from the roots
+        xi of each line rows[i]."""
         found = self._per_state(state[rows])
         self.roots += found
         self.evaluations += found + self._per_state(state)
         # Int |W| dp is half the sum of |P(b) - P(a)| over the intervals
         # between consecutive roots, with P(-inf) = 0 and P(inf) = a . P_inf
-        n = qs.size
+        n = a.shape[0]
         line = np.concatenate([np.arange(n), rows, np.arange(n)])
         xs = np.concatenate([np.full(n, -np.inf), roots, np.full(n, np.inf)])
         prim = np.concatenate([
             np.zeros(n),
             np.einsum("ik,ki->i", a[rows],
                       hermite_primitives(a.shape[1] - 1, roots))]
-            + [a[lo:hi] @ self.full_line for _, lo, hi in segs])
+            + [a[lo:hi] @ self.full_line for _, lo, hi in _runs(state)])
         order = np.lexsort((xs, line))
         line, prim = line[order], prim[order]
         same = line[1:] == line[:-1]
-        return (0.5 * np.bincount(line[1:][same],
-                                  weights=np.abs(np.diff(prim))[same],
-                                  minlength=n),
-                np.bincount(rows, minlength=n))
+        return 0.5 * np.bincount(line[1:][same],
+                                 weights=np.abs(np.diff(prim))[same],
+                                 minlength=n)
 
-    def find_roots(self, qs: np.ndarray, segs):
-        """Sign changes of W(q, p) in xi = 2p on each line q = qs[i].
+    def find_roots(self, qs: np.ndarray, state: np.ndarray, polish=True):
+        """Sign changes of W(q, p) in xi = 2p on each line (qs[i], state[i])
+        of one block.
 
-        Each range (state, lo, hi) of segs takes its state's table.
-        Returns (a, rows, roots): the lines' series coefficients
-        a(q) = C^T h(2q), and each root's line index and xi.
-        """
-        a, state, (row, c_lo, c_hi, f_lo, f_hi), turns, pair = (
-            self._sign_changes(qs, segs))
-        tr, t_lo, t_hi, ft_lo, ft_hi, ext, f_ext = (v[pair] for v in turns)
-        rows = np.concatenate([row, tr, tr])
-        roots, root_evals = self._polish(
-            self._series(a, rows), np.concatenate([c_lo, t_lo, ext]),
-            np.concatenate([c_hi, ext, t_hi]),
-            np.concatenate([f_lo, ft_lo, f_ext]),
-            np.concatenate([f_hi, f_ext, ft_hi]))
-        # a polishing step evaluates f and f'
-        self.evaluations += 2 * self._per_state(state[rows[root_evals]])
-        return a, rows, roots
-
-    def _sign_changes(self, qs: np.ndarray, segs):
-        """The p-grid cells where W(q, .) changes sign, and its extrema
-        that turn toward zero, on each line q = qs[i].
-
-        Returns (a, state, cross, turns, pair): the lines' series
-        coefficients a(q) = C^T h(2q) and each line's state; for each
-        sign-change cell its line, ends and W there; for each turn cell
-        its line, ends, W there, its extremum's xi and W there; and
-        whether that extremum lies across zero, so that the cell holds a
-        pair of roots.
+        Returns (a, rows, roots, lone): the lines' series coefficients
+        a(q) = C^T h(2q); each root's line index, and its xi if polish
+        (else None); and the lone extrema, which turn toward zero without
+        crossing it, as (line, xi, W) arrays ordered by line.
         """
         dim = self.coef.shape[1]
-        hq = hermite_functions(dim - 1, 2.0 * qs)
-        a = np.concatenate([hq[:, lo:hi].T @ self.coef[k]
-                            for k, lo, hi in segs])
+        h = hermite_functions(dim - 1, 2.0 * qs).T
+        a = np.empty((qs.size, dim))
+        for k, lo, hi in _runs(state):
+            np.matmul(h[lo:hi], self.coef[k], out=a[lo:hi])
         da = hermite_series_derivative(a)
-        state = _line_states(segs)
         ((row, c_lo, c_hi, f_lo, f_hi),
          (tr, t_lo, t_hi, ft_lo, ft_hi, fp_lo, fp_hi)) = self._brackets(
-             a, da, segs, state)
+             a, da, state)
         ext, ext_evals = self._polish(self._series(da, tr), t_lo, t_hi,
                                       fp_lo, fp_hi)
         f_ext = np.einsum("ik,ki->i", a[tr], hermite_functions(dim - 1, ext))
@@ -523,10 +535,22 @@ class _LineIntegrals:
         self.evaluations += 2 * self._per_state(
             state[tr[ext_evals]]) + self._per_state(state[tr])
         pair = (f_ext > 0) != (ft_lo > 0)
-        return (a, state, (row, c_lo, c_hi, f_lo, f_hi),
-                (tr, t_lo, t_hi, ft_lo, ft_hi, ext, f_ext), pair)
+        lone = (tr[~pair], ext[~pair], f_ext[~pair])
+        tr, t_lo, t_hi, ft_lo, ft_hi, ext, f_ext = (
+            v[pair] for v in (tr, t_lo, t_hi, ft_lo, ft_hi, ext, f_ext))
+        rows = np.concatenate([row, tr, tr])
+        if not polish:
+            return a, rows, None, lone
+        roots, root_evals = self._polish(
+            self._series(a, rows), np.concatenate([c_lo, t_lo, ext]),
+            np.concatenate([c_hi, ext, t_hi]),
+            np.concatenate([f_lo, ft_lo, f_ext]),
+            np.concatenate([f_hi, f_ext, ft_hi]))
+        # a polishing step evaluates f and f'
+        self.evaluations += 2 * self._per_state(state[rows[root_evals]])
+        return a, rows, roots, lone
 
-    def _brackets(self, a, da, segs, state):
+    def _brackets(self, a, da, state):
         """Cells bracketing a root of W, and cells to check for a pair.
 
         W and W' of each line are evaluated on the p grid, one product per
@@ -543,7 +567,7 @@ class _LineIntegrals:
         xi = self.xi
         f = np.empty((a.shape[0], xi.size))
         fp = np.empty_like(f)
-        for k, lo, hi in segs:
+        for k, lo, hi in _runs(state):
             np.matmul(a[lo:hi], self.h_xi[:dim], out=f[lo:hi])
             np.matmul(da[lo:hi], self.h_xi, out=fp[lo:hi])
             self.evaluations[k] += 2 * (hi - lo) * xi.size
@@ -591,102 +615,37 @@ class _LineIntegrals:
             out.append([v[order] for v in cells])
         return out[0][:5], out[1]
 
-    def births(self, floor) -> list:
-        """Each state's root-pair births in (-L, L), ascending.
+    def _locate(self, state, q, count, lone, ends, fresh, floor):
+        """The births in brackets between lines whose root counts differ.
 
-        _SCAN_LINES uniform q lines per state bracket them by their root
-        counts: a birth lies between neighbouring lines whose counts
-        differ, and _locate finds it from the line with fewer roots. A
-        bracket where it finds none is halved, and the halves whose
-        counts differ are tried from the new line, up to _BISECTIONS
-        times. Births within _BIRTH_MERGE of each other count once, and
-        births whose kink is at most floor are left out.
-        """
-        n = _SCAN_LINES
-        hw = math.sqrt(2.0 * self.coef.shape[1]) / 2.0 + _SCAN_REACH
-        scan = -hw + (np.arange(n) + 0.5) * (2.0 * hw / n)
-        states = self.evaluations.size
-        state = np.repeat(np.arange(states), n)
-        q = np.tile(scan, states)
-        count, turns = self._line_counts(state, q)
-        lo = np.nonzero((state[1:] == state[:-1])
-                        & (count[1:] != count[:-1]))[0]
-        # brackets: state, both ends' q and counts, and the line of turns
-        # at the end with fewer roots (-1: an end tried before)
-        brackets = (state[lo], q[lo], q[lo + 1], count[lo], count[lo + 1],
-                    np.where(count[lo] < count[lo + 1], lo, lo + 1))
-        found = []
-        for step in range(_BISECTIONS + 1):
-            ks, q0, q1, n0, n1, fewer = brackets
-            rise = n0 < n1
-            which, born = self._locate(ks, np.where(rise, q0, q1),
-                                       np.where(rise, q1, q0), fewer, turns,
-                                       floor)
-            found.append((ks[which], born))
-            open_ = np.bincount(which, minlength=ks.size) == 0
-            if step == _BISECTIONS or not open_.any():
-                break
-            ks, q0, q1, n0, n1 = (v[open_] for v in (ks, q0, q1, n0, n1))
-            q = 0.5 * (q0 + q1)
-            count, turns = self._line_counts(ks, q)
-            mid = np.arange(ks.size)
-            halves = [np.concatenate(v) for v in zip(
-                (ks, q0, q, n0, count, np.where(count < n0, mid, -1)),
-                (ks, q, q1, count, n1, np.where(count < n1, mid, -1)))]
-            keep = halves[3] != halves[4]
-            order = np.lexsort((halves[1][keep], halves[0][keep]))
-            brackets = tuple(v[keep][order] for v in halves)
-        state, born = (np.concatenate(v) for v in zip(*found))
-        out = []
-        for k in range(states):
-            mine = np.sort(born[(state == k) & np.isfinite(born)])
-            out.append(mine[np.diff(mine, prepend=-np.inf) > _BIRTH_MERGE])
-        return out
-
-    def _line_counts(self, state, q):
-        """Root counts of the lines (state[i], q[i]), each state's lines
-        contiguous, and their extrema that turn toward zero without
-        crossing it, as (line, xi, W) arrays ordered by line.
-        """
-        run = np.flatnonzero(np.diff(state, prepend=-1, append=-1))
-        segs = [(int(state[lo]), int(lo), int(hi))
-                for lo, hi in zip(run[:-1], run[1:])]
-        count, line, xi, f = [], [], [], []
-        for block in _blocks(segs):
-            lo, hi = block[0][1], block[-1][2]
-            _, _, cross, turns, pair = self._sign_changes(
-                q[lo:hi], [(k, a - lo, b - lo) for k, a, b in block])
-            tr, lone = turns[0], ~pair
-            count.append(np.bincount(cross[0], minlength=hi - lo)
-                         + 2 * np.bincount(tr[pair], minlength=hi - lo))
-            line.append(tr[lone] + lo)
-            xi.append(turns[5][lone])
-            f.append(turns[6][lone])
-        return np.concatenate(count), tuple(
-            np.concatenate(v) for v in (line, xi, f))
-
-    def _locate(self, state, q_f, q_o, fewer, turns, floor):
-        """The births in brackets between lines q_f and q_o, q_f with fewer
-        roots.
-
-        Each extremum of line fewer[i] in turns = (line, xi, W) (-1: none)
-        is followed to q_o. Returns the bracket of each that changes sign
+        ends = (i, j) pairs the lines (q[i], state[i]) and (q[j], state[j])
+        into brackets, and brackets whose counts agree are dropped. Each
+        extremum in lone = (line, xi, W) of the end with fewer roots is
+        followed to the other end; lone numbers its lines from line fresh,
+        and an end before that was tried before. Returns the kept
+        brackets' ends, the bracket of each extremum that changes sign
         there, and the q where its value W(q, p_e(q)) is zero: safeguarded
         Newton steps in x = 2q inside the bracket, with dW/dx at the
         extremum as the derivative of its value (the envelope theorem).
         Near a birth G gains kink |q - q0|^(3/2), kink =
-        (16/3) |dW/dx|^(3/2) / |W''|^(1/2); where that, taken at q_o, is
-        at most floor, q is nan.
+        (16/3) |dW/dx|^(3/2) / |W''|^(1/2); where that, taken at the other
+        end, is at most floor, q is nan.
         """
-        line, xi, f_f = turns
-        first = np.searchsorted(line, fewer)
-        size = np.where(fewer >= 0,
-                        np.searchsorted(line, fewer, "right") - first, 0)
-        which = np.repeat(np.arange(state.size), size)
+        i, j = (e[count[ends[0]] != count[ends[1]]] for e in ends)
+        fewer = np.where(count[i] < count[j], i, j)
+        line, xi, f_f = lone
+        first = np.searchsorted(line, fewer - fresh)
+        size = np.where(fewer >= fresh, np.searchsorted(
+            line, fewer - fresh, "right") - first, 0)
+        which = np.repeat(np.arange(i.size), size)
+        if not which.size:
+            return (i, j), which, np.empty(0)
         ext = (np.arange(which.size)
                + np.repeat(first - np.cumsum(size) + size, size))
-        state, x_f, x_o, f_f = (state[which], 2.0 * q_f[which],
-                                2.0 * q_o[which], f_f[ext])
+        fewer = fewer[which]
+        state, x_f, x_o, f_f = (state[fewer], 2.0 * q[fewer],
+                                2.0 * q[i[which] + j[which] - fewer],
+                                f_f[ext])
         xi, f_o, fx, fyy = self._extremum(state, x_o, xi[ext])
         born = np.isfinite(f_o) & ((f_o > 0) != (f_f > 0))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -706,7 +665,7 @@ class _LineIntegrals:
                                     np.where(left, x_o, x_f),
                                     np.where(left, f_f, f_o),
                                     np.where(left, f_o, f_f))[0]
-        return which[born], q
+        return (i, j), which[born], q
 
     def _extremum(self, state, x, xi):
         """The extremum of W on each line x = 2q nearest xi, by Newton steps
@@ -722,10 +681,9 @@ class _LineIntegrals:
         a = np.empty((n, dim))
         ax = np.empty_like(a)
         # one product per state over its own points, as for the lines
-        for k in np.unique(state):
-            at = state == k
-            a[at] = hx[at, :-1] @ self.coef[k]
-            ax[at] = hx[at] @ self.coef_x[k]
+        for k, lo, hi in _runs(state):
+            np.matmul(hx[lo:hi, :-1], self.coef[k], out=a[lo:hi])
+            np.matmul(hx[lo:hi], self.coef_x[k], out=ax[lo:hi])
         da = hermite_series_derivative(a)
         dda = hermite_series_derivative(da)
         xi = xi.copy()
@@ -823,13 +781,13 @@ def effective_radius(rho) -> float:
     ts = np.arange(0.0, _box(coef.shape[0]) + step, step)
     above = np.nonzero(np.abs(wigner_points(coef, ts, np.zeros_like(ts)))
                        >= RADIUS_THRESHOLD)[0]
+    edge = f"the box edge q = {ts[-1]:.2f}"
     if above.size == 0:
-        raise WindowExhaustedError(
-            f"no |W| >= {RADIUS_THRESHOLD} point found along the ray")
+        raise WindowExhaustedError(f"no |W| >= {RADIUS_THRESHOLD} point on "
+                                   f"the +q axis from q = 0 to {edge}")
     if above[-1] == ts.size - 1:
         raise WindowExhaustedError(
-            f"|W| still above {RADIUS_THRESHOLD} at the box edge "
-            f"q = {ts[-1]:.2f}")
+            f"|W| still above {RADIUS_THRESHOLD} at {edge}")
     last_above = float(ts[above[-1]])
     return float(brentq(
         lambda t: abs(wigner_points(coef, [t], [0.0])[0]) - RADIUS_THRESHOLD,

