@@ -20,9 +20,11 @@ import math
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.special import erfc
 
 from .errors import NumericalError, ValidationError
+
+# the C library's erfc, elementwise; 0-d and +-inf inputs work as in numpy
+_erfc = np.vectorize(math.erfc, otypes=[np.float64])
 
 
 def hermite_functions(nmax: int, xi) -> np.ndarray:
@@ -61,13 +63,14 @@ def hermite_primitives(nmax: int, xi) -> np.ndarray:
 
     Shape (nmax+1,) + xi.shape. Integrating h_n' from -inf gives
     P_(n+1) = sqrt(n/(n+1)) P_(n-1) - sqrt(2/(n+1)) h_n, whose factor below
-    1 makes it stable, from P_0 = pi^(1/4) erfc(-xi/sqrt2) / sqrt2.
+    1 makes it stable, from P_0 = pi^(1/4) erfc(-xi/sqrt2) / sqrt2 with
+    the C library's erfc (math.erfc).
     """
     xi = np.asarray(xi, dtype=np.float64)
     finite = np.isfinite(xi)
     h = hermite_functions(max(nmax - 1, 0), np.where(finite, xi, 0.0)) * finite
     out = np.empty((nmax + 1,) + xi.shape)
-    out[0] = np.pi ** 0.25 / np.sqrt(2.0) * erfc(-xi / np.sqrt(2.0))
+    out[0] = np.pi ** 0.25 / np.sqrt(2.0) * _erfc(-xi / np.sqrt(2.0))
     for n in range(nmax):
         prev = np.sqrt(n / (n + 1.0)) * out[n - 1] if n else 0.0
         out[n + 1] = prev - np.sqrt(2.0 / (n + 1)) * h[n]

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ValidationError
 from .fock import FockVector
@@ -165,7 +164,8 @@ def displacement_op(alpha: complex, cutoff: int, scheme: str = "exact"
     to the truncated space (exactly unitary there, since the restricted
     generator stays anti-Hermitian). scheme "series": the Taylor polynomial
     of the same generator up to SERIES_ORDER, matching a source that
-    truncates the displacement sum.
+    truncates the displacement sum. "exact" is the one pbsim path that
+    imports scipy.linalg, and only when it runs.
     """
     dim = cutoff + 1
     n = np.arange(1, dim)
@@ -173,6 +173,8 @@ def displacement_op(alpha: complex, cutoff: int, scheme: str = "exact"
     adag[n, n - 1] = np.sqrt(n)
     g = alpha * adag - np.conj(alpha) * adag.conj().T
     if scheme == "exact":
+        from scipy.linalg import expm
+
         return expm(g)
     if scheme == "series":
         out = np.eye(dim, dtype=np.complex128)

@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import LowInformationError, RankDeficiencyWarning, ValidationError
 from .fock import FockVector
@@ -395,6 +394,9 @@ def estimate_coefficients(tables, s: int, *, phi0: float = 0.0
     # is singular along the phase, and LM stops at a near-exact start
     # without polishing it.
     gauge = np.concatenate([-x0[s + 1:], x0[:s + 1]])
+    # imported here: scipy.optimize would add about 0.2 s to every start-up
+    from scipy.optimize import least_squares
+
     fit = least_squares(lambda x: np.append(fun(x), gauge @ x), x0,
                         jac=lambda x: np.vstack([jac(x), gauge]),
                         method="lm")

@@ -19,7 +19,6 @@ from itertools import accumulate
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import brentq
 
 from ._kernels import (hermite_functions, hermite_primitives,
                        hermite_series_derivative, wigner_coefficients,
@@ -770,17 +769,19 @@ def effective_radius(rho) -> float:
     """Outermost |W| = RADIUS_THRESHOLD crossing along the +q axis.
 
     Scans [0, L] with step 0.01, L the negativity volume's box for the
-    state's dimension, then solves for the last crossing to 1e-10 with
-    Brent's method. WindowExhaustedError is raised when no scanned point
-    reaches the threshold or |W| is still above it at the box edge.
+    state's dimension, then solves for the last crossing inside its scan
+    bracket by safeguarded Newton steps (_LineIntegrals._polish) on the
+    axis series W(q, 0) = sum_j b_j h_j(2q), b = C h(0), to well below
+    1e-10. WindowExhaustedError is raised when no scanned point reaches
+    the threshold or |W| is still above it at the box edge.
     """
     dm = _as_density(rho)
     _check_unit_trace(dm)
     coef = wigner_coefficients(dm.matrix)
     step = 0.01
     ts = np.arange(0.0, _box(coef.shape[0]) + step, step)
-    above = np.nonzero(np.abs(wigner_points(coef, ts, np.zeros_like(ts)))
-                       >= RADIUS_THRESHOLD)[0]
+    w = wigner_points(coef, ts, np.zeros_like(ts))
+    above = np.nonzero(np.abs(w) >= RADIUS_THRESHOLD)[0]
     edge = f"the box edge q = {ts[-1]:.2f}"
     if above.size == 0:
         raise WindowExhaustedError(f"no |W| >= {RADIUS_THRESHOLD} point on "
@@ -788,7 +789,17 @@ def effective_radius(rho) -> float:
     if above[-1] == ts.size - 1:
         raise WindowExhaustedError(
             f"|W| still above {RADIUS_THRESHOLD} at {edge}")
-    last_above = float(ts[above[-1]])
-    return float(brentq(
-        lambda t: abs(wigner_points(coef, [t], [0.0])[0]) - RADIUS_THRESHOLD,
-        last_above, last_above + step, xtol=1e-10))
+    cut = above[-1:]
+    # in xi = 2q, the root of sign(W(t)) W - RADIUS_THRESHOLD in [t, t + step]
+    sign = np.sign(w[cut])
+    b = sign[:, None] * (coef @ hermite_functions(coef.shape[0] - 1, 0.0))
+    series = _LineIntegrals._series(b, np.zeros(1, dtype=int))
+
+    def values(active, x):
+        f, fp = series(active, x)
+        return f - RADIUS_THRESHOLD, fp
+
+    xi, _ = _LineIntegrals._polish(
+        values, 2.0 * ts[cut], 2.0 * ts[cut + 1],
+        sign * w[cut] - RADIUS_THRESHOLD, sign * w[cut + 1] - RADIUS_THRESHOLD)
+    return 0.5 * float(xi[0])

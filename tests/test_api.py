@@ -77,15 +77,31 @@ def test_package_does_not_import_the_tests():
                     f"{path.name} imports {name}")
 
 
-def test_import_loads_no_scipy_integrate():
-    # scipy.integrate serves only the integral oracle in tests/oracles.py,
-    # and scipy.signal nothing: importing it would add to every start-up
+def _scipy_modules_after(code):
+    """The scipy modules loaded once code has run in a fresh interpreter."""
     src = str(Path(pbsim.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    banned = ["scipy.integrate", "scipy.signal"]
-    code = (f"import sys, pbsim; print([m for m in sys.modules "
-            f"if '.'.join(m.split('.')[:2]) in {banned!r}])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    probe = (code + "\nimport sys\nprint(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'), file=sys.stderr)")
+    err = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stderr
+    return err.strip().splitlines()[-1]
+
+
+def test_import_loads_no_scipy_integrate():
+    # no scipy module at all: its import would be most of a command line's
+    # wall time. The coefficient fit and the "exact" displacement import
+    # it when they run
+    assert _scipy_modules_after("import pbsim") == "[]"
+
+
+def test_cli_lines_load_no_scipy(tmp_path):
+    # every subcommand but phase-sim runs without importing scipy
+    lines = [["wigner-grid"], ["negativity-sweep", "--s", "3"],
+             ["radius-sweep", "--s", "3"],
+             ["herald-sweep", "--s", "2", "--r-steps", "1", "--eta", "1.0"]]
+    runs = "\n".join(
+        f"assert main({line + ['--out', str(tmp_path / f'{i}.out')]!r}) == 0"
+        for i, line in enumerate(lines))
+    assert _scipy_modules_after("from pbsim.cli import main\n" + runs) == "[]"

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermroots
 from scipy.integrate import quad
+from scipy.optimize import brentq
+from scipy.special import erfc
 
 from pbsim._kernels import (hermite_functions, hermite_primitives,
                             wigner_batch, wigner_coefficients)
@@ -16,7 +18,7 @@ from pbsim.fock import FockDensity, FockVector, number_state, vacuum_state
 from pbsim.herald import HeraldConfig, _condition, herald_point
 from pbsim.phase_states import pb_eigenstate
 from pbsim.wigner import (BOX_MARGIN, DEFAULT_TOL, MAX_DEPTH,
-                          NegativityResult, _LineIntegrals,
+                          RADIUS_THRESHOLD, NegativityResult, _LineIntegrals,
                           _negativity_volumes, effective_radius,
                           negativity_volume, negativity_volume_detailed,
                           wigner_grid)
@@ -259,6 +261,22 @@ def test_hermite_primitives_match_quadrature():
             assert got == pytest.approx(want, abs=1e-13)
 
 
+def test_primitive_zero_matches_scipy_erfc():
+    # P_0 uses the C library's erfc; scipy's is the oracle
+    xs = np.linspace(-40.0, 40.0, 80_001)
+    want = np.pi ** 0.25 * erfc(-xs / np.sqrt(2.0)) / np.sqrt(2.0)
+    assert np.abs(hermite_primitives(0, xs)[0] - want).max() <= 1e-15
+    # erfc(-inf) = 2 exactly: P_0(inf) is pi^(1/4) sqrt2 to one rounding
+    ends = hermite_primitives(0, np.array([-np.inf, np.inf]))[0]
+    assert ends[0] == 0.0
+    assert ends[1] == 2.0 * (np.pi ** 0.25 / np.sqrt(2.0))
+    assert ends[1] == pytest.approx(np.pi ** 0.25 * np.sqrt(2.0), rel=3e-16)
+    # a 0-d argument gives one column
+    table = hermite_primitives(3, 0.3)
+    assert table.shape == (4,)
+    assert np.array_equal(table, hermite_primitives(3, np.array([0.3]))[:, 0])
+
+
 def _comrade_line_integral(a):
     """Int |sum_k a_k h_k(xi)| dxi / 2 from the comrade-matrix roots.
 
@@ -451,6 +469,27 @@ def test_effective_radius_names_the_axis():
                              r"q = 8\.5"):
         effective_radius(state)
     assert negativity_volume(state) == pytest.approx(7.022e-5, abs=1e-8)
+
+
+def _brentq_radius(state):
+    """The radius by Brent's method to xtol 1e-10 in the same scan bracket."""
+    coef = wigner_coefficients(FockDensity.from_pure(state).matrix)
+    box = math.sqrt(2.0 * coef.shape[0]) / 2.0 + BOX_MARGIN
+    ts = np.arange(0.0, box + 0.01, 0.01)
+    w = np.abs(wigner_grid(state, ts, [0.0])[:, 0])
+    last = np.nonzero(w >= RADIUS_THRESHOLD)[0][-1]
+    return brentq(lambda t: abs(wigner_grid(state, [t], [0.0])[0, 0])
+                  - RADIUS_THRESHOLD, ts[last], ts[last + 1], xtol=1e-10)
+
+
+@pytest.mark.parametrize("s", range(1, 26))
+def test_effective_radius_matches_brentq_oracle(s):
+    state = pb_eigenstate(s, 0)
+    r = effective_radius(state)
+    assert r == pytest.approx(_brentq_radius(state), abs=1e-10)
+    # the Newton steps end well inside brentq's xtol
+    assert abs(abs(wigner_grid(state, [r], [0.0])[0, 0])
+               - RADIUS_THRESHOLD) <= 1e-12
 
 
 def test_effective_radius_grows_with_order():
