@@ -50,6 +50,9 @@ _BISECTIONS = 6
 _BIRTH_MERGE = 1e-9
 # |W| below this share of its line's largest |W| on the p grid is noise
 _NOISE = 1e-13
+# a state whose odd-in-p part of W integrates to |W_odd| below this is
+# taken as even in p: its lines are folded at p = 0
+_FOLD_BOUND = 1e-12
 # q lines per line-integral block: bounds the p-grid tables' memory when
 # many states share one pass
 LINE_BLOCK = 2048
@@ -82,12 +85,16 @@ class NegativityResult:
     box_half_width is L = sqrt(2D)/2 + BOX_MARGIN, shared by every state
     of dimension D, and tail_estimate is Int |W| over L < |q| < L + 2.
     evaluations counts every Hermite-series evaluation at one point of
-    one q line (the p grid, W' there, root polishing and primitives, and
-    the scan lines and extremum steps that bracket and locate births);
-    each line is evaluated once, and births between a panel's nodes are
-    located from the extrema of that evaluation. roots counts the sign
-    changes of W found on the integration's q lines, and births the
-    root-pair births located and cut at.
+    one half-line of a q line (the p grid, W' there, root polishing and
+    the primitives at the roots, p = 0 and inf, and the scan lines and
+    extremum steps that bracket and locate births); each line is
+    evaluated once, and births between a panel's nodes are located from
+    the extrema of that evaluation. A folded state (W even in p) searches
+    one half-line per q line and an unfolded one two, so a folded state
+    takes about half the evaluations. roots counts the sign changes of W
+    found on the integration's q lines over the whole line, a folded
+    half-line's twice, and births the root-pair births located and cut
+    at.
     """
 
     volume: float
@@ -116,13 +123,17 @@ def negativity_volume(rho, tol: float = DEFAULT_TOL) -> float:
     """Negativity volume (1/2)(Int |W| - 1), clamped at zero.
 
     On each line of fixed q, W(q, p) = sum_k a_k(q) h_k(2p) with
-    a(q) = C^T h(2q). Its sign changes in p are bracketed on a grid of
-    spacing 0.5 pi / sqrt(2D) over |2p| <= 2L + 4 (D = len(a), and
+    a(q) = C^T h(2q), and W(q, -p) = sum_k (-1)^k a_k(q) h_k(2p), so a
+    line is two half-lines 2p >= 0, or one counted twice where the state
+    is even in p up to a bound of 1e-12 on Int |W_odd| (then its odd-in-p
+    part is dropped). Sign changes on a half-line are bracketed on a grid
+    of spacing 0.5 pi / sqrt(2D) over 0 <= 2p <= 2L + 4 (D = len(a), and
     L = sqrt(2D)/2 + BOX_MARGIN for every state of that dimension), with
     a check of each cell where W' turns toward zero for a hidden pair,
-    and polished by safeguarded Newton steps. Between consecutive roots
-    and +-inf, Int |W| dp is then a sum of a_k times exact integrals of
-    h_k. Only the outer q integral over [-L, L] is adaptive. Where a pair
+    and polished by safeguarded Newton steps started from a cubic model
+    of W through its grid values and slopes. Between p = 0, consecutive
+    roots and inf, Int |W| dp is then a sum of a_k times exact integrals
+    of h_k. Only the outer q integral over [-L, L] is adaptive. Where a pair
     of roots is born, at q0, G(q) = Int |W| dp has a (q - q0)^(3/2) kink,
     so the q range is cut at the births: root counts on scan lines
     bracket them, and Newton steps in q on the value of the touching
@@ -320,14 +331,49 @@ def _cell_kinds(f_lo, f_hi, fp_lo, fp_hi):
 
     From W and W' at the cells' ends: a cell whose ends share W's sign
     holds a pair only if W' turns toward zero inside it, and then the
-    extremum decides.
+    extremum decides. W' = 0 at the low end (p = 0 on a folded line)
+    counts as turning toward zero.
     """
     pos_hi, dpos_hi = f_hi > 0, fp_hi > 0
     same = (f_lo > 0) == pos_hi
     turn = dpos_hi == pos_hi
     turn &= same
-    turn &= (fp_lo > 0) != dpos_hi
+    turn &= ((fp_lo > 0) != dpos_hi) | (fp_lo == 0)
     return ~same, turn
+
+
+def _root_start(lo, hi, f_lo, f_hi, fp_lo, fp_hi):
+    """Where models of W through its values and slopes at a bracket's ends
+    are zero: the inverse cubic Hermite model x(W) through (W, x, 1/W') at
+    both ends, or, where W' = 0 at an end e, the quadratic
+    W(e) + c (x - e)^2 through W at the other end."""
+    span = f_hi - f_lo
+    u = f_lo / (f_lo - f_hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cubic = ((1.0 + 2.0 * u) * (1.0 - u) ** 2 * lo
+                 + u * (1.0 - u) ** 2 * span / fp_lo
+                 + u * u * (3.0 - 2.0 * u) * hi
+                 - u * u * (1.0 - u) * span / fp_hi)
+        near_lo = lo + (hi - lo) * np.sqrt(u)
+        near_hi = hi - (hi - lo) * np.sqrt(1.0 - u)
+    return np.where(fp_lo == 0, near_lo, np.where(fp_hi == 0, near_hi, cubic))
+
+
+def _cubic_extremum(lo, hi, f_lo, f_hi, fp_lo, fp_hi):
+    """The extremum inside a cell of the cubic through W and W' at its
+    ends, where W' has opposite signs; lo where W'(lo) = 0 and the cubic
+    has no other."""
+    h = hi - lo
+    d0, d1 = fp_lo * h, fp_hi * h
+    # the slope in t = (x - lo) / h is c2 t^2 + c1 t + d0
+    c2 = 3.0 * (d0 + d1) - 6.0 * (f_hi - f_lo)
+    c1 = -c2 - d0 + d1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = np.sqrt(np.maximum(c1 * c1 - 4.0 * c2 * d0, 0.0))
+        big = -0.5 * (c1 + np.copysign(disc, c1))
+        inner, other = big / c2, d0 / big
+    t = np.where((inner > 0) & (inner < 1), inner, other)
+    return lo + t * h
 
 
 def _runs(state):
@@ -361,6 +407,16 @@ def _merge(group, born):
     return group[apart], born[apart]
 
 
+def _fold_bound(coef):
+    """A bound on Int |W_odd| dq dp, W_odd the odd-in-p part of W.
+
+    W_odd = sum over odd k of C_jk h_j(2q) h_k(2p), and Int |h_n| dxi <=
+    sqrt(pi (n + 3/2)) by Cauchy-Schwarz with the weight 1 + xi^2.
+    """
+    norm = np.sqrt(np.pi * (np.arange(coef.shape[0]) + 1.5))
+    return 0.25 * float(norm @ np.abs(coef[:, 1::2]) @ norm[1::2])
+
+
 class _LineIntegrals:
     """G(q) = Int |W(q, p)| dp, exact up to root polishing, for a batch of
     states of one dimension.
@@ -373,20 +429,37 @@ class _LineIntegrals:
     on exactly the rows it would have alone; the bracket search and
     polishing run once per block of at most LINE_BLOCK lines, over all its
     states.
+
+    A line is searched and integrated as half-lines on xi = 2p >= 0, since
+    W(q, -p) = sum_k (-1)^k a_k(q) h_k(2p). A state whose _fold_bound is
+    below _FOLD_BOUND is folded: its odd-in-p columns of C are dropped, so
+    W is even in p, and each line is one half-line counted twice. Every
+    other state's line is two half-lines, of a(q) and of a(q) (-1)^k. The
+    p grid is 0 and the points of the full grid past its middle, so it
+    splits the cell that straddles p = 0 there.
     """
 
     def __init__(self, coefs: np.ndarray):
-        self.coef = coefs
+        self.folded = np.array([_fold_bound(c) < _FOLD_BOUND for c in coefs],
+                               dtype=bool)
+        # how many roots of the whole line each half-line root stands for
+        self.copies = 1 + self.folded.astype(np.int64)
+        self.coef = coefs.copy()
+        self.coef[self.folded, :, 1::2] = 0.0
         # C differentiated on the q side: dW/dx = h(x) . coef_x . h(y)
         self.coef_x = hermite_series_derivative(
-            coefs.transpose(0, 2, 1)).transpose(0, 2, 1)
+            self.coef.transpose(0, 2, 1)).transpose(0, 2, 1)
         dim = coefs.shape[1]
         self.half_width = _box(dim)
         end = 2.0 * self.half_width + 4.0
         cells = math.ceil(2.0 * end / (0.5 * math.pi / math.sqrt(2.0 * dim)))
-        self.xi = np.linspace(-end, end, cells + 1)
+        full = np.linspace(-end, end, cells + 1)
+        # the spacing, past which an extremum's Newton step has lost it
+        self.cell = full[1] - full[0]
+        self.xi = np.concatenate([[0.0], full[cells // 2 + 1:]])
         self.h_xi = hermite_functions(dim, self.xi)
-        self.full_line = hermite_primitives(dim - 1, np.array([np.inf]))[:, 0]
+        # P_k(0) and P_k(inf), the half-line's ends
+        self.ends = hermite_primitives(dim - 1, np.array([0.0, np.inf]))
         self.evaluations = np.zeros(len(coefs), dtype=np.int64)
         self.roots = np.zeros(len(coefs), dtype=np.int64)
 
@@ -471,96 +544,127 @@ class _LineIntegrals:
         return [born[state == k] for k in range(states)]
 
     def evaluate(self, qs: np.ndarray, state: np.ndarray, integrate=False):
-        """Root counts, lone extrema as find_roots gives them, and G if
-        integrate (else None) on the lines (qs[i], state[i]), evaluated
-        LINE_BLOCK lines at a time: the roots are polished only for G."""
+        """Root counts over the whole line, lone extrema as find_roots
+        gives them, and G if integrate (else None) on the lines (qs[i],
+        state[i]), evaluated LINE_BLOCK lines at a time: the roots are
+        polished only for G."""
         count = np.empty(qs.size, dtype=np.intp)
         g = np.empty(qs.size) if integrate else None
         lone = []
         for lo, hi in _blocks(state):
-            a, rows, roots, (line, xi, f) = self.find_roots(
+            b, line, rows, roots, (ext, xi, f) = self.find_roots(
                 qs[lo:hi], state[lo:hi], integrate)
-            count[lo:hi] = np.bincount(rows, minlength=hi - lo)
-            lone.append((line + lo, xi, f))
+            count[lo:hi] = (np.bincount(line[rows], minlength=hi - lo)
+                            * self.copies[state[lo:hi]])
+            lone.append((ext + lo, xi, f))
             if integrate:
-                g[lo:hi] = self._integrals(a, rows, roots, state[lo:hi])
+                g[lo:hi] = self._integrals(b, line, rows, roots,
+                                           state[lo:hi][line])
         return count, tuple(np.concatenate(v) for v in zip(*lone)), g
 
-    def _integrals(self, a, rows, roots, state):
-        """G on one block's lines, of series coefficients a, from the roots
-        xi of each line rows[i]."""
+    def _integrals(self, b, line, rows, roots, state):
+        """G on one block's lines, from the roots xi of each half-line
+        rows[i] of series coefficients b; half-line i lies on line[i]."""
         found = self._per_state(state[rows])
-        self.roots += found
-        self.evaluations += found + self._per_state(state)
-        # Int |W| dp is half the sum of |P(b) - P(a)| over the intervals
-        # between consecutive roots, with P(-inf) = 0 and P(inf) = a . P_inf
-        n = a.shape[0]
-        line = np.concatenate([np.arange(n), rows, np.arange(n)])
-        xs = np.concatenate([np.full(n, -np.inf), roots, np.full(n, np.inf)])
+        self.roots += found * self.copies
+        self.evaluations += found + 2 * self._per_state(state)
+        # Int_0^inf |f| dxi is the sum of |P(y) - P(x)| over the intervals
+        # between 0, the roots and inf, with P(0) = b . P_0, P(inf) = b . P_inf
+        n = b.shape[0]
+        half = np.concatenate([np.arange(n), rows, np.arange(n)])
+        xs = np.concatenate([np.zeros(n), roots, np.full(n, np.inf)])
+        ends = np.concatenate([b[lo:hi] @ self.ends
+                               for _, lo, hi in _runs(state)])
         prim = np.concatenate([
-            np.zeros(n),
-            np.einsum("ik,ki->i", a[rows],
-                      hermite_primitives(a.shape[1] - 1, roots))]
-            + [a[lo:hi] @ self.full_line for _, lo, hi in _runs(state)])
-        order = np.lexsort((xs, line))
-        line, prim = line[order], prim[order]
-        same = line[1:] == line[:-1]
-        return 0.5 * np.bincount(line[1:][same],
-                                 weights=np.abs(np.diff(prim))[same],
-                                 minlength=n)
+            ends[:, 0],
+            np.einsum("ik,ki->i", b[rows],
+                      hermite_primitives(b.shape[1] - 1, roots)),
+            ends[:, 1]])
+        order = np.lexsort((xs, half))
+        half, prim = half[order], prim[order]
+        same = half[1:] == half[:-1]
+        integral = np.bincount(half[1:][same],
+                               weights=np.abs(np.diff(prim))[same],
+                               minlength=n)
+        # dp = dxi / 2, and a folded half-line counts twice
+        integral *= 0.5 * self.copies[state]
+        return np.bincount(line, weights=integral)
+
+    def _halves(self, state):
+        """The half-lines of lines of states state, in line order: each
+        one's line, and whether it is the mirror image xi -> -xi, which
+        follows its line's other half-line where the state is unfolded."""
+        halves = 2 - self.folded[state]
+        line = np.repeat(np.arange(state.size), halves)
+        mirror = np.zeros(line.size, dtype=bool)
+        mirror[np.cumsum(halves)[halves == 2] - 1] = True
+        return line, mirror
 
     def find_roots(self, qs: np.ndarray, state: np.ndarray, polish=True):
-        """Sign changes of W(q, p) in xi = 2p on each line (qs[i], state[i])
-        of one block.
+        """Sign changes of W(q, p) in xi = 2p on the half-lines of each line
+        (qs[i], state[i]) of one block.
 
-        Returns (a, rows, roots, lone): the lines' series coefficients
-        a(q) = C^T h(2q); each root's line index, and its xi if polish
-        (else None); and the lone extrema, which turn toward zero without
-        crossing it, as (line, xi, W) arrays ordered by line.
+        Returns (b, line, rows, roots, lone): the half-lines' series
+        coefficients, a(q) = C^T h(2q) or a(q) (-1)^k for a mirror, and
+        their lines; each root's half-line index, and its xi >= 0 if
+        polish (else None); and the lone extrema, which turn toward zero
+        without crossing it, as (line, xi, W) arrays ordered by line, with
+        xi on the whole line.
         """
         dim = self.coef.shape[1]
         h = hermite_functions(dim - 1, 2.0 * qs).T
         a = np.empty((qs.size, dim))
         for k, lo, hi in _runs(state):
             np.matmul(h[lo:hi], self.coef[k], out=a[lo:hi])
-        da = hermite_series_derivative(a)
-        ((row, c_lo, c_hi, f_lo, f_hi),
+        line, mirror = self._halves(state)
+        b = a[line]
+        b[mirror, 1::2] *= -1.0
+        state = state[line]
+        db = hermite_series_derivative(b)
+        ((row, c_lo, c_hi, f_lo, f_hi, fc_lo, fc_hi),
          (tr, t_lo, t_hi, ft_lo, ft_hi, fp_lo, fp_hi)) = self._brackets(
-             a, da, state)
-        ext, ext_evals = self._polish(self._series(da, tr), t_lo, t_hi,
-                                      fp_lo, fp_hi)
-        f_ext = np.einsum("ik,ki->i", a[tr], hermite_functions(dim - 1, ext))
+             b, db, state, line)
+        ext, ext_evals = self._polish(
+            self._series(db, tr), t_lo, t_hi, fp_lo, fp_hi,
+            _cubic_extremum(t_lo, t_hi, ft_lo, ft_hi, fp_lo, fp_hi))
+        f_ext = np.einsum("ik,ki->i", b[tr], hermite_functions(dim - 1, ext))
         # a polishing step evaluates W' and W'', an extremum's check W
         self.evaluations += 2 * self._per_state(
             state[tr[ext_evals]]) + self._per_state(state[tr])
         pair = (f_ext > 0) != (ft_lo > 0)
-        lone = (tr[~pair], ext[~pair], f_ext[~pair])
-        tr, t_lo, t_hi, ft_lo, ft_hi, ext, f_ext = (
-            v[pair] for v in (tr, t_lo, t_hi, ft_lo, ft_hi, ext, f_ext))
+        lone = (line[tr[~pair]],
+                np.where(mirror[tr[~pair]], -ext[~pair], ext[~pair]),
+                f_ext[~pair])
+        tr, t_lo, t_hi, ft_lo, ft_hi, fp_lo, fp_hi, ext, f_ext = (
+            v[pair] for v in (tr, t_lo, t_hi, ft_lo, ft_hi, fp_lo, fp_hi, ext,
+                              f_ext))
         rows = np.concatenate([row, tr, tr])
         if not polish:
-            return a, rows, None, lone
+            return b, line, rows, None, lone
+        # W' is zero at the extremum that ends a pair's brackets
+        lo, hi, f_lo, f_hi, fp_lo, fp_hi = (np.concatenate(v) for v in (
+            (c_lo, t_lo, ext), (c_hi, ext, t_hi), (f_lo, ft_lo, f_ext),
+            (f_hi, f_ext, ft_hi), (fc_lo, fp_lo, np.zeros(ext.size)),
+            (fc_hi, np.zeros(ext.size), fp_hi)))
         roots, root_evals = self._polish(
-            self._series(a, rows), np.concatenate([c_lo, t_lo, ext]),
-            np.concatenate([c_hi, ext, t_hi]),
-            np.concatenate([f_lo, ft_lo, f_ext]),
-            np.concatenate([f_hi, f_ext, ft_hi]))
+            self._series(b, rows), lo, hi, f_lo, f_hi,
+            _root_start(lo, hi, f_lo, f_hi, fp_lo, fp_hi))
         # a polishing step evaluates f and f'
         self.evaluations += 2 * self._per_state(state[rows[root_evals]])
-        return a, rows, roots, lone
+        return b, line, rows, roots, lone
 
-    def _brackets(self, a, da, state):
-        """Cells bracketing a root of W, and cells to check for a pair.
+    def _brackets(self, a, da, state, line):
+        """Cells bracketing a root of W, and cells to check for a pair, on
+        half-lines of series coefficients a, which lie on lines line.
 
-        W and W' of each line are evaluated on the p grid, one product per
-        state over its own lines. A cell whose ends share the sign of W'
-        can still hold two extrema, and with them two roots more: where
-        the cubic through W and W' at its ends turns twice inside, the
-        cell is split at its midpoint, where W and W' are evaluated too.
-        Cells where |W| stays below _NOISE times the line's largest |W|
-        on the grid are left out. Returns, for each cell of both kinds,
-        its line, ends and W there, and for the cells to check also W'
-        there.
+        W and W' of each half-line are evaluated on the p grid, one product
+        per state over its own half-lines. A cell whose ends share the sign
+        of W' can still hold two extrema, and with them two roots more:
+        where the cubic through W and W' at its ends turns twice inside,
+        the cell is split at its midpoint, where W and W' are evaluated
+        too. Cells where |W| stays below _NOISE times the line's largest
+        |W| on the grid are left out. Returns, for each cell of both kinds,
+        its half-line, ends, and W and W' there.
         """
         dim = a.shape[1]
         xi = self.xi
@@ -574,9 +678,8 @@ class _LineIntegrals:
         # 6 (W1 - W0) / h - W'0 - W'1 as its slope at the midpoint; where
         # that has the other sign than W' at both ends, W turns twice.
         # Single precision suffices to pick the cells, in half the memory.
-        h = xi[1] - xi[0]
         mid = np.subtract(f[:, 1:], f[:, :-1], dtype=np.float32)
-        mid *= 6.0 / h
+        mid *= (6.0 / np.diff(xi)).astype(np.float32)
         mid -= fp[:, :-1]
         mid -= fp[:, 1:]
         rising = fp[:, :-1] > 0
@@ -585,7 +688,9 @@ class _LineIntegrals:
         split &= rising == (fp[:, 1:] > 0)
         del rising
         # roots where W is rounding noise move G by next to nothing
-        floor = _NOISE * np.maximum(f.max(axis=1), -f.min(axis=1))[:, None]
+        peak = np.zeros(line[-1] + 1)
+        np.maximum.at(peak, line, np.maximum(f.max(axis=1), -f.min(axis=1)))
+        floor = _NOISE * peak[line, None]
         loud = (f >= floor) | (f <= -floor)
         loud = loud[:, :-1] | loud[:, 1:]
         split &= loud
@@ -612,7 +717,7 @@ class _LineIntegrals:
                  fp[r, c + 1]), (v[half] for v in halves))]
             order = np.lexsort((cells[1], cells[0]))
             out.append([v[order] for v in cells])
-        return out[0][:5], out[1]
+        return out
 
     def _locate(self, state, q, count, lone, ends, fresh, floor):
         """The births in brackets between lines whose root counts differ.
@@ -672,7 +777,6 @@ class _LineIntegrals:
         nan where a step leaves the grid cell: the extremum is lost.
         """
         dim = self.coef.shape[1]
-        cell = self.xi[1] - self.xi[0]
         n = x.size
         # one recurrence for the lines and the first Newton step
         h = hermite_functions(dim + 1, np.concatenate([x, xi])).T
@@ -688,27 +792,27 @@ class _LineIntegrals:
         xi = xi.copy()
         f, fx, fyy = np.empty(n), np.empty(n), np.empty(n)
         live = np.arange(n)
-        for _ in range(_POLISH_STEPS):
-            if live.size == 0:
-                break
-            if h is None:
-                h = hermite_functions(dim + 1, xi[live]).T
-            # row sums, whose order does not depend on how many points
-            # share the call
-            f[live] = (a[live] * h[:, :-2]).sum(axis=1)
-            fx[live] = (ax[live] * h[:, :-2]).sum(axis=1)
-            fyy[live] = (dda[live] * h).sum(axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(_POLISH_STEPS):
+                if live.size == 0:
+                    break
+                if h is None:
+                    h = hermite_functions(dim + 1, xi[live]).T
+                # row sums, whose order does not depend on how many points
+                # share the call
+                f[live] = (a[live] * h[:, :-2]).sum(axis=1)
+                fx[live] = (ax[live] * h[:, :-2]).sum(axis=1)
+                fyy[live] = (dda[live] * h).sum(axis=1)
                 step = (da[live] * h[:, :-1]).sum(axis=1) / fyy[live]
-            self.evaluations += 4 * self._per_state(state[live])
-            # a step below _ROOT_STEP moves W by O(step^2): xi stays; a
-            # step beyond a grid cell has lost the extremum: W is nan
-            lost = ~(np.abs(step) <= cell)
-            f[live[lost]] = np.nan
-            go = ~lost & (np.abs(step) > _ROOT_STEP)
-            live = live[go]
-            xi[live] -= step[go]
-            h = None
+                self.evaluations += 4 * self._per_state(state[live])
+                # a step below _ROOT_STEP moves W by O(step^2): xi stays; a
+                # step beyond a grid cell has lost the extremum: W is nan
+                lost = ~(np.abs(step) <= self.cell)
+                f[live[lost]] = np.nan
+                go = ~lost & (np.abs(step) > _ROOT_STEP)
+                live = live[go]
+                xi[live] -= step[go]
+                h = None
         return xi, f, fx, fyy
 
     @staticmethod
@@ -725,43 +829,46 @@ class _LineIntegrals:
         return values
 
     @staticmethod
-    def _polish(values, lo, hi, f_lo, f_hi):
+    def _polish(values, lo, hi, f_lo, f_hi, start=None):
         """A root of f in each bracket [lo[i], hi[i]].
 
         values(active, x) returns f and f' of the brackets active at x;
-        f_lo and f_hi lie on opposite sides of the split f > 0 / f <= 0.
-        Newton steps start from the secant point; a step that leaves the
-        shrinking bracket is replaced by the bracket's midpoint, so every
-        such step at least halves it. A root error delta moves G only by
-        O(delta^2), so a Newton step below _ROOT_STEP ends the iteration.
-        f == 0 counts as a zero step even where f' == 0 too: a bracket
-        update there would move away from the root. Where f is nan the
-        root is nan. Returns the roots and the bracket index of each step,
-        which evaluates f and f'.
+        f_lo and f_hi lie on opposite sides of the split f > 0 / f <= 0,
+        except that f_lo may be 0 where f_hi is not positive. Newton steps
+        start from start[i] where it lies in the bracket, else from the
+        secant point; a step that leaves the shrinking bracket is replaced
+        by the bracket's midpoint, so every such step at least halves it.
+        A root error delta moves G only by O(delta^2), so a Newton step
+        below _ROOT_STEP ends the iteration. f == 0 counts as a zero step
+        even where f' == 0 too: a bracket update there would move away
+        from the root. Where f is nan the root is nan. Returns the roots
+        and the bracket index of each step, which evaluates f and f'.
         """
         lo, hi = lo.copy(), hi.copy()
-        lo_pos = f_lo > 0
+        lo_pos = f_hi <= 0
         x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        if start is not None:
+            x = np.where((start >= lo) & (start <= hi), start, x)
         active = np.arange(x.size)
         stepped = []
-        for _ in range(_POLISH_STEPS):
-            if active.size == 0:
-                break
-            stepped.append(active)
-            xa = x[active]
-            f, fp = values(active, xa)
-            left = (f > 0) == lo_pos[active]
-            lo[active] = l = np.where(left, xa, lo[active])
-            hi[active] = u = np.where(left, hi[active], xa)
-            with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(_POLISH_STEPS):
+                if active.size == 0:
+                    break
+                stepped.append(active)
+                xa = x[active]
+                f, fp = values(active, xa)
+                left = (f > 0) == lo_pos[active]
+                lo[active] = l = np.where(left, xa, lo[active])
+                hi[active] = u = np.where(left, hi[active], xa)
                 step = np.where(f == 0.0, 0.0, f / fp)
-            small = np.abs(step) <= _ROOT_STEP
-            xn = np.clip(xa - step, l, u)
-            newton = small | ((xn > l) & (xn < u))
-            lost = np.isnan(f)
-            x[active] = np.where(lost, np.nan,
-                                 np.where(newton, xn, 0.5 * (l + u)))
-            active = active[~(small | lost | (u - l <= _ROOT_BRACKET))]
+                small = np.abs(step) <= _ROOT_STEP
+                xn = np.clip(xa - step, l, u)
+                newton = small | ((xn > l) & (xn < u))
+                lost = np.isnan(f)
+                x[active] = np.where(lost, np.nan,
+                                     np.where(newton, xn, 0.5 * (l + u)))
+                active = active[~(small | lost | (u - l <= _ROOT_BRACKET))]
         return x, np.concatenate(stepped) if stepped else active
 
 

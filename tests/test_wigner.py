@@ -19,7 +19,7 @@ from pbsim.herald import HeraldConfig, _condition, herald_point
 from pbsim.phase_states import pb_eigenstate
 from pbsim.wigner import (BOX_MARGIN, DEFAULT_TOL, MAX_DEPTH,
                           RADIUS_THRESHOLD, NegativityResult, _LineIntegrals,
-                          _negativity_volumes, effective_radius,
+                          _as_density, _negativity_volumes, effective_radius,
                           negativity_volume, negativity_volume_detailed,
                           wigner_grid)
 
@@ -296,6 +296,7 @@ def _comrade_line_integral(a):
 LINE_STATES = {
     "pb1": lambda: FockDensity.from_pure(pb_eigenstate(1, 0)),
     "pb4": lambda: FockDensity.from_pure(pb_eigenstate(4, 0)),
+    "pb4-m1": lambda: FockDensity.from_pure(pb_eigenstate(4, 1)),
     "pb8": lambda: FockDensity.from_pure(pb_eigenstate(8, 0)),
     "pb17": lambda: FockDensity.from_pure(pb_eigenstate(17, 0)),
     "herald-r0.3-eta0.6": lambda: herald_point(
@@ -307,22 +308,27 @@ LINE_STATES = {
 
 @pytest.mark.parametrize("name", sorted(LINE_STATES))
 def test_line_integrals_match_comrade_oracle(name):
-    # G(q) on 51 lines against the comrade roots; each root's residual
-    # against the largest |W| on its line
+    # G(q) on 51 lines against the comrade roots of the whole line; each
+    # half-line root's residual against the largest |W| on its line. The
+    # lines of |phi_1>_4 are two half-lines each, and the cell that
+    # straddles p = 0 is split there
     rho = LINE_STATES[name]()
-    lines = _LineIntegrals(wigner_coefficients(rho.matrix)[None])
+    coef = wigner_coefficients(rho.matrix)
+    lines = _LineIntegrals(coef[None])
+    assert lines.folded[0] == (name != "pb4-m1")
     qs = np.linspace(-lines.half_width, lines.half_width, 51)
     state = np.zeros(qs.size, dtype=np.intp)
     got = lines.evaluate(qs, state, integrate=True)[2]
-    a, rows, roots, _ = lines.find_roots(qs, state)
-    dim = a.shape[1]
-    w_lines = a @ hermite_functions(dim - 1, lines.xi)
-    w_roots = np.einsum("ik,ki->i", a[rows], hermite_functions(dim - 1, roots))
-    assert roots.size > 0
+    b, line, rows, roots, _ = lines.find_roots(qs, state)
+    dim = b.shape[1]
+    a = hermite_functions(dim - 1, 2.0 * qs).T @ coef
+    w_halves = np.abs(b @ hermite_functions(dim - 1, lines.xi)).max(axis=1)
+    w_roots = np.einsum("ik,ki->i", b[rows], hermite_functions(dim - 1, roots))
+    assert roots.size > 0 and roots.min() >= 0.0
     for i in range(qs.size):
         assert abs(got[i] - _comrade_line_integral(a[i])) <= 1e-12
-        peak = np.abs(w_lines[i]).max()
-        assert np.all(np.abs(w_roots[rows == i]) <= 1e-12 * peak)
+        peak = w_halves[line == i].max()
+        assert np.all(np.abs(w_roots[line[rows] == i]) <= 1e-12 * peak)
 
 
 @pytest.fixture(scope="module")
@@ -357,6 +363,25 @@ def test_box_is_reflection_and_rotation_invariant():
     assert max(vols) - min(vols) <= 1e-6
 
 
+def _folds(rho):
+    coef = wigner_coefficients(_as_density(rho).matrix)
+    return bool(_LineIntegrals(coef[None]).folded[0])
+
+
+def test_fold_follows_the_odd_in_p_part():
+    # the README's heralded densities (r = 0.3) are even in p up to
+    # rounding, and fold; |phi_1>_4 and a coherent state at alpha = 3i do
+    # not, while |phi_0>_s and a coherent state at alpha = 3 are even
+    for s in (4, 8, 12):
+        truncation = (5, 6) if s <= 5 else (s + 2, s + 3)
+        for eta in (1.0, 0.6):
+            cfg = HeraldConfig(s, 0.3, eta, *truncation)
+            assert _folds(herald_point(cfg).rho_A)
+    assert not _folds(pb_eigenstate(4, 1))
+    assert not _folds(truncated_coherent(3.0j, 30))
+    assert _folds(pb_eigenstate(6, 0)) and _folds(truncated_coherent(3.0, 30))
+
+
 def test_batch_equals_single_states(herald_grid):
     # at s = 12 the panels' node lines locate 2, 15 and 24 of the 17, 40
     # and 52 births; the README's volumes use scan births alone
@@ -371,14 +396,17 @@ def test_batch_equals_single_states(herald_grid):
 
 def test_readme_volumes_work_counts(herald_grid):
     # the README's volumes (negativity-sweep --s 6 and the herald-sweep
-    # batch) at no more than 60 % of the evaluations, and no deeper than
-    # level 6, where halving alone took 1 385 877 and 5 644 473
-    # evaluations and levels 7 to 9
+    # batch), whose lines all fold at p = 0, at no more than 55 % of the
+    # evaluations that whole lines took (663 623 and 2 369 167; halving
+    # alone took 1 385 877 and 5 644 473), with the same roots counted over
+    # the whole line, and no deeper than level 6 (halving: 7 to 9)
     sweep = [negativity_volume_detailed(pb_eigenstate(s, 0))
              for s in range(1, 7)]
     herald = _negativity_volumes(herald_grid)
-    assert sum(r.evaluations for r in sweep) <= 0.6 * 1_385_877
-    assert sum(r.evaluations for r in herald) <= 0.6 * 5_644_473
+    assert sum(r.evaluations for r in sweep) <= 0.55 * 663_623
+    assert sum(r.evaluations for r in herald) <= 0.55 * 2_369_167
+    assert sum(r.roots for r in sweep) == 9_024
+    assert sum(r.roots for r in herald) == 28_672
     assert max(r.max_depth_reached for r in sweep + herald) <= 6
 
 
@@ -395,9 +423,11 @@ def test_batch_peak_memory(herald_grid):
 
 
 def test_polish_steps_per_bracket(monkeypatch, herald_grid):
-    # a Newton step that leaves its bracket falls back to the midpoint, so
-    # no bracket of the README's volumes (negativity-sweep --s 6 and the
-    # herald-sweep batch) waits on an end of the bracket that stays fixed
+    # a Newton step that leaves its bracket falls back to the midpoint, and
+    # the steps start from the cubic (or quadratic) model of the grid's W
+    # and W', so no bracket of the README's volumes (negativity-sweep --s 6
+    # and the herald-sweep batch) takes more than 9 steps (13 from the
+    # secant point)
     real = _LineIntegrals._polish
     steps = []
 
@@ -410,7 +440,7 @@ def test_polish_steps_per_bracket(monkeypatch, herald_grid):
     for s in range(1, 7):
         negativity_volume(pb_eigenstate(s, 0))
     _negativity_volumes(herald_grid)
-    assert max(int(c.max(initial=0)) for c in steps) <= 16
+    assert max(int(c.max(initial=0)) for c in steps) <= 9
 
 
 def _dim5_batch():
