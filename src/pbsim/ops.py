@@ -160,12 +160,12 @@ def displacement_op(alpha: complex, cutoff: int, scheme: str = "exact"
                     ) -> np.ndarray:
     """Displacement matrix on the truncated space.
 
-    scheme "exact": matrix exponential of alpha*a+ - conj(alpha)*a restricted
-    to the truncated space (exactly unitary there, since the restricted
-    generator stays anti-Hermitian). scheme "series": the Taylor polynomial
-    of the same generator up to SERIES_ORDER, matching a source that
-    truncates the displacement sum. "exact" is the one pbsim path that
-    imports scipy.linalg, and only when it runs.
+    scheme "exact": matrix exponential of g = alpha*a+ - conj(alpha)*a
+    restricted to the truncated space, exactly unitary there: the
+    restricted g stays anti-Hermitian, so i*g = V diag(w) V^H is Hermitian
+    and exp(g) = V diag(exp(-i w)) V^H. scheme "series": the Taylor
+    polynomial of the same generator up to SERIES_ORDER, matching a source
+    that truncates the displacement sum.
     """
     dim = cutoff + 1
     n = np.arange(1, dim)
@@ -173,9 +173,8 @@ def displacement_op(alpha: complex, cutoff: int, scheme: str = "exact"
     adag[n, n - 1] = np.sqrt(n)
     g = alpha * adag - np.conj(alpha) * adag.conj().T
     if scheme == "exact":
-        from scipy.linalg import expm
-
-        return expm(g)
+        w, v = np.linalg.eigh(1j * g)
+        return (v * np.exp(-1j * w)) @ v.conj().T
     if scheme == "series":
         out = np.eye(dim, dtype=np.complex128)
         term = np.eye(dim, dtype=np.complex128)

@@ -5,15 +5,15 @@ beam splitter; the joint photon-number distribution at the two outputs
 carries the phase information. Every distribution is a CountTable: an
 exact one holds the probabilities as fractional counts with trials = 1,
 a sampled one integer counts. estimate_phase inverts the single-photon
-contrast; estimate_coefficients fits a full superposition by one
-Levenberg-Marquardt least-squares solve on the frequencies. Each
-frequency is a quadratic form |M_i c|^2, a phase-retrieval problem
-(Candes, Li & Soltanolkotabi, IEEE Trans. Inf. Theory 61, 1985 (2015);
-Netrapalli, Jain & Sanghavi, NeurIPS 2013), so the solve starts from a
-spectral estimate: the top eigenvector of the linear least-squares
-estimate of c c^H, as in projected least-squares tomography (Guta,
-Kahn, Kueng & Tropp, J. Phys. A 53, 204001 (2020)). Both treat exact
-and sampled tables alike.
+contrast; estimate_coefficients fits a full superposition by
+Gauss-Newton least squares on the frequencies. Each frequency is a
+quadratic form |M_i c|^2, a phase-retrieval problem (Candes, Li &
+Soltanolkotabi, IEEE Trans. Inf. Theory 61, 1985 (2015); Netrapalli,
+Jain & Sanghavi, NeurIPS 2013), so the fit starts from a spectral
+estimate: the top eigenvector of the linear least-squares estimate of
+c c^H, as in projected least-squares tomography (Guta, Kahn, Kueng &
+Tropp, J. Phys. A 53, 204001 (2020)). Both treat exact and sampled
+tables alike.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ from .phase_states import phase_state, phase_value
 
 _SUM_TOL = 1e-10
 _CLAMP_TOL = 1e-14
+# Gauss-Newton steps of the coefficient fit at most; from the spectral
+# start it stops after a handful.
+_POLISH_STEPS = 50
 
 
 def _wrap_angle(x: float) -> float:
@@ -356,6 +359,33 @@ def _spectral_start(mat: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return np.concatenate([z.real, z.imag])
 
 
+def _gauss_newton(fun, jac, x: np.ndarray) -> np.ndarray:
+    """Minimize |fun(x)|^2 / 2 by Gauss-Newton steps from x.
+
+    Each step is the minimum-norm least-squares solution of J dx = -r,
+    halved while it raises the cost. The fit stops once a step lowers the
+    cost by less than a relative 1e-12, when no halving lowers it, or
+    after _POLISH_STEPS steps.
+    """
+    r = fun(x)
+    cost = 0.5 * float(r @ r)
+    for _ in range(_POLISH_STEPS):
+        step = np.linalg.lstsq(jac(x), -r, rcond=None)[0]
+        for _ in range(_POLISH_STEPS):
+            r_new = fun(x + step)
+            new = 0.5 * float(r_new @ r_new)
+            if new <= cost:
+                break
+            step *= 0.5
+        else:
+            break
+        x, r = x + step, r_new
+        if cost - new <= 1e-12 * cost:
+            break
+        cost = new
+    return x
+
+
 def estimate_coefficients(tables, s: int, *, phi0: float = 0.0
                           ) -> SuperpositionCoeffs:
     """Superposition coefficients from count tables at several settings.
@@ -364,10 +394,13 @@ def estimate_coefficients(tables, s: int, *, phi0: float = 0.0
     every eigenphase of order s (extra settings sharpen identifiability,
     and s = 1 needs one off-axis setting to fix the sign of the relative
     phase). The residuals |M c|^2 - f over every setting at once are
-    minimized by one Levenberg-Marquardt solve in (Re c, Im c) from the
-    spectral start of phase retrieval (Candes, Li & Soltanolkotabi 2015;
+    minimized by Gauss-Newton steps in (Re c, Im c) from the spectral
+    start of phase retrieval (Candes, Li & Soltanolkotabi 2015;
     Netrapalli, Jain & Sanghavi 2013), here the top eigenvector of the
     least-squares estimate of c c^H, and the optimum is gauge-fixed.
+    The global phase, which the frequencies leave free, needs no extra
+    residual: each step is the minimum-norm solution, which has no
+    component along it.
     Exact tables fit like sampled ones. Raises LowInformationError when
     no count falls in a cell the model reaches.
     """
@@ -388,19 +421,8 @@ def estimate_coefficients(tables, s: int, *, phi0: float = 0.0
             f"{2 * (s + 1)} fit parameters", RankDeficiencyWarning, stacklevel=2)
     mat = _model_matrix(settings, s, phi0)
     fun, jac = _residuals(mat, freqs)
-    x0 = _spectral_start(mat, freqs)
-    # Im <z0, c> = 0 fixes the global phase, which the frequencies leave
-    # free; the optimal cost is unchanged. Without this row the Jacobian
-    # is singular along the phase, and LM stops at a near-exact start
-    # without polishing it.
-    gauge = np.concatenate([-x0[s + 1:], x0[:s + 1]])
-    # imported here: scipy.optimize would add about 0.2 s to every start-up
-    from scipy.optimize import least_squares
-
-    fit = least_squares(lambda x: np.append(fun(x), gauge @ x), x0,
-                        jac=lambda x: np.vstack([jac(x), gauge]),
-                        method="lm")
+    x = _gauss_newton(fun, jac, _spectral_start(mat, freqs))
     note = ""
     if s == 1 and all(abs(math.sin(p - phi0)) < 1e-9 for p in settings):
         note = "relative-phase sign not identifiable from on-axis settings"
-    return gauge_fixed(fit.x[:s + 1] + 1j * fit.x[s + 1:], s, note=note)
+    return gauge_fixed(x[:s + 1] + 1j * x[s + 1:], s, note=note)

@@ -4,11 +4,14 @@ what the package leaves to the tests."""
 import ast
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pbsim
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC_NAMES = [
     "ConfigMismatchError", "CountTable", "CutoffError",
@@ -46,24 +49,20 @@ def test_readme_names_exist():
     # every backticked bare identifier in the README names something in
     # the package or the test oracles, so removing a name means editing
     # the docs too
-    root = Path(__file__).resolve().parents[1]
-    readme = (root / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     names = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", readme))
     assert names
     code = "\n".join(path.read_text() for path in sorted(
-        (root / "src" / "pbsim").glob("*.py")))
-    code += (root / "tests" / "oracles.py").read_text()
+        (ROOT / "src" / "pbsim").glob("*.py")))
+    code += (ROOT / "tests" / "oracles.py").read_text()
     missing = sorted(name for name in names
                      if not re.search(rf"\b{name}\b", code))
     assert missing == []
 
 
-def test_package_does_not_import_the_tests():
-    # the test oracles stay out of production: no pbsim module imports
-    # tests/ or its modules
-    src = Path(pbsim.__file__).parent
-    test_modules = {p.stem for p in Path(__file__).parent.glob("*.py")}
-    for path in sorted(src.glob("*.py")):
+def _package_imports():
+    """(file name, top-level module) for every absolute import in pbsim."""
+    for path in sorted(Path(pbsim.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -72,9 +71,29 @@ def test_package_does_not_import_the_tests():
             else:
                 continue
             for name in names:
-                root = name.split(".")[0]
-                assert root != "tests" and root not in test_modules, (
-                    f"{path.name} imports {name}")
+                yield path.name, name.split(".")[0]
+
+
+def test_package_does_not_import_the_tests():
+    # the test oracles stay out of production: no pbsim module imports
+    # tests/ or its modules
+    test_modules = {p.stem for p in Path(__file__).parent.glob("*.py")}
+    for file, root in _package_imports():
+        assert root != "tests" and root not in test_modules, (
+            f"{file} imports {root}")
+
+
+def test_runtime_needs_numpy_alone():
+    # pbsim imports only the standard library, numpy and itself, and
+    # pyproject.toml declares numpy as its one runtime dependency (read
+    # as text: tomllib is not in Python 3.10)
+    allowed = set(sys.stdlib_module_names) | {"numpy", "pbsim"}
+    for file, root in _package_imports():
+        assert root in allowed, f"{file} imports {root}"
+    project = (ROOT / "pyproject.toml").read_text()
+    block = re.search(r"^dependencies = \[(.*?)\]", project,
+                      re.MULTILINE | re.DOTALL).group(1)
+    assert re.findall(r'"([A-Za-z0-9_.-]+)', block) == ["numpy"]
 
 
 def _scipy_modules_after(code):
@@ -91,17 +110,26 @@ def _scipy_modules_after(code):
 
 def test_import_loads_no_scipy_integrate():
     # no scipy module at all: its import would be most of a command line's
-    # wall time. The coefficient fit and the "exact" displacement import
-    # it when they run
+    # wall time
     assert _scipy_modules_after("import pbsim") == "[]"
 
 
 def test_cli_lines_load_no_scipy(tmp_path):
-    # every subcommand but phase-sim runs without importing scipy
-    lines = [["wigner-grid"], ["negativity-sweep", "--s", "3"],
-             ["radius-sweep", "--s", "3"],
-             ["herald-sweep", "--s", "2", "--r-steps", "1", "--eta", "1.0"]]
-    runs = "\n".join(
-        f"assert main({line + ['--out', str(tmp_path / f'{i}.out')]!r}) == 0"
-        for i, line in enumerate(lines))
-    assert _scipy_modules_after("from pbsim.cli import main\n" + runs) == "[]"
+    # all six README command lines, the coefficient fit included, and the
+    # "exact" displacement run without importing scipy
+    block = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(l)[1:] for l in block.splitlines()
+             if l.startswith("pbsim ")]
+    assert len(lines) == 6
+    runs = []
+    for i, line in enumerate(lines):
+        if "--out" in line:
+            k = line.index("--out")
+            del line[k:k + 2]
+        line += ["--out", str(tmp_path / f"{i}.out")]
+        runs.append(f"assert main({line!r}) == 0")
+    code = "\n".join(["from pbsim.cli import main",
+                      "from pbsim.ops import displacement_op", *runs,
+                      "displacement_op(0.3, 5, 'exact')"])
+    assert _scipy_modules_after(code) == "[]"

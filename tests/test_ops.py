@@ -152,16 +152,18 @@ def test_displacement_series_vs_exact():
     assert np.abs(d_series - d_exact).max() < 1e-7
 
 
-def test_displacement_exact_matches_expm():
-    alpha = 0.3 + 0.2j
-    dim = 6
+@pytest.mark.parametrize("alpha", [0.05, 0.3 + 0.2j, -0.7j, 1.5 - 0.4j, 3.0])
+@pytest.mark.parametrize("cutoff", range(1, 30))
+def test_displacement_exact_matches_expm(cutoff, alpha):
+    # the eigendecomposition of i*g against scipy's matrix exponential
+    dim = cutoff + 1
     a = np.diag(np.sqrt(np.arange(1, dim)), 1)
     g = alpha * a.conj().T - np.conj(alpha) * a
     want = expm(g)
-    got = displacement_op(alpha, dim - 1, scheme="exact")
-    assert np.abs(got - want).max() < 1e-12
+    got = displacement_op(alpha, cutoff, scheme="exact")
+    assert np.abs(got - want).max() < 1e-13
     # exact scheme is unitary on the truncated space
-    assert np.abs(got @ got.conj().T - np.eye(dim)).max() < 1e-12
+    assert np.abs(got @ got.conj().T - np.eye(dim)).max() < 1e-13
 
 
 def test_displacement_on_vacuum_gives_coherent_amplitudes():

@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
-import scipy.optimize
 from scipy.optimize import least_squares
 
+from pbsim import phase_est
 from pbsim.errors import (LowInformationError, RankDeficiencyWarning,
                           ValidationError)
 from pbsim.fock import FockVector, number_state, vacuum_state
@@ -460,14 +460,13 @@ def multistart_cost(tables, s, starts=8, rng_seed=20240):
 @pytest.mark.parametrize("s", [2, 4, 6])
 def test_coefficients_single_solve_reaches_multistart_optimum(s, monkeypatch):
     fits = []
+    solve = phase_est._gauss_newton
 
-    def counted(*args, **kwargs):
-        fits.append(least_squares(*args, **kwargs))
+    def counted(fun, jac, x):
+        fits.append(solve(fun, jac, x))
         return fits[-1]
 
-    # estimate_coefficients imports least_squares from scipy.optimize
-    # when it is called, so the patch goes there
-    monkeypatch.setattr(scipy.optimize, "least_squares", counted)
+    monkeypatch.setattr(phase_est, "_gauss_newton", counted)
     rng = np.random.default_rng(600 + s)
     settings = [phase_value(s, m) for m in range(s + 1)]
     for trials in (5_000, 100_000):
@@ -482,7 +481,12 @@ def test_coefficients_single_solve_reaches_multistart_optimum(s, monkeypatch):
             fits.clear()
             estimate_coefficients(tables, s)
             assert len(fits) == 1
-            assert fits[0].cost <= multistart_cost(tables, s) * (1 + 1e-8)
+            freqs = np.concatenate([t.frequencies().ravel()
+                                    for _, t in tables])
+            fun, _ = _residuals(_model_matrix(settings, s, 0.0), freqs)
+            r = fun(fits[0])
+            cost = 0.5 * float(r @ r)
+            assert cost <= multistart_cost(tables, s) * (1 + 1e-8)
 
 
 def test_gauge_fixed_properties():
