@@ -7,7 +7,8 @@ exp(-2(q^2 + p^2)). It therefore expands exactly as
     W(q, p) = sum_{j,k < D} C[j, k] h_j(2q) h_k(2p),   D = 2N + 1,
 
 in the orthonormal Hermite functions h_j. C is computed once per state
-(wigner_coefficients); after that a tensor lattice costs two small
+(wigner_coefficients), from Gauss-Hermite tables built once per size
+(_hermite_rule); after that a tensor lattice costs two small
 matrix products (wigner_lattice) and scattered points one product and
 a row sum (wigner_points). On a line of fixed q, W is a series
 sum_k a_k h_k(2p); hermite_series_derivative and hermite_primitives give
@@ -25,6 +26,10 @@ from .errors import NumericalError, ValidationError
 
 # the C library's erfc, elementwise; 0-d and +-inf inputs work as in numpy
 _erfc = np.vectorize(math.erfc, otypes=[np.float64])
+# wigner_coefficients' tables by size; sizes up to 51 (photon numbers up
+# to 25) are kept, at most 7.7 MB in all
+_CACHED_SIZE = 51
+_RULES: dict = {}
 
 
 def hermite_functions(nmax: int, xi) -> np.ndarray:
@@ -77,6 +82,34 @@ def hermite_primitives(nmax: int, xi) -> np.ndarray:
     return out
 
 
+def _hermite_rule(dim: int) -> tuple:
+    """The size-dim tables of wigner_coefficients: g[i, j] = h_j(x_i) w_i
+    exp(x_i^2) on the dim-point Gauss-Hermite nodes x, and the Hermite
+    functions h_n, n <= dim // 2, at u and v; read-only, and built once
+    for every size up to _CACHED_SIZE."""
+    rule = _RULES.get(dim)
+    if rule is not None:
+        return rule
+    nmax = dim // 2
+    with np.errstate(all="ignore"):  # judged by the check below
+        x, w = hermgauss(dim)
+        scale = w * np.exp(x * x)
+    if not (np.isfinite(scale).all() and scale.min() > 0.0):
+        raise NumericalError(
+            f"Wigner coefficient table of size {dim} x {dim} (photon "
+            f"numbers up to {nmax}): its {dim}-point Gauss-Hermite weights "
+            f"times exp(x^2) are not all finite and positive")
+    g = hermite_functions(dim - 1, x).T * scale[:, None]
+    u = ((x[:, None] + x[None, :]) / np.sqrt(2.0)).ravel()
+    v = ((x[:, None] - x[None, :]) / np.sqrt(2.0)).ravel()
+    rule = (g, hermite_functions(nmax, u), hermite_functions(nmax, v))
+    for table in rule:
+        table.flags.writeable = False
+    if dim <= _CACHED_SIZE:
+        _RULES[dim] = rule
+    return rule
+
+
 def wigner_coefficients(rho: np.ndarray) -> np.ndarray:
     """Real (2N+1, 2N+1) table C with W(q, p) = h(2q) . C . h(2p).
 
@@ -98,22 +131,11 @@ def wigner_coefficients(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=np.complex128)
     nmax = rho.shape[0] - 1
     dim = 2 * nmax + 1
-    with np.errstate(all="ignore"):  # judged by the check below
-        x, w = hermgauss(dim)
-        scale = w * np.exp(x * x)
-    if not (np.isfinite(scale).all() and scale.min() > 0.0):
-        raise NumericalError(
-            f"Wigner coefficient table of size {dim} x {dim} (photon "
-            f"numbers up to {nmax}): its {dim}-point Gauss-Hermite weights "
-            f"times exp(x^2) are not all finite and positive")
-    g = hermite_functions(dim - 1, x).T * scale[:, None]
-    u = ((x[:, None] + x[None, :]) / np.sqrt(2.0)).ravel()
-    v = ((x[:, None] - x[None, :]) / np.sqrt(2.0)).ravel()
+    g, h_u, h_v = _hermite_rule(dim)
     # rho's real and imaginary parts go through one real product: numpy's
     # complex-by-real matmul bypasses BLAS
-    rho_hv = np.concatenate([rho.real, rho.imag]) @ hermite_functions(nmax, v)
-    k = (rho_hv.reshape(2, nmax + 1, -1)
-         * hermite_functions(nmax, u)).sum(axis=1)
+    rho_hv = np.concatenate([rho.real, rho.imag]) @ h_v
+    k = (rho_hv.reshape(2, nmax + 1, -1) * h_u).sum(axis=1)
     a = g.T @ k.reshape(2, dim, dim) @ g
     return (2.0 / np.sqrt(np.pi)) * (
         (a[0] + 1j * a[1]) * 1j ** np.arange(dim)).real

@@ -24,6 +24,7 @@ Exit codes: 0 success, 1 invalid arguments or configuration,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -39,7 +40,7 @@ from .phase_est import (CountTable, estimate_coefficients, estimate_phase,
                         gauge_fixed, interference_probs, sample_outcomes,
                         superposition_probs)
 from .phase_states import pb_eigenstate, phase_state, phase_value
-from .wigner import effective_radius, negativity_volume, wigner_grid
+from .wigner import _negativity_volumes, effective_radius, wigner_grid
 
 def _float_list(text: str) -> tuple:
     values = tuple(float(tok) for tok in text.split(",") if tok.strip())
@@ -217,18 +218,20 @@ def _cmd_wigner_grid(eff: dict, out: str | None) -> int:
     return 0
 
 
-def _order_sweep(eff: dict, column: str, value_of,
-                 judged_from: int = 1) -> list:
-    """CSV lines of value_of(|phi_0>_s) for s = 1..eff["s"], with a footer
-    saying whether the values increase from s = judged_from on."""
+def _orders(eff: dict) -> list:
+    """|phi_0>_s for s = 1..eff["s"]."""
     if eff["s"] < 1:
         raise ValidationError(f"s must be >= 1, got {eff['s']}")
+    return [pb_eigenstate(s, 0) for s in range(1, eff["s"] + 1)]
+
+
+def _order_sweep(eff: dict, column: str, values: list,
+                 judged_from: int = 1) -> list:
+    """CSV lines of values[s - 1] for s = 1..eff["s"], with a footer saying
+    whether the values increase from s = judged_from on."""
     lines = _config_comments(eff)
     lines.append(f"s,{column}")
-    values = []
-    for s in range(1, eff["s"] + 1):
-        values.append(float(value_of(pb_eigenstate(s, 0))))
-        lines.append(f"{s},{values[-1]!r}")
+    lines.extend(f"{s},{v!r}" for s, v in enumerate(values, 1))
     judged = values[judged_from - 1:]
     increasing = all(b > a for a, b in zip(judged, judged[1:]))
     lines.append(f"# monotonic_increasing={'true' if increasing else 'false'}")
@@ -236,17 +239,26 @@ def _order_sweep(eff: dict, column: str, value_of,
 
 
 def _cmd_negativity_sweep(eff: dict, out: str | None) -> int:
-    lines = _order_sweep(eff, "V", negativity_volume)
+    states = _orders(eff)
     if eff["ref_one_photon"]:
-        ref = float(negativity_volume(number_state(1, 2)))
-        lines.append(f"# ref_one_photon={ref!r}")
+        states.append(number_state(1, 2))
+    # one adaptive pass for every volume; each is the one it gets alone
+    volumes = []
+    for result in _negativity_volumes(states):
+        if isinstance(result, NumericalError):
+            raise result
+        volumes.append(float(result.volume))
+    lines = _order_sweep(eff, "V", volumes[:eff["s"]])
+    if eff["ref_one_photon"]:
+        lines.append(f"# ref_one_photon={volumes[-1]!r}")
     _emit("\n".join(lines) + "\n", out)
     return 0
 
 
 def _cmd_radius_sweep(eff: dict, out: str | None) -> int:
+    radii = [float(effective_radius(state)) for state in _orders(eff)]
     # the s = 1 state is the outlier; monotonicity is judged from s = 2 on
-    lines = _order_sweep(eff, "radius", effective_radius, judged_from=2)
+    lines = _order_sweep(eff, "radius", radii, judged_from=2)
     _emit("\n".join(lines) + "\n", out)
     return 0
 
@@ -404,8 +416,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """Every option value stays a raw string here; _resolve converts it."""
+    """Every option value stays a raw string here; _resolve converts it.
+    Built once: a parse leaves no state in the parser."""
     parser = argparse.ArgumentParser(
         prog="pbsim",
         description="Phase-operator eigenstate simulation toolkit.")

@@ -7,12 +7,14 @@ expansion in _kernels: its coefficient table is computed once per state
 and public call, then each lattice or point set is a few matrix
 products. The negativity volume integrates |W| exactly along each line
 of fixed q, from the roots of W there, and adaptively over q; several
-states of one dimension share one adaptive pass. Every public entry
-takes a FockDensity, a FockVector or a matrix that FockDensity accepts.
+states, of one dimension or of many, share one adaptive pass. Every
+public entry takes a FockDensity, a FockVector or a matrix that
+FockDensity accepts.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -161,35 +163,32 @@ def negativity_volume_detailed(rho, tol: float = DEFAULT_TOL
 def _negativity_volumes(densities, tol: float = DEFAULT_TOL) -> list:
     """negativity_volume_detailed of each density, in one adaptive pass.
 
-    The densities must share one dimension, and with it one q box, p
-    grid and Hermite table. Every line-integral call carries the q lines
-    of all states still refining, but each state keeps its own tail
-    check, panels, stopping rule, depth and evaluation budget, so its
-    result is the one it gets alone. A state whose numerics fail gets its
+    The densities may differ in dimension. Each keeps the q box, p grid
+    and Hermite table that its dimension fixes, and its own tail check,
+    panels, stopping rule, depth and evaluation budget, so its result is
+    the one it gets alone; every line-integral call carries the q lines
+    of all states still refining. A state whose numerics fail gets its
     NumericalError in its place in the returned list, and the others go
     on.
     """
     if not tol > 0:
         raise ValidationError(f"tolerance must be > 0, got {tol!r}")
     dms = [_as_density(rho) for rho in densities]
-    dims = sorted({dm.matrix.shape[0] for dm in dms})
-    if len(dims) > 1:
-        raise ValidationError(
-            f"batched negativity volumes need one dimension, got {dims}")
     for dm in dms:
         _check_unit_trace(dm)
     results: list = [None] * len(dms)
     index, coefs = [], []
-    for i, dm in enumerate(dms):
+    # in order of dimension, so that a block of lines pads its rows little
+    for i in sorted(range(len(dms)), key=lambda i: dms[i].matrix.shape[0]):
         try:
-            coefs.append(wigner_coefficients(dm.matrix))
+            coefs.append(wigner_coefficients(dms[i].matrix))
         except NumericalError as exc:
             results[i] = exc
             continue
         index.append(i)
     if not index:
         return results
-    lines = _LineIntegrals(np.stack(coefs))
+    lines = _LineIntegrals(coefs)
     for k, integral in enumerate(_box_integrals(lines, tol)):
         results[index[k]] = _volume(integral, lines, k, tol)
     return results
@@ -208,7 +207,7 @@ def _volume(integral, lines, k, tol):
         raw = 0.0
     return NegativityResult(volume=float(raw), abs_integral=float(absint),
                             tail_estimate=tail,
-                            box_half_width=lines.half_width,
+                            box_half_width=float(lines.half_width[k]),
                             evaluations=int(lines.evaluations[k]),
                             max_depth_reached=depth,
                             roots=int(lines.roots[k]), births=births)
@@ -263,13 +262,13 @@ def _box_integrals(lines, tol) -> list:
     per level serves all states still refining. births counts every
     located birth.
     """
-    hw = lines.half_width
     out: list = [None] * lines.evaluations.size
     # a birth whose kink is at most tol / 2L is left to the acceptance
     # rule: over a unit of q it stays within that unit's share of tol
-    floor = tol / (2.0 * hw)
+    floor = tol / (2.0 * lines.half_width)
     parts = []
     for k, born in enumerate(lines.births(floor)):
+        hw = lines.half_width[k]
         e = np.concatenate([[-hw - 2.0, -hw], born, [hw, hw + 2.0]])
         parts.append((k, np.zeros(e.size - 1), np.ones(e.size - 1), e[:-1],
                       e[1:]))
@@ -280,8 +279,9 @@ def _box_integrals(lines, tol) -> list:
         tail = float(vals[0] + vals[-1])
         if tail > tol:
             out[k] = QuadratureError(
-                f"|W| outside the box |q| <= {hw:.3f} (sqrt(2D)/2 + "
-                f"BOX_MARGIN {BOX_MARGIN}, D = {lines.coef.shape[1]}) "
+                f"|W| outside the box |q| <= {lines.half_width[k]:.3f} "
+                f"(sqrt(2D)/2 + BOX_MARGIN {BOX_MARGIN}, "
+                f"D = {lines.dim[k]}) "
                 f"integrates to {tail:.3e}, above tolerance {tol:.1e}")
             continue
         inner = (cut > 0) & (cut < vals.size - 1)
@@ -307,7 +307,8 @@ def _box_integrals(lines, tol) -> list:
             child_sum = np.bincount(parent, weights=cvals,
                                     minlength=vals.size)
             width = _smoothstep(a, b, t1)[0] - _smoothstep(a, b, t0)[0]
-            done = np.abs(child_sum - vals) <= tol * width / (2.0 * hw)
+            done = np.abs(child_sum - vals) <= tol * width / (
+                2.0 * lines.half_width[k])
             # pieces cut at births are checked against their own halves,
             # and a child that births cut is not checked yet
             done[was_cut] = False
@@ -407,6 +408,16 @@ def _merge(group, born):
     return group[apart], born[apart]
 
 
+def _dots(a, h):
+    """sum_k a[i, k] h[k, i], added in order of k, so that a row gets the
+    same bits whatever the number of rows and the zero columns past its
+    own series; a pairwise row sum would not. einsum adds in that order
+    over two rows or more, but over one it takes a vectorized sum."""
+    if a.shape[0] == 1:
+        return np.cumsum(a * h.T, axis=1)[:, -1]
+    return np.einsum("ik,ki->i", a, h)
+
+
 def _fold_bound(coef):
     """A bound on Int |W_odd| dq dp, W_odd the odd-in-p part of W.
 
@@ -417,18 +428,40 @@ def _fold_bound(coef):
     return 0.25 * float(norm @ np.abs(coef[:, 1::2]) @ norm[1::2])
 
 
+@functools.lru_cache(maxsize=64)
+def _p_grid(half_width: float, dim: int) -> tuple:
+    """The half-line p grid of the states of dimension dim and q box
+    half_width: its full grid's spacing, the grid xi (0, then the points
+    of the full grid over |xi| <= 2 half_width + 4 past its middle),
+    h_k(xi) for k <= dim, and P_k(0) and P_k(inf), k < dim (read-only).
+    """
+    end = 2.0 * half_width + 4.0
+    cells = math.ceil(2.0 * end / (0.5 * math.pi / math.sqrt(2.0 * dim)))
+    full = np.linspace(-end, end, cells + 1)
+    xi = np.concatenate([[0.0], full[cells // 2 + 1:]])
+    tables = (xi, hermite_functions(dim, xi),
+              hermite_primitives(dim - 1, np.array([0.0, np.inf])))
+    for table in tables:
+        table.flags.writeable = False
+    return (full[1] - full[0], *tables)
+
+
 class _LineIntegrals:
     """G(q) = Int |W(q, p)| dp, exact up to root polishing, for a batch of
-    states of one dimension.
+    states of any dimensions.
 
     Holds each state's coefficient table and running evaluation and root
-    counts, and the box half-width, p grid and Hermite table that the
+    counts, and the box half-width, p grid and Hermite table that its
     dimension fixes; also locates where G has its root-pair kinks. A batch
     of lines is an array of q and a per-line state array in which each
     state's lines are contiguous (_runs). Each state's matrix products run
-    on exactly the rows it would have alone; the bracket search and
-    polishing run once per block of at most LINE_BLOCK lines, over all its
-    states.
+    on exactly the rows and columns it would have alone; the bracket
+    search and polishing run once per block of at most LINE_BLOCK lines,
+    over all its states, on series coefficients zero-padded to the
+    block's largest dimension and p grids padded to its longest. Every
+    sum across coefficients runs in one order whatever the padding, so a
+    state's lines, brackets and counts are the ones it gets alone. States
+    numbered in order of dimension make the blocks pad little.
 
     A line is searched and integrated as half-lines on xi = 2p >= 0, since
     W(q, -p) = sum_k (-1)^k a_k(q) h_k(2p). A state whose _fold_bound is
@@ -439,27 +472,33 @@ class _LineIntegrals:
     splits the cell that straddles p = 0 there.
     """
 
-    def __init__(self, coefs: np.ndarray):
+    def __init__(self, coefs):
+        """coefs lists each state's coefficient table."""
+        self.dim = np.array([c.shape[0] for c in coefs])
         self.folded = np.array([_fold_bound(c) < _FOLD_BOUND for c in coefs],
                                dtype=bool)
         # how many roots of the whole line each half-line root stands for
         self.copies = 1 + self.folded.astype(np.int64)
-        self.coef = coefs.copy()
-        self.coef[self.folded, :, 1::2] = 0.0
+        self.coef = [c.copy() for c in coefs]
+        for c, folded in zip(self.coef, self.folded):
+            if folded:
+                c[:, 1::2] = 0.0
         # C differentiated on the q side: dW/dx = h(x) . coef_x . h(y)
-        self.coef_x = hermite_series_derivative(
-            self.coef.transpose(0, 2, 1)).transpose(0, 2, 1)
-        dim = coefs.shape[1]
-        self.half_width = _box(dim)
-        end = 2.0 * self.half_width + 4.0
-        cells = math.ceil(2.0 * end / (0.5 * math.pi / math.sqrt(2.0 * dim)))
-        full = np.linspace(-end, end, cells + 1)
+        self.coef_x = [hermite_series_derivative(c.T).T for c in self.coef]
+        self.half_width = np.array([_box(dim) for dim in self.dim])
+        # h_k(xi), and P_k at the half-line's ends 0 and inf
+        cell, grids, self.h_xi, self.ends = zip(*(
+            _p_grid(*key) for key in zip(self.half_width, self.dim)))
         # the spacing, past which an extremum's Newton step has lost it
-        self.cell = full[1] - full[0]
-        self.xi = np.concatenate([[0.0], full[cells // 2 + 1:]])
-        self.h_xi = hermite_functions(dim, self.xi)
-        # P_k(0) and P_k(inf), the half-line's ends
-        self.ends = hermite_primitives(dim - 1, np.array([0.0, np.inf]))
+        self.cell = np.array(cell)
+        self.grid_size = np.array([xi.size for xi in grids])
+        # the grids as one table, each continued at its own spacing to the
+        # longest; only cells inside a state's own grid are ever loud
+        pad = self.grid_size.max() - self.grid_size
+        self.xi = np.stack([
+            np.concatenate([xi, xi[-1] + step * np.arange(1, n + 1)])
+            for xi, step, n in zip(grids, cell, pad)])
+        self.slope = (6.0 / np.diff(self.xi)).astype(np.float32)
         self.evaluations = np.zeros(len(coefs), dtype=np.int64)
         self.roots = np.zeros(len(coefs), dtype=np.int64)
 
@@ -512,13 +551,13 @@ class _LineIntegrals:
         bracket where it finds none is halved, and the halves whose
         counts differ are tried from the new line, up to _BISECTIONS
         times. Births within _BIRTH_MERGE of each other count once, and
-        births whose kink is at most floor are left out.
+        births whose kink is at most floor[state] are left out.
         """
         n = _SCAN_LINES
-        hw = math.sqrt(2.0 * self.coef.shape[1]) / 2.0 + _SCAN_REACH
+        hw = (np.sqrt(2.0 * self.dim) / 2.0 + _SCAN_REACH)[:, None]
         states = self.evaluations.size
         state = np.repeat(np.arange(states), n)
-        q = np.tile(-hw + (np.arange(n) + 0.5) * (2.0 * hw / n), states)
+        q = (-hw + (np.arange(n) + 0.5) * (2.0 * hw / n)).ravel()
         count, lone, _ = self.evaluate(q, state)
         lo = np.flatnonzero(state[1:] == state[:-1])
         ends, fresh, found = (lo, lo + 1), 0, []
@@ -573,12 +612,11 @@ class _LineIntegrals:
         n = b.shape[0]
         half = np.concatenate([np.arange(n), rows, np.arange(n)])
         xs = np.concatenate([np.zeros(n), roots, np.full(n, np.inf)])
-        ends = np.concatenate([b[lo:hi] @ self.ends
-                               for _, lo, hi in _runs(state)])
+        ends = np.concatenate([b[lo:hi, :self.dim[k]] @ self.ends[k]
+                               for k, lo, hi in _runs(state)])
         prim = np.concatenate([
             ends[:, 0],
-            np.einsum("ik,ki->i", b[rows],
-                      hermite_primitives(b.shape[1] - 1, roots)),
+            _dots(b[rows], hermite_primitives(b.shape[1] - 1, roots)),
             ends[:, 1]])
         order = np.lexsort((xs, half))
         half, prim = half[order], prim[order]
@@ -611,11 +649,13 @@ class _LineIntegrals:
         without crossing it, as (line, xi, W) arrays ordered by line, with
         xi on the whole line.
         """
-        dim = self.coef.shape[1]
+        # the block's coefficient rows, zero past each state's dimension
+        dim = self.dim[state].max()
         h = hermite_functions(dim - 1, 2.0 * qs).T
-        a = np.empty((qs.size, dim))
+        a = np.zeros((qs.size, dim))
         for k, lo, hi in _runs(state):
-            np.matmul(h[lo:hi], self.coef[k], out=a[lo:hi])
+            d = self.dim[k]
+            np.matmul(h[lo:hi, :d], self.coef[k], out=a[lo:hi, :d])
         line, mirror = self._halves(state)
         b = a[line]
         b[mirror, 1::2] *= -1.0
@@ -627,7 +667,7 @@ class _LineIntegrals:
         ext, ext_evals = self._polish(
             self._series(db, tr), t_lo, t_hi, fp_lo, fp_hi,
             _cubic_extremum(t_lo, t_hi, ft_lo, ft_hi, fp_lo, fp_hi))
-        f_ext = np.einsum("ik,ki->i", b[tr], hermite_functions(dim - 1, ext))
+        f_ext = _dots(b[tr], hermite_functions(dim - 1, ext))
         # a polishing step evaluates W' and W'', an extremum's check W
         self.evaluations += 2 * self._per_state(
             state[tr[ext_evals]]) + self._per_state(state[tr])
@@ -657,29 +697,35 @@ class _LineIntegrals:
         """Cells bracketing a root of W, and cells to check for a pair, on
         half-lines of series coefficients a, which lie on lines line.
 
-        W and W' of each half-line are evaluated on the p grid, one product
-        per state over its own half-lines. A cell whose ends share the sign
-        of W' can still hold two extrema, and with them two roots more:
-        where the cubic through W and W' at its ends turns twice inside,
-        the cell is split at its midpoint, where W and W' are evaluated
-        too. Cells where |W| stays below _NOISE times the line's largest
-        |W| on the grid are left out. Returns, for each cell of both kinds,
-        its half-line, ends, and W and W' there.
+        W and W' of each half-line are evaluated on its state's p grid, one
+        product per state over its own half-lines; past a shorter grid's
+        end they are zero. A cell whose ends share the sign of W' can
+        still hold two extrema, and with them two roots more: where the
+        cubic through W and W' at its ends turns twice inside, the cell is
+        split at its midpoint, where W and W' are evaluated too. Cells
+        where |W| stays below _NOISE times the line's largest |W| on the
+        grid, and cells past the end of their state's grid, are left out.
+        Returns, for each cell of both kinds, its half-line, ends, and W
+        and W' there.
         """
-        dim = a.shape[1]
-        xi = self.xi
-        f = np.empty((a.shape[0], xi.size))
-        fp = np.empty_like(f)
+        size = self.grid_size[state].max()
+        xi = self.xi[:, :size]
+        f = np.zeros((a.shape[0], size))
+        fp = np.zeros_like(f)
         for k, lo, hi in _runs(state):
-            np.matmul(a[lo:hi], self.h_xi[:dim], out=f[lo:hi])
-            np.matmul(da[lo:hi], self.h_xi, out=fp[lo:hi])
-            self.evaluations[k] += 2 * (hi - lo) * xi.size
+            d, n = self.dim[k], self.grid_size[k]
+            np.matmul(a[lo:hi, :d], self.h_xi[k][:d], out=f[lo:hi, :n])
+            np.matmul(da[lo:hi, :d + 1], self.h_xi[k], out=fp[lo:hi, :n])
+            self.evaluations[k] += 2 * (hi - lo) * n
+        # the per-state tables' rows for each half-line, or one row for all
+        # where the block's states share one grid
+        grid = state if (self.grid_size[state] < size).any() else state[:1]
         # the cubic through W and W' at a cell's ends has 1/4 of
         # 6 (W1 - W0) / h - W'0 - W'1 as its slope at the midpoint; where
         # that has the other sign than W' at both ends, W turns twice.
         # Single precision suffices to pick the cells, in half the memory.
         mid = np.subtract(f[:, 1:], f[:, :-1], dtype=np.float32)
-        mid *= (6.0 / np.diff(xi)).astype(np.float32)
+        mid *= self.slope[grid, :size - 1]
         mid -= fp[:, :-1]
         mid -= fp[:, 1:]
         rising = fp[:, :-1] > 0
@@ -693,28 +739,30 @@ class _LineIntegrals:
         floor = _NOISE * peak[line, None]
         loud = (f >= floor) | (f <= -floor)
         loud = loud[:, :-1] | loud[:, 1:]
+        loud &= np.arange(size - 1) < self.grid_size[grid, None] - 1
         split &= loud
         row, cell = np.nonzero(split)
-        x_s = 0.5 * (xi[cell] + xi[cell + 1])
-        # row sums, whose order does not depend on the other lines
-        hs = hermite_functions(dim, x_s).T
-        f_s = (a[row] * hs[:, :-1]).sum(axis=1)
-        fp_s = (da[row] * hs).sum(axis=1)
+        x_lo, x_hi = xi[state[row], cell], xi[state[row], cell + 1]
+        x_s = 0.5 * (x_lo + x_hi)
+        hs = hermite_functions(a.shape[1], x_s)
+        f_s = _dots(a[row], hs[:-1])
+        fp_s = _dots(da[row], hs)
         self.evaluations += 2 * self._per_state(state[row])
         halves = [np.concatenate(v) for v in zip(
-            (row, xi[cell], x_s, f[row, cell], f_s, fp[row, cell], fp_s),
-            (row, x_s, xi[cell + 1], f_s, f[row, cell + 1], fp_s,
+            (row, x_lo, x_s, f[row, cell], f_s, fp[row, cell], fp_s),
+            (row, x_s, x_hi, f_s, f[row, cell + 1], fp_s,
              fp[row, cell + 1]))]
         loud &= ~split
         kinds = zip(_cell_kinds(f[:, :-1], f[:, 1:], fp[:, :-1], fp[:, 1:]),
                     _cell_kinds(*halves[3:]))
         del split
         out = []
-        for grid, half in kinds:
-            r, c = np.nonzero(grid & loud)
+        for on_grid, half in kinds:
+            r, c = np.nonzero(on_grid & loud)
             cells = [np.concatenate(v) for v in zip(
-                (r, xi[c], xi[c + 1], f[r, c], f[r, c + 1], fp[r, c],
-                 fp[r, c + 1]), (v[half] for v in halves))]
+                (r, xi[state[r], c], xi[state[r], c + 1], f[r, c],
+                 f[r, c + 1], fp[r, c], fp[r, c + 1]),
+                (v[half] for v in halves))]
             order = np.lexsort((cells[1], cells[0]))
             out.append([v[order] for v in cells])
         return out
@@ -733,7 +781,7 @@ class _LineIntegrals:
         extremum as the derivative of its value (the envelope theorem).
         Near a birth G gains kink |q - q0|^(3/2), kink =
         (16/3) |dW/dx|^(3/2) / |W''|^(1/2); where that, taken at the other
-        end, is at most floor, q is nan.
+        end, is at most floor[state], q is nan.
         """
         i, j = (e[count[ends[0]] != count[ends[1]]] for e in ends)
         fewer = np.where(count[i] < count[j], i, j)
@@ -753,7 +801,8 @@ class _LineIntegrals:
         xi, f_o, fx, fyy = self._extremum(state, x_o, xi[ext])
         born = np.isfinite(f_o) & ((f_o > 0) != (f_f > 0))
         with np.errstate(divide="ignore", invalid="ignore"):
-            big = 16.0 / 3.0 * np.abs(fx) ** 1.5 / np.sqrt(np.abs(fyy)) > floor
+            big = (16.0 / 3.0 * np.abs(fx) ** 1.5 / np.sqrt(np.abs(fyy))
+                   > floor[state])
         q = np.full(born.sum(), np.nan)
         big = big[born]
         state, x_f, x_o, xi, f_f, f_o = (
@@ -776,17 +825,19 @@ class _LineIntegrals:
         on W' from xi; returns its xi, and W, dW/dx and W'' there. W is
         nan where a step leaves the grid cell: the extremum is lost.
         """
-        dim = self.coef.shape[1]
+        dim = self.dim[state].max(initial=1)
         n = x.size
         # one recurrence for the lines and the first Newton step
-        h = hermite_functions(dim + 1, np.concatenate([x, xi])).T
-        hx, h = h[:n, :-1], h[n:]
-        a = np.empty((n, dim))
-        ax = np.empty_like(a)
+        h = hermite_functions(dim + 1, np.concatenate([x, xi]))
+        hx, h = h[:-1, :n].T, h[:, n:]
+        # the series coefficients, zero past each state's dimension
+        a = np.zeros((n, dim))
+        ax = np.zeros_like(a)
         # one product per state over its own points, as for the lines
         for k, lo, hi in _runs(state):
-            np.matmul(hx[lo:hi, :-1], self.coef[k], out=a[lo:hi])
-            np.matmul(hx[lo:hi], self.coef_x[k], out=ax[lo:hi])
+            d = self.dim[k]
+            np.matmul(hx[lo:hi, :d], self.coef[k], out=a[lo:hi, :d])
+            np.matmul(hx[lo:hi, :d + 1], self.coef_x[k], out=ax[lo:hi, :d])
         da = hermite_series_derivative(a)
         dda = hermite_series_derivative(da)
         xi = xi.copy()
@@ -797,17 +848,15 @@ class _LineIntegrals:
                 if live.size == 0:
                     break
                 if h is None:
-                    h = hermite_functions(dim + 1, xi[live]).T
-                # row sums, whose order does not depend on how many points
-                # share the call
-                f[live] = (a[live] * h[:, :-2]).sum(axis=1)
-                fx[live] = (ax[live] * h[:, :-2]).sum(axis=1)
-                fyy[live] = (dda[live] * h).sum(axis=1)
-                step = (da[live] * h[:, :-1]).sum(axis=1) / fyy[live]
+                    h = hermite_functions(dim + 1, xi[live])
+                f[live] = _dots(a[live], h[:-2])
+                fx[live] = _dots(ax[live], h[:-2])
+                fyy[live] = _dots(dda[live], h)
+                step = _dots(da[live], h[:-1]) / fyy[live]
                 self.evaluations += 4 * self._per_state(state[live])
                 # a step below _ROOT_STEP moves W by O(step^2): xi stays; a
                 # step beyond a grid cell has lost the extremum: W is nan
-                lost = ~(np.abs(step) <= self.cell)
+                lost = ~(np.abs(step) <= self.cell[state[live]])
                 f[live[lost]] = np.nan
                 go = ~lost & (np.abs(step) > _ROOT_STEP)
                 live = live[go]
@@ -823,8 +872,7 @@ class _LineIntegrals:
         def values(active, x):
             h = hermite_functions(da.shape[1] - 1, x)
             r = rows[active]
-            return (np.einsum("ik,ki->i", a[r], h[:-1]),
-                    np.einsum("ik,ki->i", da[r], h))
+            return _dots(a[r], h[:-1]), _dots(da[r], h)
 
         return values
 

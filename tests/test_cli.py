@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 from pbsim.cli import _OPTIONS, _resolve, build_parser, main
+from pbsim.fock import number_state
+from pbsim.phase_states import pb_eigenstate
+from pbsim.wigner import negativity_volume
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -307,3 +310,36 @@ def test_negativity_sweep_reaches_s25(tmp_path):
                    if line and not line.startswith(("#", "s,")))
     assert float(volumes["17"]) == pytest.approx(0.3147545070149, abs=1e-6)
     assert float(volumes["25"]) == pytest.approx(0.3580314851799, abs=1e-6)
+
+
+def test_parser_reuse_leaves_no_state(tmp_path):
+    # main reuses one parser; an option given to one call (a flag, a
+    # format, an order) must not reach the next, whatever its subcommand
+    runs = [["negativity-sweep", "--s", "2", "--ref-one-photon"],
+            ["wigner-grid", "--s", "1", "--n", "3", "--format", "json"],
+            ["negativity-sweep", "--s", "1"],
+            ["radius-sweep", "--s", "2"],
+            ["wigner-grid", "--s", "1", "--n", "3"]]
+    reused = [run_to_file(tmp_path, f"{i}.out", argv)
+              for i, argv in enumerate(runs)]
+    for i, argv in enumerate(runs):
+        build_parser.cache_clear()
+        assert run_to_file(tmp_path, f"fresh{i}.out", argv) == reused[i]
+    refs = [[line for line in text.splitlines()
+             if line.startswith("# ref_one_photon=")]
+            for _, text in (reused[0], reused[2])]
+    assert refs[0][0] == "# ref_one_photon=true" and len(refs[0]) == 2
+    assert refs[1] == ["# ref_one_photon=false"]
+
+
+def test_negativity_sweep_equals_lone_volumes(tmp_path):
+    # one batched pass prints, digit for digit, each state's lone volume
+    code, text = run_to_file(tmp_path, "v.csv", ["negativity-sweep", "--s",
+                                                 "6", "--ref-one-photon"])
+    assert code == 0
+    lines = text.splitlines()
+    rows = lines[lines.index("s,V") + 1:][:6]
+    assert rows == [f"{s},{negativity_volume(pb_eigenstate(s, 0))!r}"
+                    for s in range(1, 7)]
+    assert lines[-1] == ("# ref_one_photon="
+                         f"{negativity_volume(number_state(1, 2))!r}")

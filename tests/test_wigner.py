@@ -19,9 +19,9 @@ from pbsim.herald import HeraldConfig, _condition, herald_point
 from pbsim.phase_states import pb_eigenstate
 from pbsim.wigner import (BOX_MARGIN, DEFAULT_TOL, MAX_DEPTH,
                           RADIUS_THRESHOLD, NegativityResult, _LineIntegrals,
-                          _as_density, _negativity_volumes, effective_radius,
-                          negativity_volume, negativity_volume_detailed,
-                          wigner_grid)
+                          _as_density, _dots, _negativity_volumes,
+                          effective_radius, negativity_volume,
+                          negativity_volume_detailed, wigner_grid)
 
 from oracles import (hermite_wavefunctions_all, wigner_point,
                      wigner_point_integral)
@@ -204,7 +204,7 @@ def test_one_photon_births_in_closed_form(monkeypatch):
     import pbsim.wigner
     rho = FockDensity.from_pure(number_state(1, 2))
     lines = _LineIntegrals(wigner_coefficients(rho.matrix)[None])
-    (births,) = lines.births(0.0)
+    (births,) = lines.births(np.zeros(1))
     assert births.shape == (2,)
     assert np.abs(births - [-0.5, 0.5]).max() <= 1e-12
     assert negativity_volume_detailed(rho).births == 2
@@ -212,7 +212,7 @@ def test_one_photon_births_in_closed_form(monkeypatch):
     # two scan lines, at q = +-1.29, have equal root counts and bracket
     # nothing, so only the panels' node lines can find the births
     monkeypatch.setattr(pbsim.wigner, "_SCAN_LINES", 2)
-    (births,) = lines.births(0.0)
+    (births,) = lines.births(np.zeros(1))
     assert births.size == 0
     result = negativity_volume_detailed(rho)
     assert result.births == 2 and result.max_depth_reached == 4
@@ -316,13 +316,14 @@ def test_line_integrals_match_comrade_oracle(name):
     coef = wigner_coefficients(rho.matrix)
     lines = _LineIntegrals(coef[None])
     assert lines.folded[0] == (name != "pb4-m1")
-    qs = np.linspace(-lines.half_width, lines.half_width, 51)
+    (hw,), (xi,) = lines.half_width, lines.xi
+    qs = np.linspace(-hw, hw, 51)
     state = np.zeros(qs.size, dtype=np.intp)
     got = lines.evaluate(qs, state, integrate=True)[2]
     b, line, rows, roots, _ = lines.find_roots(qs, state)
     dim = b.shape[1]
     a = hermite_functions(dim - 1, 2.0 * qs).T @ coef
-    w_halves = np.abs(b @ hermite_functions(dim - 1, lines.xi)).max(axis=1)
+    w_halves = np.abs(b @ hermite_functions(dim - 1, xi)).max(axis=1)
     w_roots = np.einsum("ik,ki->i", b[rows], hermite_functions(dim - 1, roots))
     assert roots.size > 0 and roots.min() >= 0.0
     for i in range(qs.size):
@@ -479,10 +480,48 @@ def test_batch_isolates_max_depth(monkeypatch):
     _assert_alone(batch, results)
 
 
-def test_batch_needs_one_dimension():
-    with pytest.raises(ValidationError, match="one dimension"):
-        _negativity_volumes([pb_eigenstate(4, 0), pb_eigenstate(5, 0)])
+def test_batch_mixes_dimensions(monkeypatch):
+    # states of several dimensions share one pass, each on its own box and
+    # p grid, with its series zero-padded to its block's largest: the
+    # negativity-sweep states with |1>, and dimension 5 with 13
+    import pbsim.wigner
+    sweep = [pb_eigenstate(s, 0) for s in range(1, 7)] + [number_state(1, 2)]
+    mixed = _dim5_batch() + [pb_eigenstate(6, 0)]
+    for batch in (sweep, mixed):
+        results = _negativity_volumes(batch)
+        assert all(isinstance(r, NegativityResult) for r in results)
+        _assert_alone(batch, results)
+    # an exhausted budget stays with its states, given out of order
+    batch = [pb_eigenstate(6, 1)] + mixed
+    evals = [negativity_volume_detailed(rho).evaluations for rho in batch]
+    monkeypatch.setattr(pbsim.wigner, "MAX_EVALS", max(evals[1:2] + evals[3:]))
+    assert min(evals[0], evals[2]) > pbsim.wigner.MAX_EVALS
+    results = _negativity_volumes(batch)
+    for i, r in enumerate(results):
+        assert isinstance(r, QuadratureError) == (i in (0, 2))
+    assert "evaluation budget" in str(results[0])
+    _assert_alone(batch, results)
     assert _negativity_volumes([]) == []
+
+
+def test_dots_ignore_padding_and_rows():
+    # a row's series sum is the sum in order of k, with the same bits
+    # alone, among other rows, and with zero columns past its end: what
+    # lets states of several dimensions share one pass
+    rng = np.random.default_rng(7)
+    for dim in (3, 5, 9, 13, 25):
+        a, h = rng.standard_normal((40, dim)), rng.standard_normal((dim, 40))
+        a_pad, h_pad = np.zeros((40, 64)), np.zeros((64, 40))
+        a_pad[:, :dim], h_pad[:dim] = a, h
+        want = _dots(a, h)
+        assert np.array_equal(_dots(a_pad, h_pad), want)
+        for i in range(40):
+            total = 0.0
+            for k in range(dim):
+                total += float(a[i, k]) * float(h[k, i])
+            assert want[i] == total
+            assert _dots(a[i:i + 1], h[:, i:i + 1].copy())[0] == want[i]
+            assert _dots(a_pad[i:i + 1], h_pad[:, i:i + 1])[0] == want[i]
 
 
 def test_effective_radius_vacuum_closed_form():
@@ -597,6 +636,8 @@ def test_overflowing_weight_names_the_coefficient_table(monkeypatch):
         return x, w
 
     monkeypatch.setattr(pbsim._kernels, "hermgauss", overflowing)
+    # the rules built so far are set aside, so size 9 is built anew
+    monkeypatch.setattr(pbsim._kernels, "_RULES", {})
     psi = pb_eigenstate(4, 0)
     for run in (lambda: wigner_coefficients(FockDensity.from_pure(psi).matrix),
                 lambda: effective_radius(psi),
