@@ -20,7 +20,7 @@ from .herald import (HeraldConfig, HeraldResult, HeraldSweepRow,
                      herald_point, solve_alphas, sweep, symmetric_factors)
 from .ops import (DetectorPovm, TwoModeUnitary, apply_single_mode_op,
                   apply_two_mode_unitary, beam_splitter_5050,
-                  beam_splitter_pb, detector_povm, displacement_op, tmsv)
+                  beam_splitter_pb, detector_povm, displacement_op)
 from .phase_est import (CountTable, PhaseEstimate, SuperpositionCoeffs,
                         estimate_coefficients, estimate_phase, gauge_fixed,
                         interference_probs, sample_outcomes,
@@ -41,7 +41,7 @@ __all__ = [
     "conditional_density", "vacuum_state", "number_state",
     "TwoModeUnitary", "DetectorPovm", "beam_splitter_pb",
     "beam_splitter_5050", "apply_two_mode_unitary", "apply_single_mode_op",
-    "tmsv", "displacement_op", "detector_povm",
+    "displacement_op", "detector_povm",
     "phase_value", "phase_state", "pb_eigenstate",
     "wigner_grid", "NegativityResult", "negativity_volume",
     "negativity_volume_detailed", "effective_radius",

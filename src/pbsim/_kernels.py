@@ -10,7 +10,7 @@ in the orthonormal Hermite functions h_j. C is computed once per state
 (wigner_coefficients), from Gauss-Hermite tables built once per size
 (_hermite_rule); after that a tensor lattice costs two small
 matrix products (wigner_lattice) and scattered points one product and
-a row sum (wigner_points). On a line of fixed q, W is a series
+a row sum (wigner_batch). On a line of fixed q, W is a series
 sum_k a_k h_k(2p); hermite_series_derivative and hermite_primitives give
 its derivative and its integrals in closed form.
 """
@@ -149,14 +149,6 @@ def wigner_lattice(coef: np.ndarray, qs, ps) -> np.ndarray:
     return hq.T @ coef @ hp
 
 
-def wigner_points(coef: np.ndarray, qs, ps) -> np.ndarray:
-    """W at the scattered points (qs[i], ps[i])."""
-    nmax = coef.shape[0] - 1
-    hq = hermite_functions(nmax, 2.0 * np.asarray(qs, dtype=np.float64))
-    hp = hermite_functions(nmax, 2.0 * np.asarray(ps, dtype=np.float64))
-    return ((coef.T @ hq) * hp).sum(axis=0)
-
-
 def wigner_batch(rho: np.ndarray, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """W of the Hermitian matrix rho at each point (qs[i], ps[i]).
 
@@ -176,4 +168,7 @@ def wigner_batch(rho: np.ndarray, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     ps = np.ascontiguousarray(ps, dtype=np.float64).ravel()
     if qs.shape != ps.shape:
         raise ValidationError("qs and ps must have equal length")
-    return wigner_points(wigner_coefficients(rho), qs, ps)
+    coef = wigner_coefficients(rho)
+    hq = hermite_functions(coef.shape[0] - 1, 2.0 * qs)
+    hp = hermite_functions(coef.shape[0] - 1, 2.0 * ps)
+    return ((coef.T @ hq) * hp).sum(axis=0)

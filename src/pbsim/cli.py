@@ -36,8 +36,8 @@ import numpy as np
 from .errors import LowInformationError, NumericalError, ValidationError
 from .fock import number_state
 from .herald import sweep as herald_sweep_rows
-from .phase_est import (CountTable, estimate_coefficients, estimate_phase,
-                        gauge_fixed, interference_probs, sample_outcomes,
+from .phase_est import (estimate_coefficients, estimate_phase, gauge_fixed,
+                        interference_probs, sample_outcomes,
                         superposition_probs)
 from .phase_states import pb_eigenstate, phase_state, phase_value
 from .wigner import _negativity_volumes, effective_radius, wigner_grid
@@ -305,28 +305,31 @@ def _parse_coeffs(text: str) -> np.ndarray:
     return np.asarray(vals, dtype=np.complex128)
 
 
-def _table_for(dist, mode, trials, seed):
-    return dist if mode == "exact" else sample_outcomes(dist, trials, seed)
-
-
-def _counts_doc(phi_j: float, table: CountTable) -> dict:
-    return {
-        "phi_j": phi_j,
-        "trials": table.trials,
-        "seed": table.rng_seed,
-        "counts": [[float(v) for v in row] for row in table.counts],
-    }
+def _tables(probs, settings, eff: dict, doc: dict) -> list:
+    """The count table at each setting phi_j: probs(phi_j) itself in exact
+    mode, else a sample of it seeded seed + the setting's index; each is
+    recorded in doc's distributions."""
+    tables = []
+    for idx, phi_j in enumerate(settings):
+        table = probs(phi_j)
+        if eff["mode"] != "exact":
+            table = sample_outcomes(table, eff["trials"], eff["seed"] + idx)
+        tables.append(table)
+        doc["distributions"].append({
+            "phi_j": phi_j,
+            "trials": table.trials,
+            "seed": table.rng_seed,
+            "counts": [[float(v) for v in row] for row in table.counts],
+        })
+    return tables
 
 
 def _cmd_phase_sim(eff: dict, out: str | None) -> int:
     s = eff["s"]
     if s < 1:
         raise ValidationError(f"s must be >= 1, got {s}")
-    mode = eff["mode"]
-    trials = eff["trials"]
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    seed = eff["seed"]
+    if eff["trials"] < 1:
+        raise ValidationError(f"trials must be >= 1, got {eff['trials']}")
     doc = {"config": eff, "distributions": []}
 
     if eff["target"] == "phase":
@@ -338,12 +341,9 @@ def _cmd_phase_sim(eff: dict, out: str | None) -> int:
         truth = eff["phi_k"]
         right = phase_state(s, truth)
         settings = [eff["phi_j"], eff["phi_j"] + math.pi / 2.0]
-        tables = []
-        for idx, phi_j in enumerate(settings):
-            dist = interference_probs(phase_state(s, phi_j), right)
-            table = _table_for(dist, mode, trials, seed + idx)
-            tables.append(table)
-            doc["distributions"].append(_counts_doc(phi_j, table))
+        tables = _tables(
+            lambda phi_j: interference_probs(phase_state(s, phi_j), right),
+            settings, eff, doc)
         est = estimate_phase(tables[0], settings[0], s,
                              aux=(settings[1], tables[1]))
         wrapped = math.remainder(est.phi_k - truth, 2.0 * math.pi)
@@ -379,13 +379,9 @@ def _cmd_phase_sim(eff: dict, out: str | None) -> int:
         settings = [phase_value(s, j) for j in range(s + 1)]
         if s == 1:
             settings.append(math.pi / 2.0)
-        tables = []
-        for idx, phi_j in enumerate(settings):
-            dist = superposition_probs(phi_j, truth)
-            table = _table_for(dist, mode, trials, seed + idx)
-            tables.append((phi_j, table))
-            doc["distributions"].append(_counts_doc(phi_j, table))
-        est = estimate_coefficients(tables, s)
+        tables = _tables(lambda phi_j: superposition_probs(phi_j, truth),
+                         settings, eff, doc)
+        est = estimate_coefficients(list(zip(settings, tables)), s)
         # the global phase is unobservable and the c_0-real gauge is
         # ill-conditioned at small |c_0|, so align the phase first
         overlap = np.vdot(truth.c, est.c)

@@ -28,7 +28,7 @@ from .errors import (CutoffError, DegenerateHeraldError, LeakageWarning,
 from .fock import (HERM_TOL, PROB_FLOOR, FockDensity, FockVector,
                    fidelity_pure)
 from .ops import (_transfer_tensor, beam_splitter_pb, detector_povm,
-                  displacement_op, tmsv)
+                  displacement_op)
 from .phase_states import pb_eigenstate
 from .wigner import (NegativityResult, _negativity_volumes,
                      negativity_volume)
@@ -59,6 +59,10 @@ class HeraldConfig:
             raise ValidationError(f"s must be >= 1, got {self.s}")
         if self.r < 0:
             raise ValidationError(f"squeezing r must be >= 0, got {self.r}")
+        if not 0.0 <= self.q < 1.0:
+            raise ValidationError(
+                f"squeezing r = {self.r} needs 0 <= q = tanh(r) < 1, "
+                f"got q = {self.q}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValidationError(f"eta must lie in [0, 1], got {self.eta}")
         if self.cutoff < self.s:
@@ -179,7 +183,10 @@ def build_state(cfg: HeraldConfig, alphas=None) -> FockVector:
     dim = cfg.cutoff + 1
     ds = [displacement_op(complex(a), cfg.cutoff,
                           scheme=cfg.displacement_scheme) for a in alphas]
-    amp = tmsv(cfg.q, cfg.cutoff, max_terms=cfg.tmsv_terms).amplitudes
+    # the kept TMSV terms sqrt(1 - q^2) q^n |n, n> of (carrier, A)
+    q, n = cfg.q, np.arange(min(dim, cfg.tmsv_terms))
+    amp = np.zeros((dim, dim), dtype=np.complex128)
+    amp[n, n] = np.sqrt(1.0 - q * q) * q ** n
     r = amp @ amp.conj().T  # the carrier's reduced density
     leakage = 0.0
     for k in range(1, max(cfg.s, 2)):

@@ -1,8 +1,8 @@
 """Circuit elements on truncated Fock states.
 
-Beam splitters, displacements, two-mode squeezed vacuum and the
-inefficient-detector POVM. Beam splitters act by substituting creation
-operators with row combinations of the 2x2 matrix,
+Beam splitters, displacements and the inefficient-detector POVM. Beam
+splitters act by substituting creation operators with row combinations
+of the 2x2 matrix,
 
     a_i+ -> u00 a_i+ + u01 a_j+,   a_j+ -> u10 a_i+ + u11 a_j+,
 
@@ -135,25 +135,6 @@ def apply_two_mode_unitary(state: FockVector, modes: tuple[int, int],
     nsq_in = state.norm_sq()
     nsq_out = float(np.vdot(out, out).real)
     return FockVector(out, leakage=state.leakage + max(0.0, nsq_in - nsq_out))
-
-
-def tmsv(q: float, cutoff: int, max_terms: int | None = None) -> FockVector:
-    """Two-mode squeezed vacuum sqrt(1-q^2) sum q^n |n,n>, q = tanh r.
-
-    Truncation keeps n <= cutoff, and optionally only the first max_terms
-    terms. For q > 0 the kept state is subnormalized with squared norm
-    1 - q^(2 nkept); it is returned as is, never renormalized.
-    """
-    if not 0.0 <= q < 1.0:
-        raise ValidationError(f"require 0 <= q < 1, got {q}")
-    dim = cutoff + 1
-    nkeep = dim if max_terms is None else min(dim, max_terms)
-    if nkeep < 1:
-        raise ValidationError("max_terms must keep at least the vacuum term")
-    amp = np.zeros((dim, dim), dtype=np.complex128)
-    n = np.arange(nkeep)
-    amp[n, n] = np.sqrt(1.0 - q * q) * q ** n
-    return FockVector(amp)
 
 
 def displacement_op(alpha: complex, cutoff: int, scheme: str = "exact"

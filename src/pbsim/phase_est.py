@@ -201,6 +201,8 @@ def sample_outcomes(table: CountTable, trials: int,
     """
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ValidationError(f"trials must be a positive integer, got {trials}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     p = table.frequencies().ravel()
     p = np.where(p < _CLAMP_TOL, 0.0, p)

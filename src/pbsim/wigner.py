@@ -24,7 +24,7 @@ from numpy.polynomial.legendre import leggauss
 
 from ._kernels import (hermite_functions, hermite_primitives,
                        hermite_series_derivative, wigner_coefficients,
-                       wigner_lattice, wigner_points)
+                       wigner_lattice)
 from .errors import (NumericalError, QuadratureError, ValidationError,
                      WindowExhaustedError)
 from .fock import FockDensity, FockVector
@@ -377,26 +377,6 @@ def _cubic_extremum(lo, hi, f_lo, f_hi, fp_lo, fp_hi):
     return lo + t * h
 
 
-def _runs(state):
-    """(state, lo, hi) of each state's contiguous lines lo..hi-1."""
-    edge = [0, *(np.flatnonzero(np.diff(state)) + 1).tolist(), state.size]
-    return [(int(state[lo]), lo, hi) for lo, hi in zip(edge, edge[1:])]
-
-
-def _blocks(state):
-    """Consecutive ranges (lo, hi) of at most LINE_BLOCK lines; a state's
-    lines stay in one range unless they alone exceed LINE_BLOCK."""
-    bounds, size = [0], 0
-    for _, lo, hi in _runs(state):
-        for a in range(lo, hi, LINE_BLOCK):
-            n = min(LINE_BLOCK, hi - a)
-            if size + n > LINE_BLOCK:
-                bounds.append(a)
-                size = 0
-            size += n
-    return zip(bounds, bounds[1:] + [state.size])
-
-
 def _merge(group, born):
     """The finite births, ascending within each group, with those within
     _BIRTH_MERGE of the one before them in their group left out."""
@@ -453,15 +433,16 @@ class _LineIntegrals:
     Holds each state's coefficient table and running evaluation and root
     counts, and the box half-width, p grid and Hermite table that its
     dimension fixes; also locates where G has its root-pair kinks. A batch
-    of lines is an array of q and a per-line state array in which each
-    state's lines are contiguous (_runs). Each state's matrix products run
-    on exactly the rows and columns it would have alone; the bracket
-    search and polishing run once per block of at most LINE_BLOCK lines,
-    over all its states, on series coefficients zero-padded to the
-    block's largest dimension and p grids padded to its longest. Every
-    sum across coefficients runs in one order whatever the padding, so a
-    state's lines, brackets and counts are the ones it gets alone. States
-    numbered in order of dimension make the blocks pad little.
+    of lines is an array of q and a per-line state array, evaluated in
+    plain consecutive blocks of LINE_BLOCK lines, whose edges may fall
+    inside one state's lines. Each state's matrix products run on exactly
+    the rows and columns it would have alone (_products); the bracket
+    search and polishing run once per block, over all its states, on
+    series coefficients zero-padded to the block's largest dimension and
+    p grids padded to its longest. Every sum across coefficients runs in
+    one order whatever the padding, so a state's lines, brackets and
+    counts are the ones it gets alone, wherever the block edges fall.
+    States numbered in order of dimension make the blocks pad little.
 
     A line is searched and integrated as half-lines on xi = 2p >= 0, since
     W(q, -p) = sum_k (-1)^k a_k(q) h_k(2p). A state whose _fold_bound is
@@ -505,6 +486,20 @@ class _LineIntegrals:
     def _per_state(self, states: np.ndarray) -> np.ndarray:
         """How many entries of states name each state."""
         return np.bincount(states, minlength=self.evaluations.size)
+
+    @staticmethod
+    def _products(x, state, tables):
+        """x[rows, :m] @ tables[k] for each run of rows of state k, (m, n) =
+        tables[k].shape, in the first n columns of an output zero past
+        them: each state's product runs on exactly the rows and columns it
+        has alone."""
+        edge = [0, *(np.flatnonzero(np.diff(state)) + 1).tolist(), state.size]
+        runs = [(tables[state[lo]], lo, hi) for lo, hi in zip(edge, edge[1:])]
+        out = np.zeros((x.shape[0], max(t.shape[1] for t, _, _ in runs)))
+        for t, lo, hi in runs:
+            m, n = t.shape
+            np.matmul(x[lo:hi, :m], t, out=out[lo:hi, :n])
+        return out
 
     def panels(self, parts, floor):
         """Gauss-Legendre estimates of Int G dq over panels, and the births
@@ -590,7 +585,8 @@ class _LineIntegrals:
         count = np.empty(qs.size, dtype=np.intp)
         g = np.empty(qs.size) if integrate else None
         lone = []
-        for lo, hi in _blocks(state):
+        for lo in range(0, qs.size, LINE_BLOCK):
+            hi = min(lo + LINE_BLOCK, qs.size)
             b, line, rows, roots, (ext, xi, f) = self.find_roots(
                 qs[lo:hi], state[lo:hi], integrate)
             count[lo:hi] = (np.bincount(line[rows], minlength=hi - lo)
@@ -612,8 +608,7 @@ class _LineIntegrals:
         n = b.shape[0]
         half = np.concatenate([np.arange(n), rows, np.arange(n)])
         xs = np.concatenate([np.zeros(n), roots, np.full(n, np.inf)])
-        ends = np.concatenate([b[lo:hi, :self.dim[k]] @ self.ends[k]
-                               for k, lo, hi in _runs(state)])
+        ends = self._products(b, state, self.ends)
         prim = np.concatenate([
             ends[:, 0],
             _dots(b[rows], hermite_primitives(b.shape[1] - 1, roots)),
@@ -651,11 +646,8 @@ class _LineIntegrals:
         """
         # the block's coefficient rows, zero past each state's dimension
         dim = self.dim[state].max()
-        h = hermite_functions(dim - 1, 2.0 * qs).T
-        a = np.zeros((qs.size, dim))
-        for k, lo, hi in _runs(state):
-            d = self.dim[k]
-            np.matmul(h[lo:hi, :d], self.coef[k], out=a[lo:hi, :d])
+        a = self._products(hermite_functions(dim - 1, 2.0 * qs).T, state,
+                           self.coef)
         line, mirror = self._halves(state)
         b = a[line]
         b[mirror, 1::2] *= -1.0
@@ -698,34 +690,29 @@ class _LineIntegrals:
         half-lines of series coefficients a, which lie on lines line.
 
         W and W' of each half-line are evaluated on its state's p grid, one
-        product per state over its own half-lines; past a shorter grid's
-        end they are zero. A cell whose ends share the sign of W' can
-        still hold two extrema, and with them two roots more: where the
-        cubic through W and W' at its ends turns twice inside, the cell is
-        split at its midpoint, where W and W' are evaluated too. Cells
-        where |W| stays below _NOISE times the line's largest |W| on the
-        grid, and cells past the end of their state's grid, are left out.
+        product per state over its own half-lines (_products); past a
+        shorter grid's end they are zero. Every half-line reads its cell
+        slopes and grid size from its own state's row of the grid tables.
+        A cell whose ends share the sign of W' can still hold two extrema,
+        and with them two roots more: where the cubic through W and W' at
+        its ends turns twice inside, the cell is split at its midpoint,
+        where W and W' are evaluated too. Cells where |W| stays below
+        _NOISE times the line's largest |W| on the grid, and cells past
+        the end of their state's grid, are left out.
         Returns, for each cell of both kinds, its half-line, ends, and W
         and W' there.
         """
         size = self.grid_size[state].max()
         xi = self.xi[:, :size]
-        f = np.zeros((a.shape[0], size))
-        fp = np.zeros_like(f)
-        for k, lo, hi in _runs(state):
-            d, n = self.dim[k], self.grid_size[k]
-            np.matmul(a[lo:hi, :d], self.h_xi[k][:d], out=f[lo:hi, :n])
-            np.matmul(da[lo:hi, :d + 1], self.h_xi[k], out=fp[lo:hi, :n])
-            self.evaluations[k] += 2 * (hi - lo) * n
-        # the per-state tables' rows for each half-line, or one row for all
-        # where the block's states share one grid
-        grid = state if (self.grid_size[state] < size).any() else state[:1]
+        f = self._products(a, state, [h[:-1] for h in self.h_xi])
+        fp = self._products(da, state, self.h_xi)
+        self.evaluations += 2 * self._per_state(state) * self.grid_size
         # the cubic through W and W' at a cell's ends has 1/4 of
         # 6 (W1 - W0) / h - W'0 - W'1 as its slope at the midpoint; where
         # that has the other sign than W' at both ends, W turns twice.
         # Single precision suffices to pick the cells, in half the memory.
         mid = np.subtract(f[:, 1:], f[:, :-1], dtype=np.float32)
-        mid *= self.slope[grid, :size - 1]
+        mid *= self.slope[state, :size - 1]
         mid -= fp[:, :-1]
         mid -= fp[:, 1:]
         rising = fp[:, :-1] > 0
@@ -739,7 +726,7 @@ class _LineIntegrals:
         floor = _NOISE * peak[line, None]
         loud = (f >= floor) | (f <= -floor)
         loud = loud[:, :-1] | loud[:, 1:]
-        loud &= np.arange(size - 1) < self.grid_size[grid, None] - 1
+        loud &= np.arange(size - 1) < self.grid_size[state, None] - 1
         split &= loud
         row, cell = np.nonzero(split)
         x_lo, x_hi = xi[state[row], cell], xi[state[row], cell + 1]
@@ -831,13 +818,8 @@ class _LineIntegrals:
         h = hermite_functions(dim + 1, np.concatenate([x, xi]))
         hx, h = h[:-1, :n].T, h[:, n:]
         # the series coefficients, zero past each state's dimension
-        a = np.zeros((n, dim))
-        ax = np.zeros_like(a)
-        # one product per state over its own points, as for the lines
-        for k, lo, hi in _runs(state):
-            d = self.dim[k]
-            np.matmul(hx[lo:hi, :d], self.coef[k], out=a[lo:hi, :d])
-            np.matmul(hx[lo:hi, :d + 1], self.coef_x[k], out=ax[lo:hi, :d])
+        a = self._products(hx, state, self.coef)
+        ax = self._products(hx, state, self.coef_x)
         da = hermite_series_derivative(a)
         dda = hermite_series_derivative(da)
         xi = xi.copy()
@@ -935,7 +917,9 @@ def effective_radius(rho) -> float:
     coef = wigner_coefficients(dm.matrix)
     step = 0.01
     ts = np.arange(0.0, _box(coef.shape[0]) + step, step)
-    w = wigner_points(coef, ts, np.zeros_like(ts))
+    b = coef @ hermite_functions(coef.shape[0] - 1, 0.0)
+    series = _LineIntegrals._series(b[None], np.zeros(ts.size, dtype=int))
+    w = series(np.arange(ts.size), 2.0 * ts)[0]
     above = np.nonzero(np.abs(w) >= RADIUS_THRESHOLD)[0]
     edge = f"the box edge q = {ts[-1]:.2f}"
     if above.size == 0:
@@ -947,12 +931,10 @@ def effective_radius(rho) -> float:
     cut = above[-1:]
     # in xi = 2q, the root of sign(W(t)) W - RADIUS_THRESHOLD in [t, t + step]
     sign = np.sign(w[cut])
-    b = sign[:, None] * (coef @ hermite_functions(coef.shape[0] - 1, 0.0))
-    series = _LineIntegrals._series(b, np.zeros(1, dtype=int))
 
     def values(active, x):
         f, fp = series(active, x)
-        return f - RADIUS_THRESHOLD, fp
+        return sign * f - RADIUS_THRESHOLD, sign * fp
 
     xi, _ = _LineIntegrals._polish(
         values, 2.0 * ts[cut], 2.0 * ts[cut + 1],

@@ -4,7 +4,7 @@ Nothing under src/pbsim imports this module. Each function either
 computes a quantity along a route production does not take (the
 defining Wigner integral, the phase operator from its closed-form
 matrix elements) or builds a test input that no production path needs
-(joint states, padded states).
+(joint states, padded states, the two-mode squeezed vacuum).
 """
 
 import numpy as np
@@ -98,3 +98,22 @@ def pad_to_cutoff(state: FockVector, cutoff: int) -> FockVector:
     amp = np.zeros((cutoff + 1,) * state.modes, dtype=np.complex128)
     amp[tuple(slice(0, n) for n in state.amplitudes.shape)] = state.amplitudes
     return FockVector(amp, leakage=state.leakage)
+
+
+def tmsv(q: float, cutoff: int, max_terms: int | None = None) -> FockVector:
+    """Two-mode squeezed vacuum sqrt(1-q^2) sum q^n |n,n>, q = tanh r.
+
+    Truncation keeps n <= cutoff, and optionally only the first max_terms
+    terms. For q > 0 the kept state is subnormalized with squared norm
+    1 - q^(2 nkept); it is returned as is, never renormalized.
+    """
+    if not 0.0 <= q < 1.0:
+        raise ValidationError(f"require 0 <= q < 1, got {q}")
+    dim = cutoff + 1
+    nkeep = dim if max_terms is None else min(dim, max_terms)
+    if nkeep < 1:
+        raise ValidationError("max_terms must keep at least the vacuum term")
+    amp = np.zeros((dim, dim), dtype=np.complex128)
+    n = np.arange(nkeep)
+    amp[n, n] = np.sqrt(1.0 - q * q) * q ** n
+    return FockVector(amp)

@@ -32,7 +32,7 @@ PUBLIC_NAMES = [
     "pb_eigenstate", "phase_state",
     "phase_value", "sample_outcomes", "solve_alphas",
     "superposition_probs", "superposition_state", "sweep",
-    "symmetric_factors", "tmsv", "vacuum_state",
+    "symmetric_factors", "vacuum_state",
     "wigner_batch", "wigner_grid",
 ]
 
@@ -58,6 +58,50 @@ def test_readme_names_exist():
     missing = sorted(name for name in names
                      if not re.search(rf"\b{name}\b", code))
     assert missing == []
+
+
+def _helpers(tree):
+    """The module-level functions and the methods, dunders aside, of a
+    parsed module."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name
+        elif isinstance(node, ast.ClassDef):
+            yield from (f.name for f in node.body
+                        if isinstance(f, ast.FunctionDef)
+                        and not f.name.startswith("__"))
+
+
+def _names_used(tree):
+    """Every name a parsed module uses: as a name, an attribute, an import,
+    or a word of a string constant (so __all__ and tables of names count),
+    docstrings aside."""
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docs):
+            yield from re.findall(r"\w+", node.value)
+
+
+def test_every_helper_is_used():
+    # no function or method of the package outlives its last caller: each
+    # is named by some code of the package, the tests or the benchmark
+    package = sorted((ROOT / "src" / "pbsim").glob("*.py"))
+    others = [*(ROOT / "tests").glob("*.py"),
+              *(ROOT / "perfbench").glob("*.py")]
+    trees = {path: ast.parse(path.read_text()) for path in package + others}
+    used = {name for tree in trees.values() for name in _names_used(tree)}
+    unused = sorted(f"{path.name}:{name}" for path in package
+                    for name in _helpers(trees[path]) if name not in used)
+    assert unused == []
 
 
 def _package_imports():

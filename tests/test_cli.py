@@ -229,6 +229,10 @@ def test_exit_codes(tmp_path, capsys):
                  "--seed", "1", "--phi-k", "3.1"]) == 2
     err = capsys.readouterr().err
     assert "rerun with more trials" in err
+    # a negative seed is a validation failure, not a generator traceback
+    assert main(["phase-sim", "--s", "2", "--mode", "montecarlo",
+                 "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("pbsim: seed must be >= 0")
     # unwritable output path
     missing = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert main(["radius-sweep", "--s", "2", "--out", str(missing)]) == 3

@@ -20,10 +20,10 @@ from pbsim.herald import (HeraldConfig, _condition, alpha_polynomial,
                           build_state, herald_alphas, herald_point,
                           solve_alphas, sweep, symmetric_factors)
 from pbsim.ops import (apply_single_mode_op, apply_two_mode_unitary,
-                       beam_splitter_pb, detector_povm, displacement_op, tmsv)
+                       beam_splitter_pb, detector_povm, displacement_op)
 from pbsim.phase_states import pb_eigenstate
 
-from oracles import tensor_product
+from oracles import tensor_product, tmsv
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
@@ -347,6 +347,10 @@ def test_config_validation():
         HeraldConfig(s=2, r=-0.1, eta=1.0)
     with pytest.raises(ValidationError):
         HeraldConfig(s=2, r=0.1, eta=1.0, displacement_scheme="pade")
+    # q = tanh(r) must lie in [0, 1): it is nan, or rounds to 1
+    for r in (math.nan, math.inf, 19.0616):
+        with pytest.raises(ValidationError, match="tanh"):
+            HeraldConfig(s=2, r=r, eta=1.0)
 
 
 def test_leakage_warning():
@@ -459,8 +463,7 @@ def test_production_builds_no_multimode_state(monkeypatch):
     def dense(*args, **kwargs):
         raise AssertionError("the dense herald path was called")
 
-    for name in ("build_state", "tmsv", "beam_splitter_pb",
-                 "_transfer_tensor"):
+    for name in ("build_state", "beam_splitter_pb", "_transfer_tensor"):
         monkeypatch.setattr(pbsim.herald, name, dense)
     monkeypatch.setattr(pbsim.fock, "conditional_density", dense)
     monkeypatch.setattr(pbsim.herald, "conditional_density", dense,

@@ -168,6 +168,8 @@ def test_sampling_is_deterministic_and_consistent():
     t2 = sample_outcomes(d, 5000, seed=77)
     assert np.array_equal(t1.counts, t2.counts)
     assert t1.counts.sum() == 5000
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        sample_outcomes(d, 5000, seed=-1)
     big = sample_outcomes(d, 1_000_000, seed=3)
     freq = big.frequencies()
     probs = d.frequencies()

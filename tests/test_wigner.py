@@ -504,6 +504,19 @@ def test_batch_mixes_dimensions(monkeypatch):
     assert _negativity_volumes([]) == []
 
 
+def test_line_blocks_do_not_change_results(monkeypatch, herald_grid):
+    # blocks are plain ranges of LINE_BLOCK lines, so their edges fall
+    # inside one state's lines (37) and across states (700); every result
+    # stays the default run's, field for field
+    import pbsim.wigner
+    sweep = [pb_eigenstate(s, 0) for s in range(1, 7)] + [number_state(1, 2)]
+    want = [_negativity_volumes(batch) for batch in (herald_grid, sweep)]
+    assert all(isinstance(r, NegativityResult) for w in want for r in w)
+    for block in (37, 700):
+        monkeypatch.setattr(pbsim.wigner, "LINE_BLOCK", block)
+        assert [_negativity_volumes(b) for b in (herald_grid, sweep)] == want
+
+
 def test_dots_ignore_padding_and_rows():
     # a row's series sum is the sum in order of k, with the same bits
     # alone, among other rows, and with zero columns past its end: what
