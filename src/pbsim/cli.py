@@ -266,8 +266,8 @@ def _cmd_radius_sweep(eff: dict, out: str | None) -> int:
 def _cmd_herald_sweep(eff: dict, out: str | None) -> int:
     if eff["r_steps"] < 1:
         raise ValidationError(f"r_steps must be >= 1, got {eff['r_steps']}")
-    if not eff["r_max"] >= eff["r_min"] >= 0:
-        raise ValidationError("need 0 <= r_min <= r_max")
+    if not (math.isfinite(eff["r_max"]) and eff["r_max"] >= eff["r_min"] >= 0):
+        raise ValidationError("need 0 <= r_min <= r_max, all finite")
     r_values = np.linspace(eff["r_min"], eff["r_max"], eff["r_steps"])
     rows = herald_sweep_rows(eff["s"], r_values, eff["eta"])
     lines = _config_comments(eff)

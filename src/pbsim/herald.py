@@ -231,7 +231,7 @@ def _condition(cfg: HeraldConfig) -> dict:
     root_fact = np.sqrt([float(factorial(n)) for n in j])
     ds = np.array([displacement_op(complex(a), cfg.cutoff,
                                    cfg.displacement_scheme) for a in alphas])
-    e = np.stack([np.diagonal(detector_povm(cfg.eta, cfg.cutoff).click).real,
+    e = np.stack([detector_povm(cfg.eta, cfg.cutoff).click,
                   np.ones(cfg.cutoff + 1)])  # E = I: norm after displacing
     f = np.einsum("ixm,ex,ixn->ienm", ds.conj(), e, ds)[..., :j.size, :j.size]
     v = cfg.s ** (-j / 2) / root_fact

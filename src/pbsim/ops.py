@@ -47,8 +47,9 @@ class TwoModeUnitary:
 class DetectorPovm:
     """Two-outcome POVM {E, I-E} of a click detector with efficiency eta.
 
-    click is E, diagonal with E[0,0] = 0 and E[k,k] = eta*(1-eta)^(k-1) for
-    k >= 1; the no-click element is I - E.
+    click is E's diagonal in the Fock basis, the real weights E[0,0] = 0
+    and E[k,k] = eta*(1-eta)^(k-1) for k >= 1; the no-click element is
+    I - E, of diagonal 1 - click.
     tail_weight bounds the probability weight of the discarded k > cutoff
     part, (1-eta)^cutoff.
     """
@@ -196,10 +197,7 @@ def detector_povm(eta: float, cutoff: int) -> DetectorPovm:
     """
     if not 0.0 <= eta <= 1.0:
         raise ValidationError(f"require 0 <= eta <= 1, got {eta}")
-    dim = cutoff + 1
-    k = np.arange(dim, dtype=float)
-    diag = np.zeros(dim)
-    diag[1:] = eta * (1.0 - eta) ** (k[1:] - 1.0)
-    return DetectorPovm(eta=float(eta), cutoff=cutoff,
-                        click=np.diag(diag).astype(np.complex128),
+    click = np.zeros(cutoff + 1)
+    click[1:] = eta * (1.0 - eta) ** np.arange(cutoff, dtype=float)
+    return DetectorPovm(eta=float(eta), cutoff=cutoff, click=click,
                         tail_weight=float((1.0 - eta) ** cutoff))

@@ -398,6 +398,13 @@ def _dots(a, h):
     return np.einsum("ik,ki->i", a, h)
 
 
+def _values(x, *series):
+    """sum_k c[i, k] h_k(x[i]) for each series table c, by _dots on one
+    table of h_k at the points x."""
+    h = hermite_functions(max(c.shape[1] for c in series) - 1, x)
+    return tuple(_dots(c, h[:c.shape[1]]) for c in series)
+
+
 def _fold_bound(coef):
     """A bound on Int |W_odd| dq dp, W_odd the odd-in-p part of W.
 
@@ -432,17 +439,18 @@ class _LineIntegrals:
 
     Holds each state's coefficient table and running evaluation and root
     counts, and the box half-width, p grid and Hermite table that its
-    dimension fixes; also locates where G has its root-pair kinks. A batch
-    of lines is an array of q and a per-line state array, evaluated in
-    plain consecutive blocks of LINE_BLOCK lines, whose edges may fall
-    inside one state's lines. Each state's matrix products run on exactly
-    the rows and columns it would have alone (_products); the bracket
-    search and polishing run once per block, over all its states, on
-    series coefficients zero-padded to the block's largest dimension and
-    p grids padded to its longest. Every sum across coefficients runs in
-    one order whatever the padding, so a state's lines, brackets and
-    counts are the ones it gets alone, wherever the block edges fall.
-    States numbered in order of dimension make the blocks pad little.
+    dimension fixes; also locates where G has its root-pair kinks. Series
+    at scattered points go through _at, which counts each evaluation
+    where it runs. A batch of lines is an array of q and a per-line state
+    array, evaluated in plain consecutive blocks of LINE_BLOCK lines,
+    whose edges may fall inside one state's lines. Each state's matrix
+    products run on exactly the rows and columns it would have alone, all
+    C-ordered (_products); the bracket search and polishing run once per
+    block, over all its states, on series coefficients zero-padded to the
+    block's largest dimension and p grids padded to its longest. Every
+    sum across coefficients runs in one order whatever the padding or
+    memory layout, so a state's lines, brackets and counts are the ones
+    it gets alone, wherever the block edges fall.
 
     A line is searched and integrated as half-lines on xi = 2p >= 0, since
     W(q, -p) = sum_k (-1)^k a_k(q) h_k(2p). A state whose _fold_bound is
@@ -487,12 +495,19 @@ class _LineIntegrals:
         """How many entries of states name each state."""
         return np.bincount(states, minlength=self.evaluations.size)
 
+    def _at(self, state, x, *series):
+        """_values(x, *series), each x[i] counted per series for state[i]."""
+        self.evaluations += len(series) * self._per_state(state)
+        return _values(x, *series)
+
     @staticmethod
     def _products(x, state, tables):
         """x[rows, :m] @ tables[k] for each run of rows of state k, (m, n) =
         tables[k].shape, in the first n columns of an output zero past
         them: each state's product runs on exactly the rows and columns it
-        has alone."""
+        has alone, on x made C-ordered (BLAS may round a row slice of a
+        Fortran-ordered x by the layout of the whole)."""
+        x = np.ascontiguousarray(x)
         edge = [0, *(np.flatnonzero(np.diff(state)) + 1).tolist(), state.size]
         runs = [(tables[state[lo]], lo, hi) for lo, hi in zip(edge, edge[1:])]
         out = np.zeros((x.shape[0], max(t.shape[1] for t, _, _ in runs)))
@@ -656,13 +671,11 @@ class _LineIntegrals:
         ((row, c_lo, c_hi, f_lo, f_hi, fc_lo, fc_hi),
          (tr, t_lo, t_hi, ft_lo, ft_hi, fp_lo, fp_hi)) = self._brackets(
              b, db, state, line)
-        ext, ext_evals = self._polish(
-            self._series(db, tr), t_lo, t_hi, fp_lo, fp_hi,
+        ext = self._polish(
+            self._series(db, hermite_series_derivative(db), tr, state),
+            t_lo, t_hi, fp_lo, fp_hi,
             _cubic_extremum(t_lo, t_hi, ft_lo, ft_hi, fp_lo, fp_hi))
-        f_ext = _dots(b[tr], hermite_functions(dim - 1, ext))
-        # a polishing step evaluates W' and W'', an extremum's check W
-        self.evaluations += 2 * self._per_state(
-            state[tr[ext_evals]]) + self._per_state(state[tr])
+        (f_ext,) = self._at(state[tr], ext, b[tr])
         pair = (f_ext > 0) != (ft_lo > 0)
         lone = (line[tr[~pair]],
                 np.where(mirror[tr[~pair]], -ext[~pair], ext[~pair]),
@@ -678,11 +691,9 @@ class _LineIntegrals:
             (c_lo, t_lo, ext), (c_hi, ext, t_hi), (f_lo, ft_lo, f_ext),
             (f_hi, f_ext, ft_hi), (fc_lo, fp_lo, np.zeros(ext.size)),
             (fc_hi, np.zeros(ext.size), fp_hi)))
-        roots, root_evals = self._polish(
-            self._series(b, rows), lo, hi, f_lo, f_hi,
+        roots = self._polish(
+            self._series(b, db, rows, state), lo, hi, f_lo, f_hi,
             _root_start(lo, hi, f_lo, f_hi, fp_lo, fp_hi))
-        # a polishing step evaluates f and f'
-        self.evaluations += 2 * self._per_state(state[rows[root_evals]])
         return b, line, rows, roots, lone
 
     def _brackets(self, a, da, state, line):
@@ -731,10 +742,7 @@ class _LineIntegrals:
         row, cell = np.nonzero(split)
         x_lo, x_hi = xi[state[row], cell], xi[state[row], cell + 1]
         x_s = 0.5 * (x_lo + x_hi)
-        hs = hermite_functions(a.shape[1], x_s)
-        f_s = _dots(a[row], hs[:-1])
-        fp_s = _dots(da[row], hs)
-        self.evaluations += 2 * self._per_state(state[row])
+        f_s, fp_s = self._at(state[row], x_s, a[row], da[row])
         halves = [np.concatenate(v) for v in zip(
             (row, x_lo, x_s, f[row, cell], f_s, fp[row, cell], fp_s),
             (row, x_s, x_hi, f_s, f[row, cell + 1], fp_s,
@@ -804,7 +812,7 @@ class _LineIntegrals:
         q[big] = 0.5 * self._polish(value, np.where(left, x_f, x_o),
                                     np.where(left, x_o, x_f),
                                     np.where(left, f_f, f_o),
-                                    np.where(left, f_o, f_f))[0]
+                                    np.where(left, f_o, f_f))
         return (i, j), which[born], q
 
     def _extremum(self, state, x, xi):
@@ -812,12 +820,9 @@ class _LineIntegrals:
         on W' from xi; returns its xi, and W, dW/dx and W'' there. W is
         nan where a step leaves the grid cell: the extremum is lost.
         """
-        dim = self.dim[state].max(initial=1)
         n = x.size
-        # one recurrence for the lines and the first Newton step
-        h = hermite_functions(dim + 1, np.concatenate([x, xi]))
-        hx, h = h[:-1, :n].T, h[:, n:]
         # the series coefficients, zero past each state's dimension
+        hx = hermite_functions(self.dim[state].max(initial=1), x).T
         a = self._products(hx, state, self.coef)
         ax = self._products(hx, state, self.coef_x)
         da = hermite_series_derivative(a)
@@ -829,13 +834,10 @@ class _LineIntegrals:
             for _ in range(_POLISH_STEPS):
                 if live.size == 0:
                     break
-                if h is None:
-                    h = hermite_functions(dim + 1, xi[live])
-                f[live] = _dots(a[live], h[:-2])
-                fx[live] = _dots(ax[live], h[:-2])
-                fyy[live] = _dots(dda[live], h)
-                step = _dots(da[live], h[:-1]) / fyy[live]
-                self.evaluations += 4 * self._per_state(state[live])
+                f[live], fx[live], fyy[live], fy = self._at(
+                    state[live], xi[live], a[live], ax[live], dda[live],
+                    da[live])
+                step = fy / fyy[live]
                 # a step below _ROOT_STEP moves W by O(step^2): xi stays; a
                 # step beyond a grid cell has lost the extremum: W is nan
                 lost = ~(np.abs(step) <= self.cell[state[live]])
@@ -843,18 +845,15 @@ class _LineIntegrals:
                 go = ~lost & (np.abs(step) > _ROOT_STEP)
                 live = live[go]
                 xi[live] -= step[go]
-                h = None
         return xi, f, fx, fyy
 
-    @staticmethod
-    def _series(a, rows):
-        """f and f' at x of sum_k a[rows[i], k] h_k, for _polish."""
-        da = hermite_series_derivative(a)
+    def _series(self, a, da, rows, state):
+        """f and f' at x of sum_k a[rows[i], k] h_k, da being a's derivative
+        table, for _polish; each point counts for state[rows[i]] (_at)."""
 
         def values(active, x):
-            h = hermite_functions(da.shape[1] - 1, x)
             r = rows[active]
-            return _dots(a[r], h[:-1]), _dots(da[r], h)
+            return self._at(state[r], x, a[r], da[r])
 
         return values
 
@@ -871,8 +870,7 @@ class _LineIntegrals:
         A root error delta moves G only by O(delta^2), so a Newton step
         below _ROOT_STEP ends the iteration. f == 0 counts as a zero step
         even where f' == 0 too: a bracket update there would move away
-        from the root. Where f is nan the root is nan. Returns the roots
-        and the bracket index of each step, which evaluates f and f'.
+        from the root. Where f is nan the root is nan. Returns the roots.
         """
         lo, hi = lo.copy(), hi.copy()
         lo_pos = f_hi <= 0
@@ -880,12 +878,10 @@ class _LineIntegrals:
         if start is not None:
             x = np.where((start >= lo) & (start <= hi), start, x)
         active = np.arange(x.size)
-        stepped = []
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(_POLISH_STEPS):
                 if active.size == 0:
                     break
-                stepped.append(active)
                 xa = x[active]
                 f, fp = values(active, xa)
                 left = (f > 0) == lo_pos[active]
@@ -899,7 +895,7 @@ class _LineIntegrals:
                 x[active] = np.where(lost, np.nan,
                                      np.where(newton, xn, 0.5 * (l + u)))
                 active = active[~(small | lost | (u - l <= _ROOT_BRACKET))]
-        return x, np.concatenate(stepped) if stepped else active
+        return x
 
 
 def effective_radius(rho) -> float:
@@ -917,9 +913,9 @@ def effective_radius(rho) -> float:
     coef = wigner_coefficients(dm.matrix)
     step = 0.01
     ts = np.arange(0.0, _box(coef.shape[0]) + step, step)
-    b = coef @ hermite_functions(coef.shape[0] - 1, 0.0)
-    series = _LineIntegrals._series(b[None], np.zeros(ts.size, dtype=int))
-    w = series(np.arange(ts.size), 2.0 * ts)[0]
+    b = (coef @ hermite_functions(coef.shape[0] - 1, 0.0))[None]
+    db = hermite_series_derivative(b)
+    (w,) = _values(2.0 * ts, np.repeat(b, ts.size, axis=0))
     above = np.nonzero(np.abs(w) >= RADIUS_THRESHOLD)[0]
     edge = f"the box edge q = {ts[-1]:.2f}"
     if above.size == 0:
@@ -933,10 +929,10 @@ def effective_radius(rho) -> float:
     sign = np.sign(w[cut])
 
     def values(active, x):
-        f, fp = series(active, x)
+        f, fp = _values(x, b[active], db[active])
         return sign * f - RADIUS_THRESHOLD, sign * fp
 
-    xi, _ = _LineIntegrals._polish(
+    xi = _LineIntegrals._polish(
         values, 2.0 * ts[cut], 2.0 * ts[cut + 1],
         sign * w[cut] - RADIUS_THRESHOLD, sign * w[cut + 1] - RADIUS_THRESHOLD)
     return 0.5 * float(xi[0])

@@ -260,6 +260,19 @@ def test_phase_sim_rejects_non_finite_coefficients(capsys, coeffs):
     assert lines[0].startswith("pbsim: non-finite coefficient c_1")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["wigner-grid", "--phi0", "inf"], "phase phi0 must be finite"),
+    (["phase-sim", "--phi-j", "inf"], "phase phi must be finite"),
+    (["herald-sweep", "--r-max", "inf"], "need 0 <= r_min <= r_max"),
+])
+def test_non_finite_inputs_are_refused(capsys, argv, message):
+    # one pbsim: line, before numpy warns or reports a value never given
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"pbsim: {message}")
+
+
 def test_herald_sweep_rows_and_slopes(tmp_path):
     code, text = run_to_file(tmp_path, "h.csv", SMALL_RUNS["herald-sweep"])
     assert code == 0

@@ -113,8 +113,7 @@ def test_fidelity_pure_double_sum_oracle():
 
 def test_conditional_density_identity_povm_is_reduced_state():
     v = random_vector(2, 2, seed=21)
-    eye = np.eye(3, dtype=complex)
-    rho, p = conditional_density(v, [eye], kept_mode=1)
+    rho, p = conditional_density(v, [np.ones(3)], kept_mode=1)
     assert p == pytest.approx(1.0)
     amp = v.amplitudes
     reduced = np.einsum("ka,kb->ab", amp, amp.conj())
@@ -127,9 +126,7 @@ def test_conditional_density_factorizes_on_product_state():
     one = number_state(1, 2)
     psi = random_vector(2, 1, seed=31)
     state = tensor_product(tensor_product(one, one), psi)
-    e = np.zeros((3, 3), dtype=complex)
-    e[1, 1] = eta
-    e[2, 2] = eta * (1 - eta)
+    e = np.array([0.0, eta, eta * (1 - eta)])
     rho, p = conditional_density(state, [e, e], kept_mode=2)
     assert p == pytest.approx(eta ** 2, abs=1e-12)
     assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-10)
@@ -137,15 +134,15 @@ def test_conditional_density_factorizes_on_product_state():
 
 def test_conditional_density_zero_probability():
     vac = tensor_product(vacuum_state(2), vacuum_state(2))
-    click = np.zeros((3, 3), dtype=complex)
-    click[1, 1] = 1.0
+    click = np.array([0.0, 1.0, 0.0])
     with pytest.raises(DegenerateHeraldError):
         conditional_density(vac, [click], kept_mode=1)
 
 
 def condition_oracle(amp, povms, kept_mode):
     """<Psi|(tensor E (x) |a><b|)|Psi> as one einsum over explicit
-    indices; any POVM matrices, diagonal or not."""
+    indices; any POVM matrices, diagonal or not (the diagonals that
+    conditional_density takes go in through np.diag)."""
     letters = "abcdefghijklmnopqrstuvw"
     ket, bra, terms = [], [], []
     others = iter(povms)
@@ -169,10 +166,10 @@ def condition_oracle(amp, povms, kept_mode):
 def test_conditional_density_diagonal_povms_match_einsum(kept_mode):
     rng = np.random.default_rng(50 + kept_mode)
     v = random_vector(3, 4, seed=60 + kept_mode)
-    povms = [np.diag(rng.uniform(0.0, 1.0, 4)).astype(complex)
-             for _ in range(3)]
+    povms = [rng.uniform(0.0, 1.0, 4) for _ in range(3)]
     rho, p = conditional_density(v, povms, kept_mode=kept_mode)
-    want_rho, want_p = condition_oracle(v.amplitudes, povms, kept_mode)
+    want_rho, want_p = condition_oracle(v.amplitudes,
+                                        [np.diag(d) for d in povms], kept_mode)
     assert p == pytest.approx(want_p, rel=1e-12)
     assert np.abs(rho.matrix - want_rho).max() < 1e-12
 
@@ -186,33 +183,31 @@ def test_conditional_density_zero_weights_match_einsum(kept_mode, block,
     # of 5 patterns splits them over several blocks with a short last one
     monkeypatch.setattr(fock, "CONDITION_BLOCK", block)
     v = random_vector(3, 4, seed=80 + kept_mode)
-    interior = np.diag([0.7, 0.0, 0.4, 1.0]).astype(complex)
+    interior = np.array([0.7, 0.0, 0.4, 1.0])
     povms = [detector_povm(1.0, 3).click, detector_povm(0.8, 3).click,
              interior]
     rho, p = conditional_density(v, povms, kept_mode=kept_mode)
-    want_rho, want_p = condition_oracle(v.amplitudes, povms, kept_mode)
+    want_rho, want_p = condition_oracle(v.amplitudes,
+                                        [np.diag(d) for d in povms], kept_mode)
     assert p == pytest.approx(want_p, rel=1e-12)
     assert np.abs(rho.matrix - want_rho).max() < 1e-12
     with pytest.raises(DegenerateHeraldError):
-        conditional_density(v, [np.zeros((4, 4))] + povms[1:],
+        conditional_density(v, [np.zeros(4)] + povms[1:],
                             kept_mode=kept_mode)
 
 
-def test_conditional_density_rejects_non_photon_counting_povms():
+def test_conditional_density_rejects_bad_povm_diagonals():
     v = random_vector(2, 2, seed=71)
-    good = np.diag([0.0, 0.5, 1.0]).astype(complex)
+    good = np.array([0.0, 0.5, 1.0])
     conditional_density(v, [good], kept_mode=1)
-    off_diagonal = good.copy()
-    off_diagonal[0, 1] = off_diagonal[1, 0] = 0.1
-    imaginary = good.copy()
-    imaginary[1, 1] = 0.5 + 0.1j
-    negative = good.copy()
-    negative[2, 2] = -0.1
-    for bad in (off_diagonal, imaginary, negative):
-        with pytest.raises(ValidationError):
+    for value in (-0.1, np.inf, np.nan):
+        bad = good.copy()
+        bad[2] = value
+        with pytest.raises(ValidationError, match="finite and >= 0"):
             conditional_density(v, [bad], kept_mode=1)
-    with pytest.raises(ValidationError):
-        conditional_density(v, [good[:2, :2]], kept_mode=1)
+    for bad in (good[:2], np.diag(good)):
+        with pytest.raises(ValidationError, match="POVM diagonal shape"):
+            conditional_density(v, [bad], kept_mode=1)
     with pytest.raises(ValidationError):
         conditional_density(v, [good, good], kept_mode=1)
 

@@ -321,8 +321,8 @@ def test_efficiency_sandwich():
     cfg = HeraldConfig(s=s, r=r, eta=eta, cutoff=cutoff)
     st = build_state(cfg)
     dim = cutoff + 1
-    geq1 = np.eye(dim, dtype=complex)
-    geq1[0, 0] = 0.0
+    geq1 = np.ones(dim)
+    geq1[0] = 0.0
     _, p_geq1 = conditional_density(st, [geq1] * s, kept_mode=s)
     click = detector_povm(eta, cutoff).click
     _, p = conditional_density(st, [click] * s, kept_mode=s)

@@ -198,17 +198,17 @@ def test_single_mode_op_on_every_mode_matches_einsum(mode):
 
 def test_detector_povm_entries():
     p = detector_povm(0.6, 4)
-    assert p.click[0, 0] == 0.0
-    assert p.click[1, 1] == pytest.approx(0.6)
-    assert p.click[2, 2] == pytest.approx(0.24)
-    # the no-click element I - E is diagonal, 1 - eta(1-eta)^(k-1) for k >= 1
-    no_click = np.eye(5) - p.click
-    assert np.allclose(no_click, np.diag([1.0, 0.4, 0.76, 0.904, 0.9616]))
+    # click is E's diagonal, real
+    assert p.click.shape == (5,) and p.click.dtype == np.float64
+    assert p.click[0] == 0.0
+    assert p.click[1] == pytest.approx(0.6)
+    assert p.click[2] == pytest.approx(0.24)
+    # the no-click element I - E has diagonal 1 - eta(1-eta)^(k-1), k >= 1
+    no_click = 1.0 - p.click
+    assert np.allclose(no_click, [1.0, 0.4, 0.76, 0.904, 0.9616])
     assert p.tail_weight == pytest.approx((1 - 0.6) ** 4)
     unit = detector_povm(1.0, 4)
-    want = np.zeros((5, 5))
-    want[1, 1] = 1.0
-    assert np.allclose(unit.click, want)
+    assert np.allclose(unit.click, [0.0, 1.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValidationError):
         detector_povm(1.2, 4)
 
@@ -219,7 +219,7 @@ def test_click_diagonal_is_one_given_photon_detected():
     # the on/off weight 1 - (1-eta)^k agree with it only at k = 1 (all
     # three vanish at k = 0).
     eta, k = 0.6, np.arange(6)
-    diag = np.diagonal(detector_povm(eta, 5).click)
+    diag = detector_povm(eta, 5).click
     want = np.where(k > 0, eta * (1 - eta) ** (k - 1.0), 0.0)
     assert np.abs(diag - want).max() < 1e-15
     binomial = k * eta * (1 - eta) ** (k - 1.0)

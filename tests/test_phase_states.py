@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pbsim.errors import CutoffError
+from pbsim.errors import CutoffError, ValidationError
 from pbsim.phase_states import pb_eigenstate, phase_state, phase_value
 
 from oracles import pb_phase_operator
@@ -59,6 +59,15 @@ def test_phase_operator_diagonalized_by_eigenstates():
     for m in range(s + 1):
         v = pb_eigenstate(s, m, phi0).amplitudes
         assert np.abs(op @ v - phase_value(s, m, phi0) * v).max() < 1e-10
+
+
+def test_non_finite_phases_are_refused():
+    # before numpy sees them: exp(i n inf) would warn, and phi0 = inf
+    # would come back as the eigenphase
+    with pytest.raises(ValidationError, match="phase phi must be finite"):
+        phase_state(1, math.inf)
+    with pytest.raises(ValidationError, match="phase phi0 must be finite"):
+        phase_value(2, 0, math.inf)
 
 
 def test_cutoff_must_hold_the_family():

@@ -383,16 +383,43 @@ def test_fold_follows_the_odd_in_p_part():
     assert _folds(pb_eigenstate(6, 0)) and _folds(truncated_coherent(3.0, 30))
 
 
+def random_density(k, n, r):
+    """A rank-r density of dimension n from seed k."""
+    rng = np.random.default_rng(k)
+    a = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+    m = a @ a.conj().T
+    return m / np.trace(m).real
+
+
 def test_batch_equals_single_states(herald_grid):
     # at s = 12 the panels' node lines locate 2, 15 and 24 of the 17, 40
-    # and 52 births; the README's volumes use scan births alone
+    # and 52 births; the README's volumes use scan births alone. The two
+    # random pairs came out 2 ulp off their lone volumes while products ran
+    # on row slices of Fortran-ordered Hermite tables
     pb4 = [pb_eigenstate(4, m) for m in range(5)]
     pb12 = [pb_eigenstate(12, m) for m in range(3)]
-    for batch in (herald_grid, pb4, pb12):
+    pairs = [[random_density(21927, 4, 1), random_density(121927, 4, 1)],
+             [random_density(2163, 4, 1), random_density(102163, 3, 1)]]
+    for batch in pairs + [herald_grid, pb4, pb12]:
         results = _negativity_volumes(batch)
         assert all(r.volume > 0 for r in results)
         _assert_alone(batch, results)
     assert [r.births for r in results] == [17, 40, 52]
+
+
+@pytest.mark.xfail(strict=True, raises=QuadratureError,
+                   reason="a sign-change grid cell can hide a root pair")
+def test_hidden_root_pairs_in_a_sign_change_cell():
+    # at q = -0.31055 the +p half-line of random_density(53, 7, 2) has
+    # roots at xi = 0.765, 0.770 and 0.932, all in one grid cell whose
+    # ends differ in sign, so it is bracketed as one root and G jumps
+    # where the reported root changes; at the default tol two panels stay
+    # unconverged at MAX_DEPTH. The references extrapolate a 2-D grid of
+    # |W| (steps 0.004 and 0.002), and tol 1e-5 lands within 5e-8 of them
+    for (k, n), want in {(357, 4): 0.1773636439, (53, 7): 0.2240769223,
+                         (249, 8): 0.3687726985}.items():
+        got = negativity_volume(random_density(k, n, 2))
+        assert got == pytest.approx(want, abs=1e-6)
 
 
 def test_readme_volumes_work_counts(herald_grid):
@@ -432,10 +459,15 @@ def test_polish_steps_per_bracket(monkeypatch, herald_grid):
     real = _LineIntegrals._polish
     steps = []
 
-    def counting(*args):
-        roots, stepped = real(*args)
-        steps.append(np.bincount(stepped, minlength=roots.size))
-        return roots, stepped
+    def counting(values, lo, *args):
+        count = np.zeros(lo.size, dtype=int)
+
+        def counted(active, x):
+            count[active] += 1
+            return values(active, x)
+
+        steps.append(count)
+        return real(counted, lo, *args)
 
     monkeypatch.setattr(_LineIntegrals, "_polish", staticmethod(counting))
     for s in range(1, 7):
