@@ -7,10 +7,11 @@ exp(-2(q^2 + p^2)). It therefore expands exactly as
     W(q, p) = sum_{j,k < D} C[j, k] h_j(2q) h_k(2p),   D = 2N + 1,
 
 in the orthonormal Hermite functions h_j. C is computed once per state
-(wigner_coefficients), from Gauss-Hermite tables built once per size
-(_hermite_rule); after that a tensor lattice costs two small
-matrix products (wigner_lattice) and scattered points one product and
-a row sum (wigner_batch). On a line of fixed q, W is a series
+(wigner_coefficients): it is the 50-50 splitter acting on rho read as
+two-mode amplitudes (ops._splitter_5050), up to the phases (-i)^k, for
+any N. After that a tensor lattice costs two small matrix products
+(wigner_lattice) and scattered points one product and a row sum
+(wigner_batch). On a line of fixed q, W is a series
 sum_k a_k h_k(2p); hermite_series_derivative and hermite_primitives give
 its derivative and its integrals in closed form.
 """
@@ -20,16 +21,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
+from .ops import _splitter_5050
 
 # the C library's erfc, elementwise; 0-d and +-inf inputs work as in numpy
 _erfc = np.vectorize(math.erfc, otypes=[np.float64])
-# wigner_coefficients' tables by size; sizes up to 51 (photon numbers up
-# to 25) are kept, at most 7.7 MB in all
-_CACHED_SIZE = 51
-_RULES: dict = {}
 
 
 def hermite_functions(nmax: int, xi) -> np.ndarray:
@@ -82,63 +79,23 @@ def hermite_primitives(nmax: int, xi) -> np.ndarray:
     return out
 
 
-def _hermite_rule(dim: int) -> tuple:
-    """The size-dim tables of wigner_coefficients: g[i, j] = h_j(x_i) w_i
-    exp(x_i^2) on the dim-point Gauss-Hermite nodes x, and the Hermite
-    functions h_n, n <= dim // 2, at u and v; read-only, and built once
-    for every size up to _CACHED_SIZE."""
-    rule = _RULES.get(dim)
-    if rule is not None:
-        return rule
-    nmax = dim // 2
-    with np.errstate(all="ignore"):  # judged by the check below
-        x, w = hermgauss(dim)
-        scale = w * np.exp(x * x)
-    if not (np.isfinite(scale).all() and scale.min() > 0.0):
-        raise NumericalError(
-            f"Wigner coefficient table of size {dim} x {dim} (photon "
-            f"numbers up to {nmax}): its {dim}-point Gauss-Hermite weights "
-            f"times exp(x^2) are not all finite and positive")
-    g = hermite_functions(dim - 1, x).T * scale[:, None]
-    u = ((x[:, None] + x[None, :]) / np.sqrt(2.0)).ravel()
-    v = ((x[:, None] - x[None, :]) / np.sqrt(2.0)).ravel()
-    rule = (g, hermite_functions(nmax, u), hermite_functions(nmax, v))
-    for table in rule:
-        table.flags.writeable = False
-    if dim <= _CACHED_SIZE:
-        _RULES[dim] = rule
-    return rule
-
-
 def wigner_coefficients(rho: np.ndarray) -> np.ndarray:
     """Real (2N+1, 2N+1) table C with W(q, p) = h(2q) . C . h(2p).
 
     With xi = 2q and x the integration variable of the defining
     transform, the Fock product psi(q + x/2) conj(psi)(q - x/2) is
     sqrt(2) K(xi, x) with K(u, v) = sum rho[m, n] h_m((u+v)/sqrt2)
-    h_n((u-v)/sqrt2), a 45-degree rotation of h_m (x) h_n. Projecting K on
-    h_j (x) h_k gives A, exactly by a D-point Gauss-Hermite rule in each
-    variable since the integrand has degree <= 4N = 2D - 2. The Fourier
-    transform in x then maps h_k(x) to sqrt(2 pi) i^k h_k(2p), so
-    C = (2/sqrt(pi)) Re(A diag(i^k)). rho must be Hermitian, which makes
-    every A[j, k] i^k real; Re drops the rounding residue.
-
-    The rule's weights times exp(x^2) must be finite and positive. From
-    N = 185 on (numpy 2.4) hermgauss's weights underflow to zero or are
-    not finite, and NumericalError names the table before any of it is
-    built.
+    h_n((u-v)/sqrt2), a 45-degree rotation of h_m (x) h_n. That rotation
+    is the 50-50 splitter on rho read as two-mode amplitudes, so K has
+    the coefficients A = _splitter_5050(rho) in h_j(xi) h_k(-x), and the
+    parity h_k(-x) = (-1)^k h_k(x) and the Fourier transform in x, which
+    maps h_k(x) to sqrt(2 pi) i^k h_k(2p), give
+    C = (2/sqrt(pi)) Re(A diag((-i)^k)). rho must be Hermitian, which
+    makes every A[j, k] (-i)^k real; Re drops the rounding residue. The
+    splitter's blocks are exact at every size, so no size limit remains.
     """
-    rho = np.asarray(rho, dtype=np.complex128)
-    nmax = rho.shape[0] - 1
-    dim = 2 * nmax + 1
-    g, h_u, h_v = _hermite_rule(dim)
-    # rho's real and imaginary parts go through one real product: numpy's
-    # complex-by-real matmul bypasses BLAS
-    rho_hv = np.concatenate([rho.real, rho.imag]) @ h_v
-    k = (rho_hv.reshape(2, nmax + 1, -1) * h_u).sum(axis=1)
-    a = g.T @ k.reshape(2, dim, dim) @ g
-    return (2.0 / np.sqrt(np.pi)) * (
-        (a[0] + 1j * a[1]) * 1j ** np.arange(dim)).real
+    a = _splitter_5050(rho)
+    return (2.0 / np.sqrt(np.pi)) * (a * (-1j) ** np.arange(a.shape[1])).real
 
 
 def wigner_lattice(coef: np.ndarray, qs, ps) -> np.ndarray:

@@ -193,8 +193,10 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_wigner_grid(eff: dict, out: str | None) -> int:
     state = pb_eigenstate(eff["s"], eff["m"], eff["phi0"])
     e, n = eff["extent"], eff["n"]
-    if not (e > 0 and math.isfinite(e)):
-        raise ValidationError(f"extent must be positive and finite, got {e!r}")
+    if not (e > 0 and math.isfinite(2.0 * e)):  # linspace spans 2 extent
+        raise ValidationError(
+            f"extent must be positive and finite, and 2 * extent finite, "
+            f"got {e!r}")
     if n < 2:
         raise ValidationError(f"n must be >= 2, got {n}")
     axis = np.linspace(-e, e, n)

@@ -11,10 +11,13 @@ total-photon block.
 With the 50-50 matrix [[1/sqrt2, -1/sqrt2], [1/sqrt2, 1/sqrt2]] this sends
 |1,0> to (|1,0> - |0,1>)/sqrt2. Photon blocks whose redistribution exceeds
 the cutoff are truncated and the lost squared norm is recorded as leakage.
+The 50-50 splitter of the interference statistics and of the Wigner
+coefficients acts one photon-number block at a time, with nothing cut.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +116,47 @@ def _transfer_tensor(u: np.ndarray, cutoff: int) -> np.ndarray:
         _TRANSFER_CACHE.clear()
     _TRANSFER_CACHE[key] = T
     return T
+
+
+@functools.lru_cache(maxsize=None)
+def _splitter_block(n: int) -> np.ndarray:
+    """B[m, a]: amplitude of |a, n-a> in the image of |m, n-m> under the
+    50-50 splitter; read-only.
+
+    On the n-photon block the splitter is exp(pi/4 G), G = a+ b - a b+,
+    real antisymmetric with G[a+1, a] = sqrt((a+1)(n-a)). With
+    D = diag(i^a), S = D^H (iG) D is real symmetric tridiagonal with the
+    same entries next to the diagonal, so S = V diag(w) V^T gives
+    U = exp(pi/4 G) = D V exp(-i pi w / 4) V^T D^H, which is real.
+    """
+    k = np.arange(n)
+    off = np.sqrt((k + 1.0) * (n - k))
+    w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    dv = 1j ** np.arange(n + 1)[:, None] * v  # B = U^T = conj(D) V E V^T D
+    block = ((dv.conj() * np.exp(-0.25j * np.pi * w)) @ dv.T).real.copy()
+    block.flags.writeable = False
+    return block
+
+
+def _splitter_5050(x: np.ndarray) -> np.ndarray:
+    """out[a, b, ...]: the 50-50 splitter on the two-mode amplitudes
+    x[m, n, ...], m, n <= s, one photon-number block at a time.
+
+    The output grid is (2s+1)^2, which holds every output. Block n maps
+    x[m, n-m] to out[a, n-a], plain slices of step s and 2s in the
+    flattened arrays; real and imaginary parts go through one real
+    product.
+    """
+    x = np.ascontiguousarray(x, dtype=np.complex128)
+    s = x.shape[0] - 1
+    flat = x.reshape((s + 1) ** 2, -1).view(np.float64)
+    out = np.zeros(((2 * s + 1) ** 2, flat.shape[1]))
+    step = max(s, 1)  # s = 0 has the one block n = 0, of one entry
+    for n in range(2 * s + 1):
+        lo, hi = max(0, n - s), min(n, s)
+        out[n::2 * step][:n + 1] = (_splitter_block(n)[lo:hi + 1].T
+                                    @ flat[n + lo * s::step][:hi - lo + 1])
+    return out.view(np.complex128).reshape((2 * s + 1,) * 2 + x.shape[2:])
 
 
 def apply_two_mode_unitary(state: FockVector, modes: tuple[int, int],

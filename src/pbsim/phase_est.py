@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import LowInformationError, RankDeficiencyWarning, ValidationError
 from .fock import FockVector
-from .ops import _transfer_tensor, beam_splitter_5050
+from .ops import _splitter_5050
 from .phase_states import phase_state, phase_value
 
 _SUM_TOL = 1e-10
@@ -131,18 +131,19 @@ def _support_top(state: FockVector) -> int:
     return int(nz[-1]) if nz.size else 0
 
 
-def _splitter_amplitudes(left: np.ndarray, right_cols: np.ndarray,
-                         s: int) -> np.ndarray:
+def _splitter_amplitudes(left: np.ndarray,
+                         right_cols: np.ndarray) -> np.ndarray:
     """Output amplitudes of |left>|right> through the 50-50 splitter.
 
     left holds photon numbers 0..n_l and each column of right_cols
-    0..n_r, with n_l, n_r <= s. Photon number is conserved, so every
+    0..n_r. Photon number is conserved, so with s = max(n_l, n_r) every
     output lies on the (2s+1)^2 grid: row a*(2s+1) + b of the result is
     the amplitude of |a,b>, one column per right-hand column.
     """
-    T = _transfer_tensor(beam_splitter_5050().u, 2 * s)
-    t = np.tensordot(left, T[:left.size, :right_cols.shape[0]], axes=(0, 0))
-    return t.reshape(right_cols.shape[0], -1).T @ right_cols
+    dim = max(left.size, right_cols.shape[0])
+    x = np.zeros((dim, dim, right_cols.shape[1]), dtype=np.complex128)
+    x[:left.size, :right_cols.shape[0]] = left[:, None, None] * right_cols
+    return _splitter_5050(x).reshape(-1, right_cols.shape[1])
 
 
 def interference_probs(left: FockVector, right: FockVector) -> CountTable:
@@ -162,7 +163,7 @@ def interference_probs(left: FockVector, right: FockVector) -> CountTable:
     n_r = _support_top(right)
     s = max(n_l, n_r)
     amp = _splitter_amplitudes(left.amplitudes[:n_l + 1],
-                               right.amplitudes[:n_r + 1, None], s)
+                               right.amplitudes[:n_r + 1, None])
     return CountTable((np.abs(amp) ** 2).reshape(2 * s + 1, 2 * s + 1),
                       trials=1.0)
 
@@ -310,7 +311,7 @@ def _model_matrix(settings, s: int, phi0: float) -> np.ndarray:
     """
     basis = _phase_basis(s, phi0)
     return np.concatenate([
-        _splitter_amplitudes(phase_state(s, phi_j).amplitudes, basis, s)
+        _splitter_amplitudes(phase_state(s, phi_j).amplitudes, basis)
         for phi_j in settings])
 
 

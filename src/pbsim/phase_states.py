@@ -29,15 +29,11 @@ def _check_order(s: int) -> None:
         raise ValidationError(f"order must be >= 1, got {s}")
 
 
-def _check_phase(name: str, phase: float) -> None:
-    if not math.isfinite(phase):
-        raise ValidationError(f"phase {name} must be finite, got {phase!r}")
-
-
 def phase_value(s: int, m: int, phi0: float = 0.0) -> float:
     """The m-th eigenphase phi0 + 2 pi m / (s+1)."""
     _check_order(s)
-    _check_phase("phi0", phi0)
+    if not math.isfinite(phi0):
+        raise ValidationError(f"phase phi0 must be finite, got {phi0!r}")
     if not 0 <= m <= s:
         raise ValidationError(f"require 0 <= m <= s, got m={m}, s={s}")
     return float(phi0 + 2.0 * np.pi * m / (s + 1))
@@ -50,7 +46,9 @@ def phase_state(s: int, phi: float, cutoff: int | None = None) -> FockVector:
     larger cutoff pads with zeros, a smaller one raises CutoffError.
     """
     _check_order(s)
-    _check_phase("phi", phi)
+    if not math.isfinite(s * phi):  # n phi, n <= s, must not overflow
+        raise ValidationError(f"phase phi must be finite with s * phi "
+                              f"finite, got phi = {phi!r} at s = {s}")
     if cutoff is None:
         cutoff = s
     if cutoff < s:

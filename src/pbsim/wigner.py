@@ -177,18 +177,11 @@ def _negativity_volumes(densities, tol: float = DEFAULT_TOL) -> list:
     for dm in dms:
         _check_unit_trace(dm)
     results: list = [None] * len(dms)
-    index, coefs = [], []
     # in order of dimension, so that a block of lines pads its rows little
-    for i in sorted(range(len(dms)), key=lambda i: dms[i].matrix.shape[0]):
-        try:
-            coefs.append(wigner_coefficients(dms[i].matrix))
-        except NumericalError as exc:
-            results[i] = exc
-            continue
-        index.append(i)
+    index = sorted(range(len(dms)), key=lambda i: dms[i].matrix.shape[0])
     if not index:
         return results
-    lines = _LineIntegrals(coefs)
+    lines = _LineIntegrals([wigner_coefficients(dms[i].matrix) for i in index])
     for k, integral in enumerate(_box_integrals(lines, tol)):
         results[index[k]] = _volume(integral, lines, k, tol)
     return results

@@ -264,6 +264,13 @@ def test_phase_sim_rejects_non_finite_coefficients(capsys, coeffs):
     (["wigner-grid", "--phi0", "inf"], "phase phi0 must be finite"),
     (["phase-sim", "--phi-j", "inf"], "phase phi must be finite"),
     (["herald-sweep", "--r-max", "inf"], "need 0 <= r_min <= r_max"),
+    # finite inputs whose multiples overflow
+    (["wigner-grid", "--s", "3", "--n", "3", "--phi0", "1e308"],
+     "phase phi must be finite with s * phi finite"),
+    (["phase-sim", "--s", "2", "--phi-k", "1e308"],
+     "phase phi must be finite with s * phi finite"),
+    (["wigner-grid", "--s", "2", "--extent", "1e308", "--n", "3"],
+     "extent must be positive and finite, and 2 * extent finite"),
 ])
 def test_non_finite_inputs_are_refused(capsys, argv, message):
     # one pbsim: line, before numpy warns or reports a value never given

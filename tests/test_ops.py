@@ -8,9 +8,10 @@ from scipy.linalg import expm, logm
 
 from pbsim.errors import ValidationError
 from pbsim.fock import FockVector, number_state, vacuum_state
-from pbsim.ops import (TwoModeUnitary, _transfer_tensor, apply_single_mode_op,
-                       apply_two_mode_unitary, beam_splitter_5050,
-                       beam_splitter_pb, detector_povm, displacement_op)
+from pbsim.ops import (TwoModeUnitary, _splitter_block, _transfer_tensor,
+                       apply_single_mode_op, apply_two_mode_unitary,
+                       beam_splitter_5050, beam_splitter_pb, detector_povm,
+                       displacement_op)
 
 from oracles import tensor_product, tmsv
 
@@ -128,6 +129,26 @@ def test_transfer_tensor_blocks_unitary_at_cutoff_16(name):
         block = T[k[:, None], total - k[:, None], k, total - k]
         err = np.abs(block @ block.conj().T - np.eye(total + 1)).max()
         assert err < 1e-13, (total, err)
+
+
+def test_splitter_blocks_match_the_transfer_tensor():
+    T = _transfer_tensor(beam_splitter_5050().u, 16)
+    for total in range(17):
+        k = np.arange(total + 1)
+        want = T[k[:, None], total - k[:, None], k, total - k]
+        err = np.abs(_splitter_block(total) - want).max()
+        assert err < 1e-14, (total, err)
+    assert not _splitter_block(16).flags.writeable
+
+
+def test_splitter_blocks_orthogonal_at_large_photon_numbers():
+    try:
+        for total in (100, 400):
+            block = _splitter_block(total)
+            err = np.abs(block @ block.T - np.eye(total + 1)).max()
+            assert err < 1e-13, (total, err)
+    finally:
+        _splitter_block.cache_clear()  # the n = 400 block alone is 1.3 MB
 
 
 def test_tmsv_norm():

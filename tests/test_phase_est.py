@@ -10,7 +10,8 @@ from pbsim import phase_est
 from pbsim.errors import (LowInformationError, RankDeficiencyWarning,
                           ValidationError)
 from pbsim.fock import FockVector, number_state, vacuum_state
-from pbsim.ops import apply_two_mode_unitary, beam_splitter_5050
+from pbsim.ops import (_splitter_block, apply_two_mode_unitary,
+                       beam_splitter_5050)
 from pbsim.phase_est import (CountTable, SuperpositionCoeffs, _model_matrix,
                              _residuals, _splitter_amplitudes,
                              estimate_coefficients, estimate_phase,
@@ -64,7 +65,7 @@ def test_splitter_contraction_matches_two_mode_oracle():
             right = random_amplitudes(rng, n_r)
             s = max(n_l, n_r)
             dim = 2 * s + 1
-            got = _splitter_amplitudes(left, right[:, None], s)
+            got = _splitter_amplitudes(left, right[:, None])
             assert got.shape == (dim * dim, 1)
             want = splitter_oracle(left, right)
             size = max(dim, want.shape[0])
@@ -216,6 +217,29 @@ def test_phase_two_setting_exact(phi_k):
     est = estimate_phase(main, phi_j, s, aux=(aux_phi, aux))
     assert est.phi_k == pytest.approx(phi_k, abs=1e-12)
     assert est.candidates == (est.phi_k,)
+
+
+def test_interference_and_phase_estimate_at_s60():
+    # past the dense transfer tensor's reach (1.1 GB at s = 45)
+    s, phi_j, phi_k = 60, 0.4, 1.3
+    aux_phi = phi_j + math.pi / 2
+    try:
+        main = eigen_pair_dist(s, phi_j, phi_k)
+        aux = eigen_pair_dist(s, aux_phi, phi_k)
+        est = estimate_phase(main, phi_j, s, aux=(aux_phi, aux))
+    finally:
+        _splitter_block.cache_clear()
+    p = main.frequencies()
+    assert abs(p.sum() - 1.0) < 1e-13
+    # the photon-number distribution of the output is the input's: the
+    # convolution of two uniform distributions on 0..s
+    a, b = np.indices(p.shape)
+    per_n = np.bincount((a + b).ravel(), weights=p.ravel())
+    uniform = np.full(s + 1, 1.0 / (s + 1))
+    assert np.abs(per_n[:2 * s + 1]
+                  - np.convolve(uniform, uniform)).max() < 1e-13
+    assert np.abs(per_n[2 * s + 1:]).max() < 1e-13
+    assert abs(est.phi_k - phi_k) < 1e-10
 
 
 def test_phase_two_setting_sampled():

@@ -68,6 +68,9 @@ def test_non_finite_phases_are_refused():
         phase_state(1, math.inf)
     with pytest.raises(ValidationError, match="phase phi0 must be finite"):
         phase_value(2, 0, math.inf)
+    # finite, but n phi overflows for n >= 2
+    with pytest.raises(ValidationError, match=r"phi = 1e\+308 at s = 3"):
+        phase_state(3, 1e308)
 
 
 def test_cutoff_must_hold_the_family():

@@ -12,10 +12,11 @@ from scipy.special import erfc
 
 from pbsim._kernels import (hermite_functions, hermite_primitives,
                             wigner_batch, wigner_coefficients)
-from pbsim.errors import (NumericalError, QuadratureError, ValidationError,
+from pbsim.errors import (QuadratureError, ValidationError,
                           WindowExhaustedError)
 from pbsim.fock import FockDensity, FockVector, number_state, vacuum_state
 from pbsim.herald import HeraldConfig, _condition, herald_point
+from pbsim.ops import _splitter_block
 from pbsim.phase_states import pb_eigenstate
 from pbsim.wigner import (BOX_MARGIN, DEFAULT_TOL, MAX_DEPTH,
                           RADIUS_THRESHOLD, NegativityResult, _LineIntegrals,
@@ -669,45 +670,19 @@ def test_tail_contract(monkeypatch):
         negativity_volume(state)
 
 
-def test_overflowing_weight_names_the_coefficient_table(monkeypatch):
-    # one node whose weight underflows to zero where exp(x^2) overflows;
-    # every public entry reports the table, not a symptom further on
-    import pbsim._kernels
-    real = pbsim._kernels.hermgauss
-
-    def overflowing(deg):
-        x, w = real(deg)
-        x[0], w[0] = -40.0, 0.0
-        return x, w
-
-    monkeypatch.setattr(pbsim._kernels, "hermgauss", overflowing)
-    # the rules built so far are set aside, so size 9 is built anew
-    monkeypatch.setattr(pbsim._kernels, "_RULES", {})
-    psi = pb_eigenstate(4, 0)
-    for run in (lambda: wigner_coefficients(FockDensity.from_pure(psi).matrix),
-                lambda: effective_radius(psi),
-                lambda: negativity_volume(psi),
-                lambda: wigner_grid(psi, [-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0])):
-        with pytest.raises(NumericalError,
-                           match="coefficient table of size 9 x 9") as info:
-            run()
-        assert type(info.value) is NumericalError
-
-
-class _TableBuilt(Exception):
-    pass
-
-
-def test_coefficient_table_range(monkeypatch):
-    # the weights are checked before any Hermite table of (s+1) x (2s+1)^2
-    # points is built: s = 180 passes the check, s = 190 is refused
-    import pbsim._kernels
-
-    def no_tables(*args):
-        raise _TableBuilt
-
-    monkeypatch.setattr(pbsim._kernels, "hermite_functions", no_tables)
-    with pytest.raises(_TableBuilt):
-        wigner_coefficients(np.eye(181) / 181)
-    with pytest.raises(NumericalError, match="size 381 x 381"):
-        wigner_coefficients(np.eye(191) / 191)
+def test_coefficient_table_past_s184():
+    # the Gauss-Hermite table stopped at s = 184; the splitter's blocks
+    # have no such limit. W(0, 0) = (2/pi) <parity> and the integral of W
+    # is the trace: h(2q) integrates to P(inf) / 2
+    try:
+        for s in (185, 186):
+            coef = wigner_coefficients(FockDensity.from_pure(
+                pb_eigenstate(s, 0)).matrix)
+            assert np.isfinite(coef).all()
+            h0 = hermite_functions(2 * s, 0.0)
+            parity = (s % 2 == 0) / (s + 1.0)
+            assert abs(h0 @ coef @ h0 - 2.0 / np.pi * parity) <= 1e-12, s
+            ends = hermite_primitives(2 * s, np.inf) / 2.0
+            assert abs(ends @ coef @ ends - 1.0) <= 1e-12, s
+    finally:
+        _splitter_block.cache_clear()  # about 135 MB of blocks
