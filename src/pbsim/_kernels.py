@@ -12,8 +12,8 @@ two-mode amplitudes (ops._splitter_5050), up to the phases (-i)^k, for
 any N. After that a tensor lattice costs two small matrix products
 (wigner_lattice) and scattered points one product and a row sum
 (wigner_batch). On a line of fixed q, W is a series
-sum_k a_k h_k(2p); hermite_series_derivative and hermite_primitives give
-its derivative and its integrals in closed form.
+sum_k a_k h_k(2p); hermite_series_derivative and hermite_series_primitive
+give its derivative and its primitive (w P_0 plus a series) in closed form.
 """
 
 from __future__ import annotations
@@ -60,23 +60,26 @@ def hermite_series_derivative(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def hermite_primitives(nmax: int, xi) -> np.ndarray:
-    """P_n(xi) = integral of h_n from -inf to xi, n = 0..nmax; xi may be +-inf.
+def hermite_primitive_zero(xi) -> np.ndarray:
+    """P_0(xi) = pi^(1/4) erfc(-xi/sqrt2) / sqrt2 by C's erfc; xi may be inf."""
+    return np.pi ** 0.25 / np.sqrt(2.0) * _erfc(-xi / np.sqrt(2.0))
 
-    Shape (nmax+1,) + xi.shape. Integrating h_n' from -inf gives
-    P_(n+1) = sqrt(n/(n+1)) P_(n-1) - sqrt(2/(n+1)) h_n, whose factor below
-    1 makes it stable, from P_0 = pi^(1/4) erfc(-xi/sqrt2) / sqrt2 with
-    the C library's erfc (math.erfc).
+
+def hermite_series_primitive(a: np.ndarray) -> tuple:
+    """(w, c), c C-ordered and as wide as a, with sum_k a[i, k] P_k = w[i] P_0
+    + sum_k c[i, k] h_k for each row i, P_k the integral of h_k from -inf.
+
+    The recurrence P_(n+1) = sqrt(n/(n+1)) P_(n-1) - sqrt(2/(n+1)) h_n,
+    summed backwards: beta_k = a_k + sqrt((k+1)/(k+2)) beta_(k+2) from the
+    top degree, w = beta_0 and c_(k-1) = -sqrt(2/k) beta_k. Each row sums
+    on its own, so zero columns past its series change no bit.
     """
-    xi = np.asarray(xi, dtype=np.float64)
-    finite = np.isfinite(xi)
-    h = hermite_functions(max(nmax - 1, 0), np.where(finite, xi, 0.0)) * finite
-    out = np.empty((nmax + 1,) + xi.shape)
-    out[0] = np.pi ** 0.25 / np.sqrt(2.0) * _erfc(-xi / np.sqrt(2.0))
-    for n in range(nmax):
-        prev = np.sqrt(n / (n + 1.0)) * out[n - 1] if n else 0.0
-        out[n + 1] = prev - np.sqrt(2.0 / (n + 1)) * h[n]
-    return out
+    n = a.shape[1]
+    beta = np.zeros((n + 2, a.shape[0]))
+    for k in range(n - 1, -1, -1):
+        beta[k] = a[:, k] + math.sqrt((k + 1.0) / (k + 2.0)) * beta[k + 2]
+    c = beta[1:n + 1] * -np.sqrt(2.0 / np.arange(1, n + 1))[:, None]
+    return beta[0], np.ascontiguousarray(c.T)
 
 
 def wigner_coefficients(rho: np.ndarray) -> np.ndarray:

@@ -7,6 +7,8 @@ stuck) raise subclasses of NumericalError. The CLI maps the two families
 to distinct exit codes.
 """
 
+from numbers import Integral
+
 
 class PbsimError(Exception):
     """Base class for all package-specific errors."""
@@ -14,6 +16,15 @@ class PbsimError(Exception):
 
 class ValidationError(PbsimError, ValueError):
     """Invalid argument or configuration."""
+
+
+def _check_integer(name: str, value, least: int) -> None:
+    """ValidationError unless value is an int or numpy integer, not a bool,
+    and at least least."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
 
 
 class ConfigMismatchError(ValidationError):

@@ -24,7 +24,8 @@ from math import factorial, sqrt, tanh
 import numpy as np
 
 from .errors import (CutoffError, DegenerateHeraldError, LeakageWarning,
-                     NumericalError, RootQualityError, ValidationError)
+                     NumericalError, RootQualityError, ValidationError,
+                     _check_integer)
 from .fock import (HERM_TOL, PROB_FLOOR, FockDensity, FockVector,
                    fidelity_pure)
 from .ops import (_transfer_tensor, beam_splitter_pb, detector_povm,
@@ -55,8 +56,8 @@ class HeraldConfig:
     displacement_scheme: str = "series"
 
     def __post_init__(self):
-        if self.s < 1:
-            raise ValidationError(f"s must be >= 1, got {self.s}")
+        for name, least in (("s", 1), ("cutoff", 0), ("tmsv_terms", 1)):
+            _check_integer(name, getattr(self, name), least)
         if self.r < 0:
             raise ValidationError(f"squeezing r must be >= 0, got {self.r}")
         if not 0.0 <= self.q < 1.0:
@@ -69,8 +70,6 @@ class HeraldConfig:
             raise CutoffError(
                 f"cutoff {self.cutoff} < s = {self.s}; the target state "
                 f"needs photon numbers up to s")
-        if self.tmsv_terms < 1:
-            raise ValidationError("tmsv_terms must be >= 1")
         if self.displacement_scheme not in ("series", "exact"):
             raise ValidationError(
                 f"unknown displacement scheme {self.displacement_scheme!r}")

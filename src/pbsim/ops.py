@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_integer
 from .fock import FockVector
 
 UNITARITY_TOL = 1e-12
@@ -73,11 +73,6 @@ def beam_splitter_pb(k: int, s: int) -> TwoModeUnitary:
     t = np.sqrt((s - k) / (s - k + 1.0))
     r = 1.0 / np.sqrt(s - k + 1.0)
     return TwoModeUnitary(np.array([[t, -r], [r, t]], dtype=np.complex128))
-
-
-def beam_splitter_5050() -> TwoModeUnitary:
-    r = 1.0 / np.sqrt(2.0)
-    return TwoModeUnitary(np.array([[r, -r], [r, r]], dtype=np.complex128))
 
 
 _TRANSFER_CACHE: dict[tuple[bytes, int], np.ndarray] = {}
@@ -241,6 +236,7 @@ def detector_povm(eta: float, cutoff: int) -> DetectorPovm:
     """
     if not 0.0 <= eta <= 1.0:
         raise ValidationError(f"require 0 <= eta <= 1, got {eta}")
+    _check_integer("cutoff", cutoff, 0)
     click = np.zeros(cutoff + 1)
     click[1:] = eta * (1.0 - eta) ** np.arange(cutoff, dtype=float)
     return DetectorPovm(eta=float(eta), cutoff=cutoff, click=click,

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LowInformationError, RankDeficiencyWarning, ValidationError
+from .errors import (LowInformationError, RankDeficiencyWarning,
+                     ValidationError, _check_integer)
 from .fock import FockVector
 from .ops import _splitter_5050
 from .phase_states import phase_state, phase_value
@@ -200,10 +201,8 @@ def sample_outcomes(table: CountTable, trials: int,
     counts of every later cell. Uses the PCG64 generator; identical
     (table, trials, seed) triples give identical tables on any platform.
     """
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ValidationError(f"trials must be a positive integer, got {trials}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    _check_integer("trials", trials, 1)
+    _check_integer("seed", seed, 0)
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     p = table.frequencies().ravel()
     p = np.where(p < _CLAMP_TOL, 0.0, p)
@@ -221,8 +220,7 @@ class PhaseEstimate:
 
 
 def _check_order(tables, s: int) -> None:
-    if s < 1:
-        raise ValidationError(f"s must be >= 1, got {s}")
+    _check_integer("s", s, 1)
     for t in tables:
         if t.s != s:
             raise ValidationError(
@@ -261,6 +259,10 @@ def estimate_phase(counts: CountTable, phi_j: float, s: int,
     exact-probability limit and report a zero stderr.
     """
     _check_order([counts] if aux is None else [counts, aux[1]], s)
+    for name, phi in (("phi_j", phi_j), ("aux", aux[0] if aux else 0.0)):
+        if not math.isfinite(phi):
+            raise ValidationError(f"reference phase {name} must be finite, "
+                                  f"got {phi!r}")
     c1, n1 = _contrast(counts)
     var_c1 = 0.0 if _is_exact(counts) else max(0.0, (1.0 - c1 * c1)) / n1
     if aux is None:

@@ -18,23 +18,17 @@ import math
 
 import numpy as np
 
-from .errors import CutoffError, ValidationError
+from .errors import CutoffError, ValidationError, _check_integer
 from .fock import FockVector
-
-
-def _check_order(s: int) -> None:
-    if not isinstance(s, (int, np.integer)) or isinstance(s, bool):
-        raise ValidationError(f"order must be an integer, got {s!r}")
-    if s < 1:
-        raise ValidationError(f"order must be >= 1, got {s}")
 
 
 def phase_value(s: int, m: int, phi0: float = 0.0) -> float:
     """The m-th eigenphase phi0 + 2 pi m / (s+1)."""
-    _check_order(s)
+    _check_integer("s", s, 1)
     if not math.isfinite(phi0):
         raise ValidationError(f"phase phi0 must be finite, got {phi0!r}")
-    if not 0 <= m <= s:
+    _check_integer("m", m, 0)
+    if m > s:
         raise ValidationError(f"require 0 <= m <= s, got m={m}, s={s}")
     return float(phi0 + 2.0 * np.pi * m / (s + 1))
 
@@ -45,12 +39,12 @@ def phase_state(s: int, phi: float, cutoff: int | None = None) -> FockVector:
     cutoff defaults to s (the smallest space that holds the state); a
     larger cutoff pads with zeros, a smaller one raises CutoffError.
     """
-    _check_order(s)
+    _check_integer("s", s, 1)
     if not math.isfinite(s * phi):  # n phi, n <= s, must not overflow
         raise ValidationError(f"phase phi must be finite with s * phi "
                               f"finite, got phi = {phi!r} at s = {s}")
-    if cutoff is None:
-        cutoff = s
+    cutoff = s if cutoff is None else cutoff
+    _check_integer("cutoff", cutoff, 0)
     if cutoff < s:
         raise CutoffError(f"cutoff {cutoff} cannot hold photon numbers up to {s}")
     amp = np.zeros(cutoff + 1, dtype=np.complex128)

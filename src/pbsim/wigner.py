@@ -22,9 +22,9 @@ from itertools import accumulate
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._kernels import (hermite_functions, hermite_primitives,
-                       hermite_series_derivative, wigner_coefficients,
-                       wigner_lattice)
+from ._kernels import (hermite_functions, hermite_primitive_zero,
+                       hermite_series_derivative, hermite_series_primitive,
+                       wigner_coefficients, wigner_lattice)
 from .errors import (NumericalError, QuadratureError, ValidationError,
                      WindowExhaustedError)
 from .fock import FockDensity, FockVector
@@ -412,18 +412,16 @@ def _fold_bound(coef):
 def _p_grid(half_width: float, dim: int) -> tuple:
     """The half-line p grid of the states of dimension dim and q box
     half_width: its full grid's spacing, the grid xi (0, then the points
-    of the full grid over |xi| <= 2 half_width + 4 past its middle),
-    h_k(xi) for k <= dim, and P_k(0) and P_k(inf), k < dim (read-only).
+    of the full grid over |xi| <= 2 half_width + 4 past its middle) and
+    h_k(xi) for k <= dim (read-only).
     """
     end = 2.0 * half_width + 4.0
     cells = math.ceil(2.0 * end / (0.5 * math.pi / math.sqrt(2.0 * dim)))
     full = np.linspace(-end, end, cells + 1)
     xi = np.concatenate([[0.0], full[cells // 2 + 1:]])
-    tables = (xi, hermite_functions(dim, xi),
-              hermite_primitives(dim - 1, np.array([0.0, np.inf])))
-    for table in tables:
-        table.flags.writeable = False
-    return (full[1] - full[0], *tables)
+    h = hermite_functions(dim, xi)
+    xi.flags.writeable = h.flags.writeable = False
+    return full[1] - full[0], xi, h
 
 
 class _LineIntegrals:
@@ -468,8 +466,7 @@ class _LineIntegrals:
         # C differentiated on the q side: dW/dx = h(x) . coef_x . h(y)
         self.coef_x = [hermite_series_derivative(c.T).T for c in self.coef]
         self.half_width = np.array([_box(dim) for dim in self.dim])
-        # h_k(xi), and P_k at the half-line's ends 0 and inf
-        cell, grids, self.h_xi, self.ends = zip(*(
+        cell, grids, self.h_xi = zip(*(
             _p_grid(*key) for key in zip(self.half_width, self.dim)))
         # the spacing, past which an extremum's Newton step has lost it
         self.cell = np.array(cell)
@@ -606,21 +603,23 @@ class _LineIntegrals:
         return count, tuple(np.concatenate(v) for v in zip(*lone)), g
 
     def _integrals(self, b, line, rows, roots, state):
-        """G on one block's lines, from the roots xi of each half-line
-        rows[i] of series coefficients b; half-line i lies on line[i]."""
-        found = self._per_state(state[rows])
-        self.roots += found * self.copies
-        self.evaluations += found + 2 * self._per_state(state)
-        # Int_0^inf |f| dxi is the sum of |P(y) - P(x)| over the intervals
-        # between 0, the roots and inf, with P(0) = b . P_0, P(inf) = b . P_inf
-        n = b.shape[0]
+        """G on one block's lines from the roots xi of each half-line rows[i]
+        of series coefficients b (half-line i lies on line[i]): the sum of
+        |P(y) - P(x)| between 0, the roots and inf, with P = w P_0 + c . h
+        (hermite_series_primitive), c . h at the roots through _at, and
+        h(inf) = 0; 0 and inf count as two evaluations per half-line."""
+        self.roots += self._per_state(state[rows]) * self.copies
+        self.evaluations += 2 * self._per_state(state)
+        w, c = hermite_series_primitive(b)
+        n, dim = b.shape
         half = np.concatenate([np.arange(n), rows, np.arange(n)])
         xs = np.concatenate([np.zeros(n), roots, np.full(n, np.inf)])
-        ends = self._products(b, state, self.ends)
-        prim = np.concatenate([
-            ends[:, 0],
-            _dots(b[rows], hermite_primitives(b.shape[1] - 1, roots)),
-            ends[:, 1]])
+        p0 = hermite_primitive_zero(np.array([0.0, np.inf]))
+        h0 = hermite_functions(dim - 1, np.zeros(1))
+        at_zero = _dots(c, np.repeat(h0, n, axis=1))
+        (at_roots,) = self._at(state[rows], roots, c[rows])
+        prim = np.concatenate([w * p0[0] + at_zero, at_roots + w[rows]
+                               * hermite_primitive_zero(roots), w * p0[1]])
         order = np.lexsort((xs, half))
         half, prim = half[order], prim[order]
         same = half[1:] == half[:-1]

@@ -3,16 +3,19 @@
 Nothing under src/pbsim imports this module. Each function either
 computes a quantity along a route production does not take (the
 defining Wigner integral, the phase operator from its closed-form
-matrix elements) or builds a test input that no production path needs
-(joint states, padded states, the two-mode squeezed vacuum).
+matrix elements, the primitives of the Hermite functions degree by
+degree) or builds a test input that no production path needs (joint
+states, padded states, the two-mode squeezed vacuum, the dense 50-50
+matrix, the click diagonals of other detector models).
 """
 
 import numpy as np
 from scipy.integrate import quad
 
-from pbsim._kernels import hermite_functions, wigner_batch
+from pbsim._kernels import _erfc, hermite_functions, wigner_batch
 from pbsim.errors import ConfigMismatchError, QuadratureError, ValidationError
 from pbsim.fock import FockDensity, FockVector
+from pbsim.ops import TwoModeUnitary
 
 _ORACLE_HALF_RANGE = 40.0
 
@@ -27,6 +30,25 @@ def hermite_wavefunctions_all(nmax: int, x) -> np.ndarray:
         raise ValidationError(f"nmax must be >= 0, got {nmax}")
     xi = np.sqrt(2.0) * np.asarray(x, dtype=np.float64)
     return 2.0 ** 0.25 * hermite_functions(nmax, xi)
+
+
+def hermite_primitives(nmax: int, xi) -> np.ndarray:
+    """P_n(xi) = integral of h_n from -inf to xi, n = 0..nmax; xi may be +-inf.
+
+    Shape (nmax+1,) + xi.shape. Integrating h_n' from -inf gives
+    P_(n+1) = sqrt(n/(n+1)) P_(n-1) - sqrt(2/(n+1)) h_n, whose factor below
+    1 makes it stable, from P_0 = pi^(1/4) erfc(-xi/sqrt2) / sqrt2 with
+    the C library's erfc (math.erfc).
+    """
+    xi = np.asarray(xi, dtype=np.float64)
+    finite = np.isfinite(xi)
+    h = hermite_functions(max(nmax - 1, 0), np.where(finite, xi, 0.0)) * finite
+    out = np.empty((nmax + 1,) + xi.shape)
+    out[0] = np.pi ** 0.25 / np.sqrt(2.0) * _erfc(-xi / np.sqrt(2.0))
+    for n in range(nmax):
+        prev = np.sqrt(n / (n + 1.0)) * out[n - 1] if n else 0.0
+        out[n + 1] = prev - np.sqrt(2.0 / (n + 1)) * h[n]
+    return out
 
 
 def wigner_point(state, q: float, p: float) -> float:
@@ -77,6 +99,32 @@ def pb_phase_operator(s: int, phi0: float = 0.0) -> np.ndarray:
     op[off] = (np.exp(1j * k[off] * phi0) * (2 * np.pi / (s + 1))
                / (np.exp(2j * np.pi * k[off] / (s + 1)) - 1))
     return op
+
+
+def beam_splitter_5050() -> TwoModeUnitary:
+    """The 50-50 matrix [[r, -r], [r, r]], r = 1/sqrt2 (beam_splitter_pb(1,
+    2) holds sqrt(0.5), one ulp away)."""
+    r = 1.0 / np.sqrt(2.0)
+    return TwoModeUnitary(np.array([[r, -r], [r, r]], dtype=np.complex128))
+
+
+# click probability of a detector of efficiency eta that k >= 1 photons
+# reach, per detector model; vacuum never clicks
+CLICK_WEIGHTS = {
+    # one given photon detected and the other k - 1 lost (detector_povm's)
+    "one-photon": lambda eta, k: eta * (1.0 - eta) ** (k - 1),
+    # exactly one of the k photons detected
+    "binomial": lambda eta, k: k * eta * (1.0 - eta) ** (k - 1),
+    # at least one of the k photons detected
+    "on/off": lambda eta, k: 1.0 - (1.0 - eta) ** k,
+}
+
+
+def click_diagonal(model: str, eta: float, cutoff: int) -> np.ndarray:
+    """The click element's Fock diagonal, k = 0..cutoff, of a detector model
+    of CLICK_WEIGHTS."""
+    k = np.arange(1, cutoff + 1)
+    return np.concatenate([[0.0], CLICK_WEIGHTS[model](eta, k)])
 
 
 def tensor_product(a: FockVector, b: FockVector) -> FockVector:

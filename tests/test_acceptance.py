@@ -298,9 +298,15 @@ def test_criterion_10_negativity_crossover():
     at eta = 0.4 and 0.5.
 
     Printed threshold (kept as data): the reversal at eta = 0.7, which
-    the true circuit does not show. It comes from the criterion-7
-    misprint: heralding with the printed quartic's roots reverses the
-    ordering at eta = 0.7 (by -1.9e-2; not at 0.95, +3.1e-3). The test
+    the true circuit does not show. Two explanations fit it. The
+    criterion-7 misprint: heralding with the printed quartic's roots
+    reverses the ordering at eta = 0.7 (by -1.9e-2; not at 0.95,
+    +3.1e-3). Or another click detector: the circuit's detector clicks
+    with weight eta (1-eta)^(k-1) for k photons (one given photon
+    detected), and a binomial detector, k eta (1-eta)^(k-1), reverses the
+    ordering up to eta = 0.74 (-1.0e-3) but not from 0.76 (+1.3e-4);
+    an on/off detector, 1 - (1-eta)^k, reverses it at every eta
+    (test_herald.py::test_crossover_names_the_click_detector). The test
     asserts both the true circuit's ordering and the printed roots'
     reversal at eta = 0.7.
     """

@@ -9,7 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import pbsim
+from pbsim.errors import ValidationError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,7 +27,7 @@ PUBLIC_NAMES = [
     "SuperpositionCoeffs", "TwoModeUnitary",
     "ValidationError", "WindowExhaustedError", "__version__",
     "alpha_polynomial", "apply_single_mode_op", "apply_two_mode_unitary",
-    "beam_splitter_5050", "beam_splitter_pb", "build_state",
+    "beam_splitter_pb", "build_state",
     "conditional_density", "detector_povm", "displacement_op",
     "effective_radius", "estimate_coefficients", "estimate_phase",
     "fidelity_pure", "gauge_fixed", "herald_alphas", "herald_point",
@@ -43,6 +47,47 @@ def test_public_names_are_pinned():
     assert sorted(pbsim.__all__) == PUBLIC_NAMES
     for name in pbsim.__all__:
         assert hasattr(pbsim, name), name
+
+
+def _table():
+    return pbsim.interference_probs(pbsim.phase_state(1, 0.0),
+                                    pbsim.phase_state(1, 0.3))
+
+
+@pytest.mark.parametrize("name, call", [
+    ("s", lambda: pbsim.herald_point(pbsim.HeraldConfig(s=2.0, r=0.1,
+                                                        eta=1.0))),
+    ("s", lambda: pbsim.HeraldConfig(s=True, r=0.1, eta=1.0)),
+    ("cutoff", lambda: pbsim.herald_point(
+        pbsim.HeraldConfig(s=2, r=0.1, eta=1.0, cutoff=5.0))),
+    ("tmsv_terms", lambda: pbsim.herald_point(
+        pbsim.HeraldConfig(s=2, r=0.1, eta=1.0, tmsv_terms=5.5))),
+    ("s", lambda: pbsim.sweep(2.5, [0.1], [1.0])),
+    ("cutoff", lambda: pbsim.detector_povm(0.5, 2.5)),
+    ("cutoff", lambda: pbsim.phase_state(3, 0.1, cutoff=4.5)),
+    ("m", lambda: pbsim.pb_eigenstate(3, 1.5)),
+    ("s", lambda: pbsim.phase_value(np.float64(3.0), 1)),
+    ("seed", lambda: pbsim.sample_outcomes(_table(), 10, 1.7)),
+    ("trials", lambda: pbsim.sample_outcomes(_table(), True, 1)),
+    ("phi_j", lambda: pbsim.estimate_phase(_table(), float("nan"), 1)),
+    ("aux", lambda: pbsim.estimate_phase(_table(), 0.1, 1,
+                                         aux=(np.inf, _table()))),
+    ("s", lambda: pbsim.estimate_phase(_table(), 0.1, 1.0)),
+])
+def test_counts_and_reference_phases_are_validated(name, call):
+    # a bool or a non-integer count, and a non-finite reference phase, is
+    # refused by name up front, not deep inside numpy or silently taken
+    with pytest.raises(ValidationError, match=rf"\b{name}\b"):
+        call()
+
+
+def test_numpy_integer_counts_are_accepted():
+    cfg = pbsim.HeraldConfig(s=np.int64(2), r=0.1, eta=1.0,
+                             cutoff=np.int32(5))
+    assert cfg.cutoff == 5
+    assert pbsim.sample_outcomes(_table(), np.int64(10),
+                                 np.uint8(3)).rng_seed == 3
+    assert pbsim.pb_eigenstate(np.int16(3), np.int64(1)).cutoff == 3
 
 
 def test_readme_names_exist():

@@ -23,7 +23,7 @@ from pbsim.ops import (apply_single_mode_op, apply_two_mode_unitary,
                        beam_splitter_pb, detector_povm, displacement_op)
 from pbsim.phase_states import pb_eigenstate
 
-from oracles import tensor_product, tmsv
+from oracles import click_diagonal, tensor_product, tmsv
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
@@ -536,3 +536,38 @@ def test_herald_point_at_s12_is_fast():
         times.append(time.perf_counter() - start)
     assert fields["F"] == pytest.approx(0.983003, abs=1e-6)
     assert min(times) < 0.1
+
+
+# criterion 10's V(0.3) - V(0.1) at s = 4 with the paper's truncations,
+# per detector model (see oracles.CLICK_WEIGHTS)
+CROSSOVER_ETAS = (0.4, 0.5, 0.6, 0.7, 0.74, 0.76, 0.8, 0.95)
+CROSSOVER = {
+    "one-photon": (-3.426e-3, -5.897e-4, 2.327e-3, 5.321e-3, 6.541e-3,
+                   7.155e-3, 8.393e-3, 1.314e-2),
+    "binomial": (-1.802e-2, -1.343e-2, -8.498e-3, -3.210e-3, -9.966e-4,
+                 1.313e-4, 2.429e-3, 1.155e-2),
+    "on/off": (-2.620e-2, -2.434e-2, -2.241e-2, -2.041e-2, -1.959e-2,
+               -1.917e-2, -1.833e-2, -1.508e-2),
+}
+
+
+@pytest.mark.parametrize("model", sorted(CROSSOVER))
+def test_crossover_names_the_click_detector(model, monkeypatch):
+    # the circuit's detector is the one-photon model: production's click
+    # diagonal is that oracle's. Its ordering reverses between eta = 0.5
+    # and 0.6; a binomial detector would reverse it between 0.74 and 0.76,
+    # near the printed 0.7, and an on/off detector at every eta
+    for eta in CROSSOVER_ETAS:
+        assert np.array_equal(detector_povm(eta, 5).click,
+                              click_diagonal("one-photon", eta, 5))
+
+    def povm(eta, cutoff):
+        return dataclasses.replace(detector_povm(eta, cutoff),
+                                   click=click_diagonal(model, eta, cutoff))
+
+    if model != "one-photon":
+        monkeypatch.setattr(pbsim.herald, "detector_povm", povm)
+    v = {(row.r, row.eta): row.V
+         for row in sweep(4, [0.1, 0.3], CROSSOVER_ETAS)}
+    got = [v[(0.3, eta)] - v[(0.1, eta)] for eta in CROSSOVER_ETAS]
+    assert got == pytest.approx(CROSSOVER[model], abs=5e-6)

@@ -10,10 +10,9 @@ from pbsim.errors import ValidationError
 from pbsim.fock import FockVector, number_state, vacuum_state
 from pbsim.ops import (TwoModeUnitary, _splitter_block, _transfer_tensor,
                        apply_single_mode_op, apply_two_mode_unitary,
-                       beam_splitter_5050, beam_splitter_pb, detector_povm,
-                       displacement_op)
+                       beam_splitter_pb, detector_povm, displacement_op)
 
-from oracles import tensor_product, tmsv
+from oracles import beam_splitter_5050, tensor_product, tmsv
 
 
 def two_photon_input(cutoff=2):

@@ -10,8 +10,7 @@ from pbsim import phase_est
 from pbsim.errors import (LowInformationError, RankDeficiencyWarning,
                           ValidationError)
 from pbsim.fock import FockVector, number_state, vacuum_state
-from pbsim.ops import (_splitter_block, apply_two_mode_unitary,
-                       beam_splitter_5050)
+from pbsim.ops import _splitter_block, apply_two_mode_unitary
 from pbsim.phase_est import (CountTable, SuperpositionCoeffs, _model_matrix,
                              _residuals, _splitter_amplitudes,
                              estimate_coefficients, estimate_phase,
@@ -19,7 +18,7 @@ from pbsim.phase_est import (CountTable, SuperpositionCoeffs, _model_matrix,
                              sample_outcomes, superposition_probs)
 from pbsim.phase_states import phase_state, phase_value
 
-from oracles import pad_to_cutoff, tensor_product
+from oracles import beam_splitter_5050, pad_to_cutoff, tensor_product
 
 
 def eigen_pair_dist(s, phi_j, phi_k):

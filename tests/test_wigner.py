@@ -10,8 +10,9 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import erfc
 
-from pbsim._kernels import (hermite_functions, hermite_primitives,
-                            wigner_batch, wigner_coefficients)
+from pbsim._kernels import (hermite_functions, hermite_primitive_zero,
+                            hermite_series_primitive, wigner_batch,
+                            wigner_coefficients)
 from pbsim.errors import (QuadratureError, ValidationError,
                           WindowExhaustedError)
 from pbsim.fock import FockDensity, FockVector, number_state, vacuum_state
@@ -24,8 +25,8 @@ from pbsim.wigner import (BOX_MARGIN, DEFAULT_TOL, MAX_DEPTH,
                           effective_radius, negativity_volume,
                           negativity_volume_detailed, wigner_grid)
 
-from oracles import (hermite_wavefunctions_all, wigner_point,
-                     wigner_point_integral)
+from oracles import (hermite_primitives, hermite_wavefunctions_all,
+                     wigner_point, wigner_point_integral)
 
 
 def random_pure(cutoff, seed):
@@ -249,26 +250,70 @@ def test_one_coefficient_table_per_volume(monkeypatch):
     assert result.box_half_width == math.sqrt(2.0 * 9) / 2.0 + BOX_MARGIN
 
 
+def _series_primitive(a, xs):
+    """sum_k a[k] P_k(xs) as production takes it: w P_0 + c . h, h = 0 at
+    +-inf."""
+    w, c = hermite_series_primitive(a[None])
+    finite = np.isfinite(xs)
+    h = hermite_functions(a.size - 1, np.where(finite, xs, 0.0)) * finite
+    return w * hermite_primitive_zero(xs) + c[0] @ h
+
+
 def test_hermite_primitives_match_quadrature():
     xs = np.array([-np.inf, -4.2, -0.7, 0.0, 1.3, 5.5, np.inf])
     table = hermite_primitives(30, xs)
     for n in (0, 1, 2, 7, 18, 30):
         def h(t, n=n):
             return hermite_functions(n, np.array(t))[n]
-        assert table[n, 0] == 0.0
+        unit = np.eye(n + 1)[n]
+        series = _series_primitive(unit, xs)
+        assert table[n, 0] == 0.0 and series[0] == 0.0
         # h_n, n <= 30, is below 1e-300 beyond |xi| = 40
-        for x, got in zip(xs[1:], table[n, 1:]):
+        for x, got, via in zip(xs[1:], table[n, 1:], series[1:]):
             want = quad(h, -40.0, min(x, 40.0), epsabs=1e-13, limit=200)[0]
             assert got == pytest.approx(want, abs=1e-13)
+            assert via == pytest.approx(want, abs=1e-13)
+
+
+@pytest.mark.parametrize("dim", [3, 13, 41, 121, 201])
+def test_series_primitive_matches_recurrence(dim):
+    # w P_0 + c . h against the degree-by-degree recurrence on random
+    # series, |values| up to about 18
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((40, dim))
+    xs = rng.uniform(-18.0, 18.0, 50)
+    want = a @ hermite_primitives(dim - 1, xs)
+    w, c = hermite_series_primitive(a)
+    got = (np.outer(w, hermite_primitive_zero(xs))
+           + c @ hermite_functions(dim - 1, xs))
+    assert np.abs(got - want).max() <= 5e-14
+
+
+def test_series_primitive_ignores_zero_padding():
+    # zero columns past a series change no bit of (w, c), and their c
+    # columns are exactly zero, so a padded batch row is its state alone
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((5, 9))
+    w, c = hermite_series_primitive(a)
+    w_pad, c_pad = hermite_series_primitive(np.pad(a, ((0, 0), (0, 6))))
+    assert np.array_equal(w_pad, w)
+    assert np.array_equal(c_pad[:, :9], c)
+    assert not c_pad[:, 9:].any()
+    w_one, c_one = hermite_series_primitive(a[2:3])
+    assert w_one == w[2] and np.array_equal(c_one, c[2:3])
+    assert c.flags.c_contiguous
 
 
 def test_primitive_zero_matches_scipy_erfc():
-    # P_0 uses the C library's erfc; scipy's is the oracle
+    # P_0 uses the C library's erfc; scipy's is the oracle, for production
+    # and for the oracle's recurrence alike
     xs = np.linspace(-40.0, 40.0, 80_001)
     want = np.pi ** 0.25 * erfc(-xs / np.sqrt(2.0)) / np.sqrt(2.0)
+    assert np.abs(hermite_primitive_zero(xs) - want).max() <= 1e-15
     assert np.abs(hermite_primitives(0, xs)[0] - want).max() <= 1e-15
     # erfc(-inf) = 2 exactly: P_0(inf) is pi^(1/4) sqrt2 to one rounding
-    ends = hermite_primitives(0, np.array([-np.inf, np.inf]))[0]
+    ends = hermite_primitive_zero(np.array([-np.inf, np.inf]))
+    assert np.array_equal(ends, hermite_primitives(0, [-np.inf, np.inf])[0])
     assert ends[0] == 0.0
     assert ends[1] == 2.0 * (np.pi ** 0.25 / np.sqrt(2.0))
     assert ends[1] == pytest.approx(np.pi ** 0.25 * np.sqrt(2.0), rel=3e-16)
