@@ -25,8 +25,13 @@ import numpy as np
 from .errors import ValidationError
 from .ops import _splitter_5050
 
-# the C library's erfc, elementwise; 0-d and +-inf inputs work as in numpy
-_erfc = np.vectorize(math.erfc, otypes=[np.float64])
+
+def _erfc(x) -> np.ndarray:
+    """The C library's erfc, elementwise, in x's shape; x may be 0-d or
+    hold +-inf."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.fromiter(map(math.erfc, x.ravel().tolist()), np.float64,
+                       x.size).reshape(x.shape)
 
 
 def hermite_functions(nmax: int, xi) -> np.ndarray:

@@ -21,7 +21,9 @@ class ValidationError(PbsimError, ValueError):
 def _check_integer(name: str, value, least: int) -> None:
     """ValidationError unless value is an int or numpy integer, not a bool,
     and at least least."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
+    # a plain int skips the slower ABC check; type(True) is bool, not int
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, Integral)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValidationError(f"{name} must be >= {least}, got {value}")

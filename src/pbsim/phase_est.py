@@ -12,12 +12,21 @@ Soltanolkotabi, IEEE Trans. Inf. Theory 61, 1985 (2015); Netrapalli,
 Jain & Sanghavi, NeurIPS 2013), so the fit starts from a spectral
 estimate: the top eigenvector of the linear least-squares estimate of
 c c^H, as in projected least-squares tomography (Guta, Kahn, Kueng &
-Tropp, J. Phys. A 53, 204001 (2020)). Both treat exact and sampled
-tables alike.
+Tropp, J. Phys. A 53, 204001 (2020)). That estimate is solved in the
+Fock basis one photon number at a time: its normal equations are a real
+table of the splitter's photon-number blocks times sums of the
+settings' phases, and they split by the offset n' - n of the Fock
+elements into small systems, so the (cells x (s+1)^2) matrix of the
+lifted problem is never formed. The model takes one splitter call for
+every setting and coefficient, and only the cells with a + b <= 2s,
+the ones photon-number conservation lets two inputs of at most s
+photons reach, enter the fit. Both treat exact and sampled tables
+alike.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,7 +36,7 @@ import numpy as np
 from .errors import (LowInformationError, RankDeficiencyWarning,
                      ValidationError, _check_integer)
 from .fock import FockVector
-from .ops import _splitter_5050
+from .ops import _splitter_5050, _splitter_block
 from .phase_states import phase_state, phase_value
 
 _SUM_TOL = 1e-10
@@ -169,10 +178,24 @@ def interference_probs(left: FockVector, right: FockVector) -> CountTable:
                       trials=1.0)
 
 
+def _phase_columns(s: int, phases) -> np.ndarray:
+    """Columns exp(i n phi) / sqrt(s+1), n = 0..s: the amplitudes of
+    |phi>_s for each phase, as phase_state builds them. Every n phi must
+    be finite."""
+    phases = np.asarray(phases, dtype=np.float64)
+    bad = ~np.isfinite(s * phases)
+    if bad.any():
+        raise ValidationError(f"phase phi must be finite with s * phi "
+                              f"finite, got phi = {float(phases[bad][0])!r} "
+                              f"at s = {s}")
+    return np.exp(1j * np.arange(s + 1)[:, None] * phases) / np.sqrt(s + 1.0)
+
+
 def _phase_basis(s: int, phi0: float) -> np.ndarray:
-    """Columns are the amplitudes of |phi_k>_s, k = 0..s."""
-    return np.stack([phase_state(s, phase_value(s, k, phi0)).amplitudes
-                     for k in range(s + 1)], axis=1)
+    """Columns are the amplitudes of |phi_k>_s, k = 0..s: a unitary DFT."""
+    # phase_value checks s and phi0; entry k rounds as phase_value(s, k, phi0)
+    phases = phase_value(s, 0, phi0) + 2.0 * np.pi * np.arange(s + 1) / (s + 1)
+    return _phase_columns(s, phases)
 
 
 def superposition_state(coeffs: SuperpositionCoeffs,
@@ -309,12 +332,21 @@ def _model_matrix(settings, s: int, phi0: float) -> np.ndarray:
     """Coefficients to amplitudes, settings stacked along the rows.
 
     Rows of setting i are i*(2s+1)^2 onwards, in the order of the
-    flattened count grid.
+    flattened count grid. One splitter call covers every (setting,
+    coefficient) pair: the input |phi_j>|phi_k> holds
+    exp(i m phi_j) exp(i n phi_k) / (s+1) at (m, n).
     """
+    refs = _phase_columns(s, settings)
     basis = _phase_basis(s, phi0)
-    return np.concatenate([
-        _splitter_amplitudes(phase_state(s, phi_j).amplitudes, basis)
-        for phi_j in settings])
+    amp = _splitter_5050(refs[:, None, :, None] * basis[None, :, None, :])
+    return np.moveaxis(amp, 2, 0).reshape(-1, s + 1)
+
+
+def _reached(s: int) -> np.ndarray:
+    """The cells (a, b) of the (2s+1)^2 grid with a + b <= 2s, the only
+    ones two inputs of at most s photons each reach."""
+    a = np.arange(2 * s + 1)
+    return (a[:, None] + a <= 2 * s).ravel()
 
 
 def _residuals(mat: np.ndarray, freqs: np.ndarray):
@@ -335,7 +367,85 @@ def _residuals(mat: np.ndarray, freqs: np.ndarray):
     return fun, jac
 
 
-def _spectral_start(mat: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _block_gram(s: int) -> np.ndarray:
+    """T[(n, n'), (p, p')] = sum_N sum_a W_N[n, a] W_N[n', a] W_N[p, a]
+    W_N[p', a], W_N[n, a] = B_N[N - n, a] with B_N = _splitter_block(N);
+    read-only. Fock pairs index as n*(s+1) + n'. It depends on s alone.
+    """
+    d = s + 1
+    table = np.zeros((d,) * 4)
+    for total in range(2 * s + 1):
+        lo, hi = max(0, total - s), min(total, s)
+        w = _splitter_block(total)[lo:hi + 1][::-1]  # rows n = lo..hi
+        q = (w[:, None] * w).reshape(-1, total + 1)
+        table[lo:hi + 1, lo:hi + 1, lo:hi + 1, lo:hi + 1] += (
+            (q @ q.T).reshape((hi - lo + 1,) * 4))
+    table = table.reshape(d * d, d * d)
+    table.flags.writeable = False
+    return table
+
+
+def _least_squares_cc(mat: np.ndarray, freqs: np.ndarray, settings,
+                      phi0: float) -> np.ndarray:
+    """Minimum-norm least-squares C from f_i = M_i C M_i^H, M = mat.
+
+    Solved for rho = U C U^H in the Fock basis (U = _phase_basis), where
+    the problem splits by photon number: cell (a, N-a) of setting phi_j
+    has f = (1/(s+1)) sum_(n,n') B_N[N-n, a] B_N[N-n', a]
+    exp(i (n'-n) phi_j) rho_(n,n'). So the normal equations have the Gram
+    S(D' - D) T / (s+1)^2, with D = n' - n the offset of an unknown,
+    S(d) = sum_j exp(i d phi_j) and T = _block_gram(s), and the
+    right-hand side U M^H diag(f) M U^H. Offsets that no nonzero S links
+    are solved apart: with the s+1 eigenphase settings alone S(d) is
+    zero unless d = 0 mod (s+1), which leaves s+1 systems of s+1
+    unknowns; an off-axis setting links everything into one. Each
+    system's minimum-norm solution drops the eigenvalues below 1e-10 of
+    the Gram's largest diagonal entry. The Gram depends on the settings
+    alone; at s = 1..30, for the eigenphases with and without one
+    off-axis setting (0.05, 1 or pi/2), unmeasured directions come out
+    below 4e-16 of that entry and measured ones above 2e-4.
+    """
+    s = mat.shape[1] - 1
+    d = s + 1
+    u = _phase_basis(s, phi0)
+    rhs = (u @ (mat.conj().T * freqs) @ mat @ u.conj().T).ravel()
+    settings = np.asarray(settings, dtype=np.float64)
+    sums = np.exp(1j * np.arange(-2 * s, 2 * s + 1)[:, None]
+                  * settings).sum(axis=1)
+    # offsets -s..s as 0..2s, linked where S exceeds its rounding, as
+    # in _covers_eigenphases; a label spreads to its component's least
+    offsets = np.arange(2 * s + 1)
+    linked = np.abs(sums[offsets - offsets[:, None] + 2 * s]) > (
+        1e-9 * settings.size)
+    label = offsets
+    while True:
+        spread = np.where(linked, label, 2 * s + 1).min(axis=1)
+        if np.array_equal(spread, label):
+            break
+        label = spread
+    delta = (np.arange(d) - np.arange(d)[:, None]).ravel()
+    group = label[delta + s]
+    order = np.argsort(group, kind="stable")
+    size = np.bincount(group)
+    first = np.cumsum(size) - size
+    table = _block_gram(s)
+    cut = 1e-10 * settings.size * table.diagonal().max() / d ** 2
+    rho = np.zeros(d * d, dtype=np.complex128)
+    for k in sorted(set(size.tolist()) - {0}):  # equal sizes in one batch
+        idx = order[first[size == k][:, None] + np.arange(k)]
+        gram = (table[idx[:, :, None], idx[:, None, :]] / d ** 2
+                * sums[delta[idx][:, None, :] - delta[idx][:, :, None]
+                       + 2 * s])
+        w, v = np.linalg.eigh(gram)
+        inv = np.divide(1.0, w, out=np.zeros_like(w), where=w > cut)
+        coef = np.einsum("gki,gk->gi", v.conj(), rhs[idx]) * inv
+        rho[idx] = np.einsum("gki,gi->gk", v, coef)
+    return u.conj().T @ rho.reshape(d, d) @ u
+
+
+def _spectral_start(mat: np.ndarray, freqs: np.ndarray, settings,
+                    phi0: float) -> np.ndarray:
     """Spectral start of the fit, as (Re c, Im c).
 
     f_i = M_i C M_i^H is linear in C = c c^H. The top eigenvector z of
@@ -343,15 +453,13 @@ def _spectral_start(mat: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     settings leave unmeasured stay zero), scaled by sqrt(f.m / m.m) with
     m = |M z|^2, starts the fit. This whitens the phase-retrieval matrix
     M^H diag(f) M, whose own top eigenvector can start the fit in a
-    spurious minimum for these M. f.m is zero when every count lies in a
-    cell the model cannot reach.
+    spurious minimum for these M. _least_squares_cc solves for the
+    estimate in photon-number blocks, split by the offset n' - n of the
+    Fock elements, and never forms the lifted problem's matrix of one
+    (s+1)^2 row per cell. f.m is zero when every count lies in a cell the
+    model cannot reach.
     """
-    n = mat.shape[1]
-    reach = mat.any(axis=1)  # a cell no amplitude reaches says nothing on C
-    lifted = mat[reach, :, None] * mat[reach].conj()[:, None, :]
-    rho = np.linalg.lstsq(lifted.reshape(-1, n * n), freqs[reach],
-                          rcond=None)[0]
-    _, vecs = np.linalg.eigh(rho.reshape(n, n))
+    _, vecs = np.linalg.eigh(_least_squares_cc(mat, freqs, settings, phi0))
     z = vecs[:, -1]
     amp = mat @ z
     m = amp.real ** 2 + amp.imag ** 2
@@ -414,6 +522,7 @@ def estimate_coefficients(tables, s: int, *, phi0: float = 0.0
     if not tables:
         raise ValidationError("no count tables given")
     settings = [float(p) for p, _ in tables]
+    mat = _model_matrix(settings, s, phi0)  # refuses a non-finite setting
     if not _covers_eigenphases(settings, s, phi0):
         raise ValidationError(
             "settings must include every eigenphase of order s")
@@ -424,9 +533,11 @@ def estimate_coefficients(tables, s: int, *, phi0: float = 0.0
         warnings.warn(
             f"only {populated} populated outcome cells for the "
             f"{2 * (s + 1)} fit parameters", RankDeficiencyWarning, stacklevel=2)
-    mat = _model_matrix(settings, s, phi0)
+    # the other cells' rows of M and of the Jacobian are exactly zero
+    reach = np.tile(_reached(s), len(settings))
+    mat, freqs = mat[reach], freqs[reach]
     fun, jac = _residuals(mat, freqs)
-    x = _gauss_newton(fun, jac, _spectral_start(mat, freqs))
+    x = _gauss_newton(fun, jac, _spectral_start(mat, freqs, settings, phi0))
     note = ""
     if s == 1 and all(abs(math.sin(p - phi0)) < 1e-9 for p in settings):
         note = "relative-phase sign not identifiable from on-axis settings"

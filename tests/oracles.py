@@ -4,16 +4,20 @@ Nothing under src/pbsim imports this module. Each function either
 computes a quantity along a route production does not take (the
 defining Wigner integral, the phase operator from its closed-form
 matrix elements, the primitives of the Hermite functions degree by
-degree) or builds a test input that no production path needs (joint
-states, padded states, the two-mode squeezed vacuum, the dense 50-50
-matrix, the click diagonals of other detector models).
+degree, the coefficient fit's spectral start from the lifted matrix) or
+builds a test input that no production path needs (joint states, padded
+states, the two-mode squeezed vacuum, the dense 50-50 matrix, the click
+diagonals of other detector models).
 """
+
+import math
 
 import numpy as np
 from scipy.integrate import quad
 
 from pbsim._kernels import _erfc, hermite_functions, wigner_batch
-from pbsim.errors import ConfigMismatchError, QuadratureError, ValidationError
+from pbsim.errors import (ConfigMismatchError, LowInformationError,
+                          QuadratureError, ValidationError)
 from pbsim.fock import FockDensity, FockVector
 from pbsim.ops import TwoModeUnitary
 
@@ -165,3 +169,45 @@ def tmsv(q: float, cutoff: int, max_terms: int | None = None) -> FockVector:
     n = np.arange(nkeep)
     amp[n, n] = np.sqrt(1.0 - q * q) * q ** n
     return FockVector(amp)
+
+
+def lifted_least_squares_cc(mat: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares C from f_i = M_i C M_i^H, in one solve of
+    the lifted matrix, whose row i holds M_i[k] conj(M_i[l]) at (k, l)."""
+    n = mat.shape[1]
+    reach = mat.any(axis=1)
+    lifted = mat[reach, :, None] * mat[reach].conj()[:, None, :]
+    return np.linalg.lstsq(lifted.reshape(-1, n * n), freqs[reach],
+                           rcond=None)[0].reshape(n, n)
+
+
+def lifted_spectral_start(mat: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """Spectral start of the fit, as (Re c, Im c).
+
+    f_i = M_i C M_i^H is linear in C = c c^H. The top eigenvector z of
+    its least-squares estimate (minimum norm, so parts of C that the
+    settings leave unmeasured stay zero), scaled by sqrt(f.m / m.m) with
+    m = |M z|^2, starts the fit. This whitens the phase-retrieval matrix
+    M^H diag(f) M, whose own top eigenvector can start the fit in a
+    spurious minimum for these M. f.m is zero when every count lies in a
+    cell the model cannot reach.
+
+    One lstsq on the lifted matrix, of (reached cells) x (s+1)^2 complex
+    entries: the reference for phase_est._spectral_start's block solve.
+    """
+    n = mat.shape[1]
+    reach = mat.any(axis=1)  # a cell no amplitude reaches says nothing on C
+    lifted = mat[reach, :, None] * mat[reach].conj()[:, None, :]
+    rho = np.linalg.lstsq(lifted.reshape(-1, n * n), freqs[reach],
+                          rcond=None)[0]
+    _, vecs = np.linalg.eigh(rho.reshape(n, n))
+    z = vecs[:, -1]
+    amp = mat @ z
+    m = amp.real ** 2 + amp.imag ** 2
+    fm = float(freqs @ m)
+    if fm <= 0.0:
+        raise LowInformationError(
+            "no count falls in an outcome cell the model reaches; the "
+            "tables hold no information on the coefficients")
+    z = z * math.sqrt(fm / float(m @ m))
+    return np.concatenate([z.real, z.imag])

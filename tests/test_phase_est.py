@@ -11,14 +11,16 @@ from pbsim.errors import (LowInformationError, RankDeficiencyWarning,
                           ValidationError)
 from pbsim.fock import FockVector, number_state, vacuum_state
 from pbsim.ops import _splitter_block, apply_two_mode_unitary
-from pbsim.phase_est import (CountTable, SuperpositionCoeffs, _model_matrix,
-                             _residuals, _splitter_amplitudes,
-                             estimate_coefficients, estimate_phase,
-                             gauge_fixed, interference_probs,
+from pbsim.phase_est import (CountTable, SuperpositionCoeffs,
+                             _least_squares_cc, _model_matrix, _reached,
+                             _residuals, _spectral_start,
+                             _splitter_amplitudes, estimate_coefficients,
+                             estimate_phase, gauge_fixed, interference_probs,
                              sample_outcomes, superposition_probs)
 from pbsim.phase_states import phase_state, phase_value
 
-from oracles import beam_splitter_5050, pad_to_cutoff, tensor_product
+from oracles import (beam_splitter_5050, lifted_least_squares_cc,
+                     lifted_spectral_start, pad_to_cutoff, tensor_product)
 
 
 def eigen_pair_dist(s, phi_j, phi_k):
@@ -386,6 +388,136 @@ def test_coefficients_exact_recovery_off_the_plain_spectral_basin():
     settings = [phase_value(3, m) for m in range(4)]
     got = estimate_coefficients(exact_tables(truth, settings), 3)
     assert np.abs(got.c - truth.c).max() < 1e-12
+
+
+def test_coefficients_exact_recovery_at_s30():
+    # the lifted matrix of the former spectral start would be 0.9 GB here
+    rng = np.random.default_rng(30)
+    s = 30
+    raw = (rng.uniform(0.5, 1.5, s + 1)
+           * np.exp(1j * rng.uniform(-math.pi, math.pi, s + 1)))
+    truth = gauge_fixed(raw, s)
+    settings = [phase_value(s, m) for m in range(s + 1)]
+    try:
+        got = estimate_coefficients(exact_tables(truth, settings), s)
+    finally:
+        _splitter_block.cache_clear()
+        phase_est._block_gram.cache_clear()
+    assert np.abs(got.c - truth.c).max() < 1e-12
+
+
+def fit_inputs(tables, s, phi0=0.0):
+    """The model's and the tables' reached rows, as estimate_coefficients
+    passes them to the spectral start."""
+    settings = [p for p, _ in tables]
+    reach = np.tile(_reached(s), len(settings))
+    freqs = np.concatenate([t.frequencies().ravel() for _, t in tables])
+    return _model_matrix(settings, s, phi0)[reach], freqs[reach], settings
+
+
+def check_block_solve(tables, s, phi0):
+    """The block solve's estimate of c c^H and its spectral start against
+    the lifted oracle, to 1e-12; returns the estimate."""
+    mat, freqs, settings = fit_inputs(tables, s, phi0)
+    cc = _least_squares_cc(mat, freqs, settings, phi0)
+    assert np.abs(cc - lifted_least_squares_cc(mat, freqs)).max() < 1e-12
+    # eigh fixes the start's global phase, which the fit ignores, only by
+    # its own convention
+    start, want = (x[:s + 1] + 1j * x[s + 1:]
+                   for x in (_spectral_start(mat, freqs, settings, phi0),
+                             lifted_spectral_start(mat, freqs)))
+    assert aligned_error(start, want) < 1e-12
+    return cc
+
+
+@pytest.mark.parametrize("off_axis", [False, True])
+@pytest.mark.parametrize("s", range(1, 8))
+def test_block_solve_matches_lifted_oracle(s, off_axis, monkeypatch):
+    # with the eigenphase settings alone the offset bins are s + 1
+    # separate systems of s + 1 unknowns, solved as one batch; an
+    # off-axis setting couples them all into one
+    batches = []
+    eigh = np.linalg.eigh
+
+    def recorded(a):
+        if a.ndim == 3:
+            batches.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    rng = np.random.default_rng(900 + s)
+    phi0 = 0.3
+    truth = gauge_fixed(random_amplitudes(rng, s), s)
+    settings = [phase_value(s, m, phi0) for m in range(s + 1)]
+    settings += [phi0 + 1.0] if off_axis else []
+    check_block_solve(exact_tables(truth, settings, phi0), s, phi0)
+    d = s + 1
+    # one batch per estimate: one for _least_squares_cc, one inside the start
+    assert batches == [(1, d * d, d * d) if off_axis else (d, d, d)] * 2
+    sampled = [(p, sample_outcomes(superposition_probs(p, truth, phi0),
+                                   2000, seed=i))
+               for i, p in enumerate(settings)]
+    check_block_solve(sampled, s, phi0)
+
+
+def test_block_solve_leaves_the_unmeasured_part_zero():
+    # the truth of test_coefficients_exact_recovery_off_the_plain_spectral_basin:
+    # at s = 3 the eigenphase settings leave part of c c^H unmeasured, and
+    # the minimum-norm estimate has no component there
+    raw = (np.array([1.3526, 1.459, 0.8734, 0.8137])
+           * np.exp(1j * np.array([-2.1598, -0.8427, -2.6209, -0.4132])))
+    truth = gauge_fixed(raw, 3)
+    tables = exact_tables(truth, [phase_value(3, m) for m in range(4)])
+    cc = check_block_solve(tables, 3, 0.0)
+    mat, _, _ = fit_inputs(tables, 3)
+    lifted = (mat[:, :, None] * mat.conj()[:, None, :]).reshape(-1, 16)
+    _, sv, vh = np.linalg.svd(lifted)
+    null = vh[sv < 1e-12 * sv[0]].conj()
+    assert null.shape[0] > 0
+    assert np.abs(null @ np.outer(truth.c, truth.c.conj()).ravel()).max() > 0.1
+    assert np.abs(null @ cc.ravel()).max() < 1e-12
+
+
+def test_block_solve_raises_where_the_lifted_oracle_does():
+    grid = np.zeros((5, 5))
+    grid[4, 4] = grid[4, 3] = 50.0
+    tables = [(phase_value(2, m), CountTable(grid, trials=100.0, rng_seed=m))
+              for m in range(3)]
+    mat, freqs, settings = fit_inputs(tables, 2)
+    assert not _least_squares_cc(mat, freqs, settings, 0.0).any()
+    for start in (lambda: _spectral_start(mat, freqs, settings, 0.0),
+                  lambda: lifted_spectral_start(mat, freqs)):
+        with pytest.raises(LowInformationError, match="cell the model reaches"):
+            start()
+
+
+@pytest.mark.parametrize("s", range(1, 9))
+def test_model_matrix_closed_form(s):
+    # one splitter call over every (setting, coefficient) pair equals the
+    # per-setting stack through the phase states; cells with a + b > 2s
+    # are out of reach
+    phi0 = -0.7
+    settings = [phase_value(s, m, phi0) for m in range(s + 1)] + [0.4]
+    basis = np.stack([phase_state(s, phase_value(s, k, phi0)).amplitudes
+                      for k in range(s + 1)], axis=1)
+    want = np.concatenate([
+        _splitter_amplitudes(phase_state(s, p).amplitudes, basis)
+        for p in settings])
+    got = _model_matrix(settings, s, phi0)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() < 1e-15
+    reach = np.tile(_reached(s), len(settings))
+    assert np.count_nonzero(_reached(s)) == (s + 1) * (2 * s + 1)
+    assert not got[~reach].any()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_coefficients_refuse_non_finite_settings(bad):
+    truth = SuperpositionCoeffs(2, np.array([0.6, 0.0, 0.8]))
+    tables = exact_tables(truth, [phase_value(2, m) for m in range(3)])
+    tables.append((bad, tables[0][1]))
+    with pytest.raises(ValidationError, match="phase phi must be finite"):
+        estimate_coefficients(tables, 2)
 
 
 @pytest.mark.parametrize("s", [1, 3, 4])

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import erfc
 
-from pbsim._kernels import (hermite_functions, hermite_primitive_zero,
+from pbsim._kernels import (_erfc, hermite_functions, hermite_primitive_zero,
                             hermite_series_primitive, wigner_batch,
                             wigner_coefficients)
 from pbsim.errors import (QuadratureError, ValidationError,
@@ -317,6 +317,16 @@ def test_primitive_zero_matches_scipy_erfc():
     assert ends[0] == 0.0
     assert ends[1] == 2.0 * (np.pi ** 0.25 / np.sqrt(2.0))
     assert ends[1] == pytest.approx(np.pi ** 0.25 * np.sqrt(2.0), rel=3e-16)
+    # _erfc is math.erfc bit for bit, on 1-d and 0-d arguments and +-inf
+    pts = np.concatenate([xs[::997], [-np.inf, np.inf, 0.0, -0.0]])
+    got_1d = _erfc(pts)
+    assert got_1d.shape == pts.shape
+    assert np.array_equal(got_1d, [math.erfc(x) for x in pts.tolist()])
+    for x in (0.3, np.float64(-2.5), np.array(np.inf), -np.inf):
+        got = _erfc(x)
+        assert got.shape == () and got == math.erfc(float(x))
+    assert np.array_equal(_erfc(pts[:84].reshape(4, 21)),
+                          got_1d[:84].reshape(4, 21))
     # a 0-d argument gives one column
     table = hermite_primitives(3, 0.3)
     assert table.shape == (4,)
