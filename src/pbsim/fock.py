@@ -11,9 +11,14 @@ along as leakage.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
+
 import numpy as np
 
-from .errors import ConfigMismatchError, DegenerateHeraldError, ValidationError
+from .errors import (ConfigMismatchError, DegenerateHeraldError,
+                     ValidationError, _check_integer)
 
 NORM_TOL = 1e-12
 HERM_TOL = 1e-12
@@ -24,7 +29,8 @@ TRACE_TOL = 1e-10
 # floor conditioning is reported as degenerate instead of dividing.
 PROB_FLOOR = 1e-300
 
-# Patterns per gathered block in conditioning: small next to a herald tensor.
+# Photon-number patterns per block in conditioning: a block of real rows is
+# small next to a herald tensor.
 CONDITION_BLOCK = 2048
 
 
@@ -48,7 +54,9 @@ class FockVector:
         if len(set(amp.shape)) != 1 or amp.shape[0] < 2:
             raise ValidationError(
                 f"amplitudes need equal axes of length >= 2, got {amp.shape}")
-        if not np.all(np.isfinite(amp.view(np.float64))):
+        # max and min propagate nan and reach +-inf, with no bool temporary
+        view = amp.view(np.float64)
+        if not (math.isfinite(view.max()) and math.isfinite(view.min())):
             raise ValidationError("non-finite amplitude")
         self.amplitudes = amp
         self.leakage = float(leakage)
@@ -153,13 +161,22 @@ def conditional_density(state: FockVector, povm_per_mode, kept_mode: int
     (rho, p) : the kept mode's conditional density normalized to trace 1,
         and the outcome probability p = <Psi|(tensor E (x) I)|Psi>.
 
-    The elements fold into one weight w per photon-number pattern of the
-    conditioned modes. Only nonzero-weight patterns are read (a click
-    element has weight 0 at n = 0), CONDITION_BLOCK at a time:
-    raw += a^T conj(w a).
+    Each conditioned axis is sliced, as a view, to the span from the first
+    to the last nonzero entry of its diagonal (a click element has weight
+    0 at n = 0, and at eta = 1 its span is the single index n = 1); a zero
+    inside a span is read with weight 0. The amplitudes are read as reals,
+    x[..., n, (re, im)] with the kept mode n next to the last axis, so a
+    photon-number pattern of the conditioned modes is a row of 2 * dim
+    reals, and its weight w is the product of the diagonals' entries.
+    Blocks b of at most CONDITION_BLOCK rows, each row scaled by the square
+    root of its weight over the axes that the block spans, are summed as
+    acc += w' b^T b, w' the weight of the axes in front; then
+    raw = acc[re, re] + acc[im, im] + i (acc[im, re] - acc[re, im]) is
+    exactly Hermitian.
     """
     modes = state.modes
-    if not 0 <= kept_mode < modes:
+    _check_integer("kept_mode", kept_mode, 0)
+    if kept_mode >= modes:
         raise ValidationError(f"kept_mode {kept_mode} out of range")
     povms = list(povm_per_mode)
     if len(povms) != modes - 1:
@@ -167,24 +184,53 @@ def conditional_density(state: FockVector, povm_per_mode, kept_mode: int
             f"need {modes - 1} POVM elements, got {len(povms)}")
     dim = state.cutoff + 1
 
-    weights = np.ones(())
+    spans, diags = [], []  # per conditioned mode: the span and w on it
     for e in povms:
         e = np.asarray(e, dtype=np.float64)
         if e.shape != (dim,):
             raise ValidationError(f"POVM diagonal shape {e.shape} != ({dim},)")
         if not np.all(np.isfinite(e) & (e >= 0.0)):
             raise ValidationError("POVM weights must be finite and >= 0")
-        weights = np.multiply.outer(weights, e)
-
-    # amplitudes as (modes before, kept mode, modes after)
-    amp = state.amplitudes.reshape(dim ** kept_mode, dim, -1)
-    weights = weights.reshape(amp.shape[0], amp.shape[2])
-    before, after = np.nonzero(weights)
-    raw = np.zeros((dim, dim), dtype=np.complex128)
-    for lo in range(0, before.size, CONDITION_BLOCK):
-        i, j = before[lo:lo + CONDITION_BLOCK], after[lo:lo + CONDITION_BLOCK]
-        block = amp[i, :, j]
-        raw += block.T @ np.conj(weights[i, j, None] * block)
+        nz = np.flatnonzero(e)
+        lo, hi = (nz[0], nz[-1] + 1) if nz.size else (0, 0)
+        spans.append(slice(lo, hi))
+        diags.append(e[lo:hi])
+    spans.insert(kept_mode, slice(None))
+    amp = state.amplitudes
+    x = amp.view(np.float64).reshape(amp.shape + (2,))[tuple(spans)]
+    # a unit axis in front, so that every block cuts some axis into chunks
+    x = np.moveaxis(x, kept_mode, -2)[None]
+    diags.insert(0, np.ones(1))
+    acc = np.zeros((2 * dim, 2 * dim))
+    if x.size:
+        # whole axes from the end while a block holds them, then chunks of
+        # the axis before; the axes in front of that are looped over, and
+        # their weight scales a block's b^T b
+        shape, size, cut = x.shape[:-2], 1, x.ndim - 3
+        while cut > 0 and size * shape[cut] <= CONDITION_BLOCK:
+            size *= shape[cut]
+            cut -= 1
+        step = CONDITION_BLOCK // size
+        # sqrt(w) over the blocks' axes, one entry per real, so that the
+        # scaling runs over whole rows without broadcasting
+        roots = functools.reduce(np.multiply.outer, map(np.sqrt, diags[cut:]))
+        roots = np.ascontiguousarray(
+            np.broadcast_to(roots[..., None, None], x.shape[cut:]))
+        buf = np.empty_like(roots[:step])
+        for lead in itertools.product(*map(range, shape[:cut])):
+            weight = math.prod(d[i] for d, i in zip(diags, lead))
+            if weight == 0.0:
+                continue
+            for c in range(0, shape[cut], step):
+                part = x[lead + (slice(c, c + step),)]
+                b = buf[:len(part)]
+                np.copyto(b, part)  # then one flat loop scales it
+                b *= roots[c:c + step]
+                b = b.reshape(-1, 2 * dim)
+                acc += weight * (b.T @ b)  # one buffer against itself: syrk
+    acc = acc.reshape(dim, 2, dim, 2)
+    raw = (acc[:, 0, :, 0] + acc[:, 1, :, 1]
+           + 1j * (acc[:, 1, :, 0] - acc[:, 0, :, 1]))
     p = float(np.trace(raw).real)
     if p < PROB_FLOOR:
         raise DegenerateHeraldError(
@@ -193,15 +239,17 @@ def conditional_density(state: FockVector, povm_per_mode, kept_mode: int
 
 
 def vacuum_state(cutoff: int, modes: int = 1) -> FockVector:
-    if cutoff < 1:
-        raise ValidationError(f"cutoff must be >= 1, got {cutoff}")
+    _check_integer("cutoff", cutoff, 1)
+    _check_integer("modes", modes, 1)
     amp = np.zeros((cutoff + 1,) * modes, dtype=np.complex128)
     amp[(0,) * modes] = 1.0
     return FockVector(amp)
 
 
 def number_state(n: int, cutoff: int) -> FockVector:
-    if not 0 <= n <= cutoff:
+    _check_integer("n", n, 0)
+    _check_integer("cutoff", cutoff, 1)
+    if n > cutoff:
         raise ValidationError(f"n={n} outside [0, {cutoff}]")
     amp = np.zeros(cutoff + 1, dtype=np.complex128)
     amp[n] = 1.0

@@ -169,9 +169,12 @@ def build_state(cfg: HeraldConfig, alphas=None) -> FockVector:
     displaced at once. Both fold into one batched matmul on the carrier's
     number n, M_k[(x, y), n] = sum_{a,b} D_{k-1}[x, a] E_k[y, b]
     T[0, n, a, b], with E_k the carrier's displacement D_{s-1} at k = s-1,
-    else the identity (s = 1 only displaces the carrier). Each operation's
-    clamped squared-norm loss comes from the carrier's reduced density, not
-    the tensor; their sum above LEAKAGE_BOUND triggers LeakageWarning.
+    else the identity (s = 1 only displaces the carrier). Mode A holds
+    only the TMSV's n < J = min(tmsv_terms, cutoff + 1), so the tensor
+    grows with an A axis of length J, and the last matmul writes into the
+    first J columns of the zeroed output. Each operation's clamped
+    squared-norm loss comes from the carrier's reduced density, not the
+    tensor; their sum above LEAKAGE_BOUND triggers LeakageWarning.
     """
     if alphas is None:
         alphas = herald_alphas(cfg)
@@ -182,26 +185,34 @@ def build_state(cfg: HeraldConfig, alphas=None) -> FockVector:
     dim = cfg.cutoff + 1
     ds = [displacement_op(complex(a), cfg.cutoff,
                           scheme=cfg.displacement_scheme) for a in alphas]
-    # the kept TMSV terms sqrt(1 - q^2) q^n |n, n> of (carrier, A)
+    # the kept TMSV terms sqrt(1 - q^2) q^n |n, n> of (carrier, A); A only
+    # ever holds their n < J, so its axis has length J until the last step
     q, n = cfg.q, np.arange(min(dim, cfg.tmsv_terms))
-    amp = np.zeros((dim, dim), dtype=np.complex128)
+    amp = np.zeros((dim, n.size), dtype=np.complex128)
     amp[n, n] = np.sqrt(1.0 - q * q) * q ** n
     r = amp @ amp.conj().T  # the carrier's reduced density
     leakage = 0.0
-    for k in range(1, max(cfg.s, 2)):
+    last = max(cfg.s - 1, 1)
+    for k in range(1, last + 1):
         # G[..., n] after each operation; ||G psi||^2 = tr(G R G^H)
         ops = [np.eye(dim)]  # no splitter at s = 1
         if cfg.s > 1:
             t0 = _transfer_tensor(beam_splitter_pb(k, cfg.s).u, cfg.cutoff)
             ops = [t0[0].transpose(1, 2, 0)]  # (a, b, n)
             ops.append(np.tensordot(ds[k - 1], ops[0], axes=1))
-        if k == max(cfg.s - 1, 1):
+        if k == last:
             ops.append(np.einsum("yb,...bn->...yn", ds[-1], ops[-1]))
         norms = [float(np.vdot(g, g @ r).real) for g in ops]
         leakage += sum(max(0.0, n0 - n1) for n0, n1 in zip(norms, norms[1:]))
         g = ops[-1].reshape(-1, dim, dim)
-        amp = (g.reshape(-1, dim) @ amp.reshape(-1, dim, dim)).reshape(
-            (dim,) * (amp.ndim + (cfg.s > 1)))
+        src = amp.reshape(-1, dim, n.size)  # (modes before, carrier, A)
+        shape = (dim,) * (amp.ndim - 1 + (cfg.s > 1))
+        if k < last:
+            amp = (g.reshape(-1, dim) @ src).reshape(shape + (n.size,))
+        else:  # A's columns from J on stay zero
+            amp = np.zeros(shape + (dim,), dtype=np.complex128)
+            np.matmul(g.reshape(-1, dim), src,
+                      out=amp.reshape(src.shape[0], -1, dim)[..., :n.size])
         r = np.einsum("xyn,nm,xzm->yz", g, r, g.conj())  # mode x traced out
     if leakage > LEAKAGE_BOUND:
         warnings.warn(f"truncation leakage {leakage:.3e} above bound "

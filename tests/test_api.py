@@ -73,6 +73,16 @@ def _table():
     ("aux", lambda: pbsim.estimate_phase(_table(), 0.1, 1,
                                          aux=(np.inf, _table()))),
     ("s", lambda: pbsim.estimate_phase(_table(), 0.1, 1.0)),
+    ("n", lambda: pbsim.number_state(True, 2)),
+    ("n", lambda: pbsim.number_state(1.0, 2)),
+    ("cutoff", lambda: pbsim.number_state(1, 2.0)),
+    ("cutoff", lambda: pbsim.vacuum_state(True, 2)),
+    ("modes", lambda: pbsim.vacuum_state(2, 2.0)),
+    ("modes", lambda: pbsim.vacuum_state(2, True)),
+    ("kept_mode", lambda: pbsim.conditional_density(
+        pbsim.vacuum_state(2, 2), [np.ones(3)], kept_mode=True)),
+    ("kept_mode", lambda: pbsim.conditional_density(
+        pbsim.vacuum_state(2, 2), [np.ones(3)], kept_mode=1.0)),
 ])
 def test_counts_and_reference_phases_are_validated(name, call):
     # a bool or a non-integer count, and a non-finite reference phase, is
@@ -88,6 +98,10 @@ def test_numpy_integer_counts_are_accepted():
     assert pbsim.sample_outcomes(_table(), np.int64(10),
                                  np.uint8(3)).rng_seed == 3
     assert pbsim.pb_eigenstate(np.int16(3), np.int64(1)).cutoff == 3
+    assert pbsim.number_state(np.int64(1), np.int32(2)).norm_sq() == 1.0
+    pair = pbsim.vacuum_state(np.int64(2), np.int8(2))
+    assert pbsim.conditional_density(pair, [np.ones(3)],
+                                     kept_mode=np.int64(1))[1] == 1.0
 
 
 def test_readme_names_exist():

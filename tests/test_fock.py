@@ -41,6 +41,18 @@ def test_shape_validation():
         fidelity_pure(FockDensity.from_pure(vacuum_state(3)), vacuum_state(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_non_finite_amplitudes_are_refused(bad, part):
+    # in the real and in the imaginary part, wherever the entry sits
+    for index in ((0, 0), (2, 1)):
+        amp = np.zeros((3, 3), dtype=complex)
+        getattr(amp, part)[index] = bad
+        with pytest.raises(ValidationError, match="non-finite amplitude"):
+            FockVector(amp)
+    FockVector(np.full((3, 3), 1e308 - 1e308j))
+
+
 def test_normalized_follows_the_norm():
     amp = np.array([1.0, 1.0, 0.0], dtype=complex)
     assert not FockVector(amp).normalized
@@ -174,13 +186,14 @@ def test_conditional_density_diagonal_povms_match_einsum(kept_mode):
     assert np.abs(rho.matrix - want_rho).max() < 1e-12
 
 
-@pytest.mark.parametrize("block", [fock.CONDITION_BLOCK, 5])
+@pytest.mark.parametrize("block", [fock.CONDITION_BLOCK, 5, 1])
 @pytest.mark.parametrize("kept_mode", [0, 1, 2, 3])
 def test_conditional_density_zero_weights_match_einsum(kept_mode, block,
                                                        monkeypatch):
     # click elements have E[0, 0] = 0, and at eta = 1 only E[1, 1] is
     # nonzero, so whole photon-number patterns carry zero weight; a block
-    # of 5 patterns splits them over several blocks with a short last one
+    # of 5 patterns splits them over several blocks with a short last one,
+    # and a block of 1 reads one pattern at a time
     monkeypatch.setattr(fock, "CONDITION_BLOCK", block)
     v = random_vector(3, 4, seed=80 + kept_mode)
     interior = np.array([0.7, 0.0, 0.4, 1.0])
@@ -194,6 +207,35 @@ def test_conditional_density_zero_weights_match_einsum(kept_mode, block,
     with pytest.raises(DegenerateHeraldError):
         conditional_density(v, [np.zeros(4)] + povms[1:],
                             kept_mode=kept_mode)
+
+
+@pytest.mark.parametrize("block", [fock.CONDITION_BLOCK, 5, 1])
+@pytest.mark.parametrize("kept_mode", [0, 1, 2, 3])
+def test_conditional_density_projectors_and_identity_match_einsum(
+        kept_mode, block, monkeypatch):
+    # a number projector's span is one index, at either end or inside the
+    # axis; the identity's is the whole axis, on every conditioned mode
+    # (the reduced state) or beside projectors
+    monkeypatch.setattr(fock, "CONDITION_BLOCK", block)
+    v = random_vector(3, 4, seed=90 + kept_mode)
+    proj = [np.eye(4)[n] for n in (0, 3, 2)]
+    ones = np.ones(4)
+    for povms in (proj, [ones] * 3, [proj[1], ones, proj[2]],
+                  [ones, proj[0], ones]):
+        rho, p = conditional_density(v, povms, kept_mode=kept_mode)
+        want_rho, want_p = condition_oracle(
+            v.amplitudes, [np.diag(d) for d in povms], kept_mode)
+        assert p == pytest.approx(want_p, rel=1e-12)
+        assert np.abs(rho.matrix - want_rho).max() < 1e-12
+        assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+
+
+def test_conditional_density_of_one_mode_is_the_pure_state():
+    v = random_vector(3, 1, seed=95, normalized=False)
+    rho, p = conditional_density(v, [], kept_mode=0)
+    a = v.amplitudes
+    assert p == pytest.approx(v.norm_sq(), rel=1e-14)
+    assert np.abs(rho.matrix - np.outer(a, a.conj()) / p).max() < 1e-15
 
 
 def test_conditional_density_rejects_bad_povm_diagonals():

@@ -183,6 +183,23 @@ def test_build_state_matches_cascade_oracle(s, scheme):
                 assert np.abs(rho.matrix - rho_w.matrix).max() < 1e-12
 
 
+@pytest.mark.parametrize("terms", [1, 2, 3])
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_build_state_few_tmsv_terms_match_cascade_oracle(s, terms):
+    # mode A's axis has length J = tmsv_terms until the last step, whose
+    # columns from J on must come out as zeros of the full-size tensor
+    for cutoff in range(max(s, terms + 1), max(s, terms + 1) + 2):
+        cfg = HeraldConfig(s=s, r=0.3, eta=1.0, cutoff=cutoff,
+                           tmsv_terms=terms)
+        alphas = herald_alphas(cfg)
+        got = build_state(cfg, alphas)
+        want = cascade_oracle(cfg, alphas)
+        assert got.amplitudes.shape == (cutoff + 1,) * (s + 1)
+        assert np.abs(got.amplitudes - want.amplitudes).max() < 1e-12
+        assert not got.amplitudes[..., terms:].any()
+        assert got.leakage == pytest.approx(want.leakage, abs=1e-12)
+
+
 @pytest.mark.parametrize("s, alphas", [
     (1, [1.5]),
     (3, np.linspace(2.0, -0.5, 3) + 0.3j),
@@ -253,14 +270,26 @@ def test_build_state_peak_memory_fused(six_mode_alphas):
 
 
 def test_conditional_density_peak_memory_blocks(six_mode_alphas):
-    # the nonzero-weight patterns are gathered a block at a time, so no
-    # state-sized copy is made
+    # the patterns in the click diagonals' span are read a block of real
+    # rows at a time from a view of the state, so no state-sized copy is
+    # made
     cfg, alphas = six_mode_alphas
     st = build_state(cfg, alphas)
     clicks = [detector_povm(0.8, cfg.cutoff).click] * cfg.s
     _, peak = traced_peak(
         lambda: conditional_density(st, clicks, kept_mode=cfg.s))
     assert peak <= 0.5 * st.amplitudes.nbytes
+
+
+def test_conditional_density_peak_memory_views(six_mode_alphas):
+    # no weight tensor, index arrays or per-mode copies: besides one block
+    # of CONDITION_BLOCK real rows, only (2 dim)^2 accumulators are made
+    cfg, alphas = six_mode_alphas
+    st = build_state(cfg, alphas)
+    clicks = [detector_povm(0.8, cfg.cutoff).click] * cfg.s
+    _, peak = traced_peak(
+        lambda: conditional_density(st, clicks, kept_mode=cfg.s))
+    assert peak <= 0.05 * st.amplitudes.nbytes
 
 
 def test_exact_norm_accounting():

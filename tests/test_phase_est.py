@@ -243,6 +243,54 @@ def test_interference_and_phase_estimate_at_s60():
     assert abs(est.phi_k - phi_k) < 1e-10
 
 
+def table_and_derivative(s, phi_j, phi_k):
+    """Output amplitudes A of |phi_j>_s (reference) and |phi_k>_s at the
+    splitter, and dA/dphi_k: d psi_n / dphi_k = i n psi_n, and A is linear
+    in the right-hand input, so both come from one splitter call."""
+    psi = phase_state(s, phi_k).amplitudes
+    cols = np.stack([psi, 1j * np.arange(s + 1) * psi], axis=1)
+    amp = _splitter_amplitudes(phase_state(s, phi_j).amplitudes, cols)
+    return amp[:, 0], amp[:, 1]
+
+
+@pytest.mark.parametrize("s", [1, 2, 6, 10, 30, 60])
+def test_table_fisher_information_closed_form(s):
+    # each table carries s(s+2)/6 per trial about phi_k, half the quantum
+    # Fisher information 4 Var(n) = s(s+2)/3 of |phi_k>_s: the counts
+    # commute with the total photon number, which carries the other half;
+    # the (1,0) and (0,1) cells that the contrast estimate reads hold
+    # 2/(s+1)^2 of the probability whatever the phases
+    phi_j = 0.7
+    try:
+        for delta in (0.3, 1.0, 2.0, math.pi / 2):
+            a, da = table_and_derivative(s, phi_j, phi_j + delta)
+            p = np.abs(a) ** 2
+            dp = 2.0 * (a.conj() * da).real
+            table = eigen_pair_dist(s, phi_j, phi_j + delta).frequencies()
+            assert np.abs(p.reshape(table.shape) - table).max() < 1e-15
+            info = np.sum(dp[p > 0] ** 2 / p[p > 0])
+            assert info == pytest.approx(s * (s + 2) / 6, rel=1e-12)
+            assert table[1, 0] + table[0, 1] == pytest.approx(
+                2 / (s + 1) ** 2, rel=1e-12)
+    finally:
+        _splitter_block.cache_clear()
+
+
+@pytest.mark.parametrize("s", [1, 2, 6, 10])
+def test_table_fisher_information_at_equal_phases(s):
+    # at phi_j = phi_k every cell of positive probability has dP = 0; the
+    # information sits in the cells whose probability vanishes at this
+    # setting, where P ~ |dA|^2 delta^2 nearby, and their limit sum of
+    # 4 |dA|^2 is again s(s+2)/6
+    a, da = table_and_derivative(s, 0.7, 0.7)
+    p = np.abs(a) ** 2
+    zero = p < 1e-20  # rounding residue is below 1e-28
+    assert p[~zero].min() > 1e-10 and p[zero].max() < 1e-28
+    assert np.abs(2.0 * (a.conj() * da).real[~zero]).max() < 1e-14
+    assert np.sum(4.0 * np.abs(da[zero]) ** 2) == pytest.approx(
+        s * (s + 2) / 6, rel=1e-12)
+
+
 def test_phase_two_setting_sampled():
     s, phi_j, phi_k = 2, 0.0, 0.8
     d_main = eigen_pair_dist(s, phi_j, phi_k)
